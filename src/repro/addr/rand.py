@@ -99,16 +99,21 @@ from .vector import HAVE_NUMPY, np  # noqa: E402  (gate lives with the toggle)
 
 _HASH_STATE = 0x5DEE_CE66_D1A4_F087
 _TWO64 = 18446744073709551616.0  # 2**64
+_GOLDEN_U64 = np.uint64(_GOLDEN)
+_MIX1_U64 = np.uint64(_MIX1)
+_MIX2_U64 = np.uint64(_MIX2)
+_SHIFTS_U64 = (np.uint64(30), np.uint64(27), np.uint64(31))
 
 
 def mix64_batch(x):
     """Vectorized :func:`mix64` over a uint64 array (wraps modulo 2**64)."""
-    x = (x + np.uint64(_GOLDEN)) & np.uint64(_MASK64)
-    x ^= x >> np.uint64(30)
-    x = (x * np.uint64(_MIX1)) & np.uint64(_MASK64)
-    x ^= x >> np.uint64(27)
-    x = (x * np.uint64(_MIX2)) & np.uint64(_MASK64)
-    x ^= x >> np.uint64(31)
+    s30, s27, s31 = _SHIFTS_U64
+    x = x + _GOLDEN_U64
+    x ^= x >> s30
+    x *= _MIX1_U64
+    x ^= x >> s27
+    x *= _MIX2_U64
+    x ^= x >> s31
     return x
 
 
@@ -179,23 +184,43 @@ def _broadcast_length(parts) -> int:
     return 1
 
 
+#: Draws a stream computes per block, and the block's state offsets:
+#: draw ``k`` (from 1) of a stream seeded at ``s0`` is ``mix64(s0 + k*GOLDEN)``.
+_BLOCK = 256
+_BLOCK_STEPS = np.arange(1, _BLOCK + 1, dtype=np.uint64) * _GOLDEN_U64
+
+
 class DeterministicStream:
     """A sequential deterministic random stream.
 
     Unlike the pure hash functions above (which are addressed by their
     inputs), a stream produces a reproducible *sequence* — useful inside
     TGAs that need many draws whose count depends on data.
+
+    Draw ``k`` is ``mix64(s0 + k * GOLDEN)`` for the seeded state ``s0``
+    (a splitmix64 sequence); the stream computes them ``_BLOCK`` at a time
+    with :func:`mix64_batch` and hands them out one by one.
     """
 
-    __slots__ = ("_state",)
+    __slots__ = ("_state", "_block", "_pos")
 
     def __init__(self, *seed_parts: int) -> None:
+        #: State after the last computed block.
         self._state = hash64(*seed_parts) if seed_parts else 0x853C_49E6_748F_EA9B
+        self._block: list[int] = []
+        self._pos = 0
 
     def next64(self) -> int:
         """Next 64-bit value in the stream."""
-        self._state = (self._state + _GOLDEN) & _MASK64
-        return mix64(self._state)
+        pos = self._pos
+        block = self._block
+        if pos == len(block):
+            state = self._state
+            block = self._block = mix64_batch(_BLOCK_STEPS + np.uint64(state)).tolist()
+            self._state = (state + _BLOCK * _GOLDEN) & _MASK64
+            pos = 0
+        self._pos = pos + 1
+        return block[pos]
 
     def next_uniform(self) -> float:
         """Next uniform float in [0, 1)."""

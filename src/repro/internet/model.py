@@ -13,7 +13,7 @@ harness:
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from functools import cached_property
 
 from ..addr import Prefix
@@ -280,9 +280,6 @@ class SimulatedInternet:
     def __init__(self, config: InternetConfig | None = None) -> None:
         self.config = config or InternetConfig()
         self.topology = LazyTopology(self.config)
-        # The scanner hot path grabs this attribute directly; the lazy
-        # facade answers get/[]/in identically to the old eager dict.
-        self._regions_by_net64 = self.topology.regions_by_net64
         self._probe_tables: _ProbeTables | None = None
         self._adopted_tables: _ProbeTables | None = None
 
@@ -351,13 +348,10 @@ class SimulatedInternet:
 
     def region_of(self, address: int) -> Region | None:
         """The region containing ``address``, or None for unallocated space."""
-        return self._regions_by_net64.get(address >> 64)
+        return self.topology.region_for_net64(address >> 64)
 
     def asn_of(self, address: int) -> int | None:
-        """Originating ASN for ``address`` (region-fast path, registry fallback)."""
-        region = self._regions_by_net64.get(address >> 64)
-        if region is not None:
-            return region.asn
+        """Originating ASN for ``address`` (allocation math; derives no AS)."""
         return self.registry.asn_of(address)
 
     def regions_with_role(self, role: RegionRole) -> list[Region]:
@@ -382,7 +376,7 @@ class SimulatedInternet:
 
     def probe(self, address: int, port: Port, epoch: int = SCAN_EPOCH, attempt: int = 0) -> bool:
         """Ground-truth: does ``address`` answer affirmatively on ``port``?"""
-        region = self._regions_by_net64.get(address >> 64)
+        region = self.topology.region_for_net64(address >> 64)
         if region is None:
             return False
         return region.responds(address, port, epoch, attempt)
@@ -392,10 +386,11 @@ class SimulatedInternet:
     ) -> set[int]:
         """Batched ground-truth probing: the responsive subset of ``addresses``.
 
-        Groups targets by /64 so the region lookup and the region-level
-        checks (firewall, retirement, alias profile, responsive-IID set)
-        are done once per group rather than once per address.  Results
-        are identical to calling :meth:`probe` per address.
+        Groups targets by /64 so the region-level checks (firewall,
+        retirement, alias profile, responsive-IID set) are done once per
+        group rather than once per address, and resolves every group's
+        region in one batch that derives each owning AS at most once.
+        Results are identical to calling :meth:`probe` per address.
 
         When the vectorized core is enabled, large batches (and any
         :class:`~repro.addr.vector.PackedAddresses` input) run through
@@ -428,16 +423,16 @@ class SimulatedInternet:
             else:
                 group.append(address)
         hits: set[int] = set()
-        regions = self._regions_by_net64
+        regions = self.topology.regions_for_net64s(groups)
         for net64, group in groups.items():
-            region = regions.get(net64)
+            region = regions[net64]
             if region is not None:
                 hits |= region.respond_batch(group, port, epoch)
         return hits
 
     def target_exists(self, address: int) -> bool:
         """Whether ``address`` falls in allocated (region-backed) space."""
-        return (address >> 64) in self._regions_by_net64
+        return self.topology.region_for_net64(address >> 64) is not None
 
     # -- aliases --------------------------------------------------------------
 
@@ -466,7 +461,7 @@ class SimulatedInternet:
 
     def is_aliased_truth(self, address: int) -> bool:
         """Ground truth: is ``address`` inside an aliased region?"""
-        region = self._regions_by_net64.get(address >> 64)
+        region = self.topology.region_for_net64(address >> 64)
         return region is not None and region.aliased
 
     # -- ground-truth enumeration (calibration, tests, collectors) -----------

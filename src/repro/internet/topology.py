@@ -34,12 +34,14 @@ real allocation policies exhibit and that TGAs exploit.
 
 from __future__ import annotations
 
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from functools import lru_cache
 
 from ..addr import Prefix
-from ..addr.rand import DeterministicStream, hash64
+from ..addr.rand import DeterministicStream, hash64, hash64_batch
+from ..addr.vector import np
 from ..asdb import ASInfo, ASRegistry, OrgType
 from .config import InternetConfig
 from .patterns import PatternKind
@@ -121,22 +123,47 @@ _MEGA_TOP32 = _MEGA_SLASH32 >> 96
 # -- invertible rank mappings ------------------------------------------------
 
 
+@lru_cache(maxsize=512)
+def _domain_key(*parts: int) -> int:
+    """``hash64(*parts)``, memoised: a Feistel key is hashed once per config."""
+    return hash64(*parts)
+
+
+@lru_cache(maxsize=512)
+def _round_tables(key: int, half: int) -> tuple[tuple[int, ...], ...]:
+    """The four round functions ``hash64(key, rnd, x) & mask`` as tables.
+
+    One entry per ``x`` in ``[0, 2**half)``: at most 4 x 4,096 entries
+    (the 24-bit ASN domain of ``MAX_ASES``), filled by one batch hash.
+    """
+    domain = np.arange(1 << half, dtype=np.uint64)
+    mask = np.uint64((1 << half) - 1)
+    return tuple(
+        tuple((hash64_batch(key, rnd, domain) & mask).tolist()) for rnd in range(4)
+    )
+
+
 def _feistel(bits: int, value: int, key: int, invert: bool = False) -> int:
     """A 4-round Feistel permutation over ``[0, 2**bits)`` (bits even).
 
     Round functions are :func:`hash64` draws keyed on ``key``, so each
-    (seed, salt) domain gets its own scatter.  Inverting runs the
-    rounds backwards; both directions are O(1).
+    (seed, salt) domain gets its own scatter; they are read from
+    :func:`_round_tables`.  Inverting runs the rounds backwards; both
+    directions are O(1).
     """
     half = bits // 2
-    mask = (1 << half) - 1
-    left, right = value >> half, value & mask
+    f0, f1, f2, f3 = _round_tables(key, half)
+    left, right = value >> half, value & ((1 << half) - 1)
     if not invert:
-        for rnd in range(4):
-            left, right = right, left ^ (hash64(key, rnd, right) & mask)
+        left, right = right, left ^ f0[right]
+        left, right = right, left ^ f1[right]
+        left, right = right, left ^ f2[right]
+        left, right = right, left ^ f3[right]
     else:
-        for rnd in reversed(range(4)):
-            left, right = right ^ (hash64(key, rnd, left) & mask), left
+        left, right = right ^ f3[left], left
+        left, right = right ^ f2[left], left
+        left, right = right ^ f1[left], left
+        left, right = right ^ f0[left], left
     return (left << half) | right
 
 
@@ -149,7 +176,7 @@ def _asn_domain_bits(num_ases: int) -> int:
 def asn_for_rank(config: InternetConfig, rank: int) -> int:
     """The (odd) ASN assigned to AS ``rank`` — pure, invertible."""
     bits = _asn_domain_bits(config.num_ases)
-    scattered = _feistel(bits, rank, hash64(config.master_seed, _SALT_ASN))
+    scattered = _feistel(bits, rank, _domain_key(config.master_seed, _SALT_ASN))
     return _ASN_BASE + 1 + 2 * scattered
 
 
@@ -162,7 +189,9 @@ def rank_for_asn(config: InternetConfig, asn: int) -> int | None:
     scattered = offset // 2
     if scattered >= (1 << bits):
         return None
-    rank = _feistel(bits, scattered, hash64(config.master_seed, _SALT_ASN), invert=True)
+    rank = _feistel(
+        bits, scattered, _domain_key(config.master_seed, _SALT_ASN), invert=True
+    )
     return rank if rank < config.num_ases else None
 
 
@@ -178,7 +207,7 @@ def slash32_for_rank(config: InternetConfig, rank: int) -> int:
     block = rank % blocks
     slot = (rank // blocks) % _BLOCK_CAPACITY
     plane = rank // (blocks * _BLOCK_CAPACITY)
-    mid16 = _feistel(16, slot, hash64(config.master_seed, _SALT_MID16, block, plane))
+    mid16 = _feistel(16, slot, _domain_key(config.master_seed, _SALT_MID16, block, plane))
     top16 = _TOP16_BLOCKS[block] + plane * _PLANE_STRIDE
     return (top16 << 112) | (mid16 << 96)
 
@@ -200,7 +229,7 @@ def rank_for_top32(config: InternetConfig, top32: int) -> int | None:
         if block is None:
             continue
         slot = _feistel(
-            16, mid16, hash64(config.master_seed, _SALT_MID16, block, plane),
+            16, mid16, _domain_key(config.master_seed, _SALT_MID16, block, plane),
             invert=True,
         )
         rank = (plane * _BLOCK_CAPACITY + slot) * blocks + block
@@ -616,7 +645,8 @@ class LazyASRegistry:
 
     Interface-compatible with :class:`~repro.asdb.ASRegistry` for every
     read operation the experiment layer uses; prefix→ASN attribution is
-    the O(1) inverse allocation math instead of a trie walk.
+    the O(1) inverse allocation math instead of a trie walk, and the
+    batch queries resolve each distinct /32 once.
     """
 
     def __init__(self, topology: "LazyTopology") -> None:
@@ -642,8 +672,10 @@ class LazyASRegistry:
 
     def asn_of(self, address: int) -> int | None:
         """ASN originating ``address``, or None if unrouted."""
+        return self._asn_of_top32((address >> 96) & 0xFFFF_FFFF)
+
+    def _asn_of_top32(self, top32: int) -> int | None:
         config = self._topology.config
-        top32 = (address >> 96) & 0xFFFF_FFFF
         if top32 == _MEGA_TOP32:
             return config.mega_isp_asn
         rank = rank_for_top32(config, top32)
@@ -671,31 +703,32 @@ class LazyASRegistry:
 
     def ases_of(self, addresses: Iterable[int]) -> set[int]:
         """Distinct ASNs originating any of the given addresses."""
-        result: set[int] = set()
-        for address in addresses:
-            asn = self.asn_of(address)
-            if asn is not None:
-                result.add(asn)
+        top32s = {(address >> 96) & 0xFFFF_FFFF for address in addresses}
+        result = {self._asn_of_top32(top32) for top32 in top32s}
+        result.discard(None)
         return result
 
-    def count_by_as(self, addresses: Iterable[int]):
+    def count_by_as(self, addresses: Iterable[int]) -> Counter[int]:
         """Counter of how many of the given addresses fall in each AS."""
-        from collections import Counter
-
-        counts: Counter = Counter()
-        for address in addresses:
-            asn = self.asn_of(address)
+        per_top32 = Counter((address >> 96) & 0xFFFF_FFFF for address in addresses)
+        counts: Counter[int] = Counter()
+        for top32, count in per_top32.items():
+            asn = self._asn_of_top32(top32)
             if asn is not None:
-                counts[asn] += 1
+                counts[asn] = count
         return counts
 
     def group_by_as(self, addresses: Iterable[int]) -> dict[int, list[int]]:
         """Group addresses by originating ASN (unrouted addresses dropped)."""
-        groups: dict[int, list[int]] = {}
+        by_top32: dict[int, list[int]] = {}
         for address in addresses:
-            asn = self.asn_of(address)
+            by_top32.setdefault((address >> 96) & 0xFFFF_FFFF, []).append(address)
+        # Each AS owns exactly one /32, so a /32's group is its AS's group.
+        groups: dict[int, list[int]] = {}
+        for top32, group in by_top32.items():
+            asn = self._asn_of_top32(top32)
             if asn is not None:
-                groups.setdefault(asn, []).append(address)
+                groups[asn] = group
         return groups
 
     def announced_prefixes(self) -> list[tuple[Prefix, int]]:
@@ -853,6 +886,42 @@ class LazyTopology:
         if rank is None:
             return None
         return self._as_entry(rank)[1].get(net64)
+
+    def regions_for_net64s(self, net64s: Iterable[int]) -> dict[int, Region | None]:
+        """``{net64: region_for_net64(net64)}`` over a batch of /64s.
+
+        Resolves each owning AS once per call: the /64s are grouped by
+        /32 (one per AS), ASes already resident are served first so that
+        deriving the others cannot evict them mid-call, and each missing
+        AS is then derived exactly once.  The returned map holds its
+        regions, so evictions later in the same call lose nothing.
+        """
+        by_top32: dict[int, list[int]] = {}
+        for net64 in net64s:
+            by_top32.setdefault(net64 >> 32, []).append(net64)
+        result: dict[int, Region | None] = {}
+
+        def serve(rank: int, nets: list[int]) -> None:
+            regions = self._as_entry(rank)[1]
+            for net64 in nets:
+                result[net64] = regions.get(net64)
+
+        missing: list[tuple[int, list[int]]] = []
+        for top32, nets in by_top32.items():
+            if top32 == _MEGA_TOP32:
+                for net64 in nets:
+                    result[net64] = self._mega_region_for_net64(net64)
+                continue
+            rank = rank_for_top32(self.config, top32)
+            if rank is None:
+                result.update(dict.fromkeys(nets))
+            elif rank in self._as_cache:
+                serve(rank, nets)
+            else:
+                missing.append((rank, nets))
+        for rank, nets in missing:
+            serve(rank, nets)
+        return result
 
     def iter_regions(self) -> Iterator[Region]:
         """Stream every region in the canonical (eager) order.

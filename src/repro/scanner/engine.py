@@ -117,10 +117,11 @@ class Scanner:
         Input order does not affect results (responses are deterministic
         per address), matching the paper's randomised scan order.
 
-        Targets are grouped by /64 so the region lookup, firewall and
-        retirement checks and the port-profile dispatch happen once per
-        group rather than once per address; outcomes are identical to
-        probing each address individually.
+        Targets are grouped by /64 so the firewall and retirement checks
+        and the port-profile dispatch happen once per group rather than
+        once per address, and every group's region is resolved in one
+        batch that derives each owning AS at most once per scan;
+        outcomes are identical to probing each address individually.
 
         With the vectorized core enabled, large batches (and any
         :class:`~repro.addr.vector.PackedAddresses` input) run the
@@ -140,7 +141,6 @@ class Scanner:
         stats = result.stats
         start_time = self.rate_limiter.virtual_time
         epoch = self.epoch
-        regions = self.internet._regions_by_net64  # hot path: direct dict
         classify_negative = self.classify_negative
         port_index = port.index
         # Hoisted blocklist check: empty blocklists cost nothing per target.
@@ -163,9 +163,10 @@ class Scanner:
         neg = 0
         timeouts = 0
         hits = result.hits
+        regions = self.internet.topology.regions_for_net64s(groups)
         for net64, group in groups.items():
             sent += len(group)
-            region = regions.get(net64)
+            region = regions[net64]
             if region is None:
                 timeouts += len(group)
                 continue

@@ -129,3 +129,75 @@ class TestDeterministicStream:
 
     def test_sample_empty(self):
         assert DeterministicStream(23).sample([], 5) == []
+
+
+class ScalarStream:
+    """One splitmix64 draw at a time: the sequence block draws must keep."""
+
+    GOLDEN = 0x9E37_79B9_7F4A_7C15
+    MASK64 = (1 << 64) - 1
+
+    def __init__(self, *seed_parts):
+        self.state = hash64(*seed_parts)
+
+    def next64(self):
+        self.state = (self.state + self.GOLDEN) & self.MASK64
+        return mix64(self.state)
+
+    def next_below(self, n):
+        return self.next64() % n
+
+    def shuffle(self, items):
+        for i in range(len(items) - 1, 0, -1):
+            j = self.next_below(i + 1)
+            items[i], items[j] = items[j], items[i]
+
+
+class TestBlockDrawnStream:
+    """Block-drawn streams ≡ the scalar sequence across block boundaries."""
+
+    DRAWS = 3 * 256 + 41  # spans several blocks and ends mid-block
+
+    def test_next64(self):
+        stream, oracle = DeterministicStream(3, 4), ScalarStream(3, 4)
+        assert [stream.next64() for _ in range(self.DRAWS)] == [
+            oracle.next64() for _ in range(self.DRAWS)
+        ]
+
+    def test_default_seed(self):
+        stream = DeterministicStream()
+        state = 0x853C_49E6_748F_EA9B
+        for _ in range(300):
+            state = (state + ScalarStream.GOLDEN) & ScalarStream.MASK64
+            assert stream.next64() == mix64(state)
+
+    def test_next_below(self):
+        stream, oracle = DeterministicStream(5), ScalarStream(5)
+        for n in range(1, self.DRAWS):
+            assert stream.next_below(n) == oracle.next_below(n)
+
+    def test_next_address_bits_128_straddles_blocks(self):
+        stream, oracle = DeterministicStream(6), ScalarStream(6)
+        # One odd draw first, so 128-bit pairs straddle block boundaries.
+        assert stream.next64() == oracle.next64()
+        for _ in range(self.DRAWS // 2):
+            assert stream.next_address_bits(128) == (oracle.next64() << 64) | oracle.next64()
+
+    def test_mixed_draw_kinds(self):
+        stream, oracle = DeterministicStream(8, 9), ScalarStream(8, 9)
+        for _ in range(400):
+            assert stream.next_uniform() == oracle.next64() / 2.0**64
+            assert stream.next_address_bits(20) == oracle.next64() >> 44
+
+    def test_shuffle(self):
+        items = list(range(self.DRAWS))
+        got, want = list(items), list(items)
+        DeterministicStream(10).shuffle(got)
+        ScalarStream(10).shuffle(want)
+        assert got == want
+
+    def test_sample(self):
+        items = list(range(self.DRAWS))
+        want = list(items)
+        ScalarStream(12).shuffle(want)
+        assert DeterministicStream(12).sample(items, 25) == want[:25]

@@ -1,15 +1,25 @@
 """Tests for repro.internet.model (the SimulatedInternet facade)."""
 
+import functools
+import inspect
 import itertools
+import random
+import typing
+
+import pytest
 
 from repro.internet import (
     COLLECTION_EPOCH,
     SCAN_EPOCH,
     InternetConfig,
+    LazyASRegistry,
+    LazyTopology,
     Port,
     RegionRole,
     SimulatedInternet,
 )
+from repro.internet.topology import derive_as, mega_region, rank_for_top32, slash32_for_rank
+from repro.scanner import Scanner
 
 
 class TestLookups:
@@ -41,6 +51,51 @@ class TestLookups:
         routers = internet.regions_with_role(RegionRole.ROUTER)
         assert routers
         assert all(r.role is RegionRole.ROUTER for r in routers)
+
+
+class TestAsnOfFromRegistry:
+    """``asn_of`` answers from allocation math and derives no AS."""
+
+    @pytest.mark.parametrize("preset", ("tiny", "internet"))
+    def test_matches_ground_truth_without_materialising(self, preset):
+        config = getattr(InternetConfig, preset)(master_seed=3)
+        internet = SimulatedInternet(config)
+        rng = random.Random(3)
+        expected = {}
+        for rank in rng.sample(range(config.num_ases), min(40, config.num_ases)):
+            info, regions = derive_as(config, rank)
+            for region in regions[:3]:
+                expected[region.address_of(rng.getrandbits(16))] = region.asn
+            slash32 = slash32_for_rank(config, rank)
+            for _ in range(3):  # inside the /32 but (almost surely) no region
+                expected[slash32 | rng.getrandbits(96)] = info.asn
+        while len(expected) < 200:  # unallocated /32s
+            address = rng.getrandbits(128)
+            if (address >> 96) != 0x2A01_0E00 and rank_for_top32(config, address >> 96) is None:
+                expected[address] = None
+        for index in (0, 7, config.mega_isp_regions - 1):
+            expected[mega_region(config, index).address_of(1)] = config.mega_isp_asn
+        expected[(0x2A01_0E00 << 96) | (0xFFFF << 80)] = config.mega_isp_asn
+        before = internet.lazy_stats()["materialized_ases"]
+        for address, asn in expected.items():
+            assert internet.asn_of(address) == asn
+        assert internet.lazy_stats()["materialized_ases"] == before
+
+
+class TestTypeHints:
+    @pytest.mark.parametrize(
+        "cls", (SimulatedInternet, LazyTopology, LazyASRegistry, Scanner)
+    )
+    def test_public_annotations_resolve(self, cls):
+        for name, member in inspect.getmembers(cls):
+            if name.startswith("_"):
+                continue
+            if isinstance(member, property):
+                member = member.fget
+            elif isinstance(member, functools.cached_property):
+                member = member.func
+            if inspect.isfunction(member):
+                typing.get_type_hints(member)
 
 
 class TestProbing:

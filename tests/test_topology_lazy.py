@@ -10,16 +10,19 @@ that force LRU evictions and re-derivations.
 """
 
 import random
+from collections import Counter
 
 import pytest
 
+from repro.addr.rand import hash64
 from repro.addr.vector import use_vectorized
-from repro.internet import InternetConfig, SimulatedInternet
+from repro.internet import InternetConfig, SimulatedInternet, topology
 from repro.internet.ports import ALL_PORTS, Port
 from repro.internet.regions import COLLECTION_EPOCH, SCAN_EPOCH
 from repro.internet.topology import (
     MAX_ASES,
     LazyTopology,
+    _feistel,
     asn_for_rank,
     build_topology,
     derive_as,
@@ -29,6 +32,7 @@ from repro.internet.topology import (
     rank_for_top32,
     slash32_for_rank,
 )
+from repro.scanner import Scanner
 
 SWEEP_SEEDS = (0, 1, 7, 42, 1337)
 
@@ -118,6 +122,78 @@ class TestRankMappings:
     def test_num_ases_above_capacity_rejected(self):
         with pytest.raises(ValueError, match="allocation plan"):
             LazyTopology(InternetConfig(num_ases=MAX_ASES + 1))
+
+
+def oracle_feistel(bits: int, value: int, key: int, invert: bool = False) -> int:
+    """The Feistel permutation with its rounds computed by ``hash64``.
+
+    The round tables behind :func:`_feistel` must reproduce it exactly.
+    """
+    half = bits // 2
+    mask = (1 << half) - 1
+    left, right = value >> half, value & mask
+    if not invert:
+        for rnd in range(4):
+            left, right = right, left ^ (hash64(key, rnd, right) & mask)
+    else:
+        for rnd in reversed(range(4)):
+            left, right = right ^ (hash64(key, rnd, left) & mask), left
+    return (left << half) | right
+
+
+def oracle_asn(config: InternetConfig, rank: int) -> int:
+    bits = topology._asn_domain_bits(config.num_ases)
+    key = hash64(config.master_seed, topology._SALT_ASN)
+    return topology._ASN_BASE + 1 + 2 * oracle_feistel(bits, rank, key)
+
+
+def oracle_slash32(config: InternetConfig, rank: int) -> int:
+    blocks = len(topology._TOP16_BLOCKS)
+    block = rank % blocks
+    slot = (rank // blocks) % (1 << 16)
+    plane = rank // (blocks << 16)
+    key = hash64(config.master_seed, topology._SALT_MID16, block, plane)
+    top16 = topology._TOP16_BLOCKS[block] + plane * topology._PLANE_STRIDE
+    return (top16 << 112) | (oracle_feistel(16, slot, key) << 96)
+
+
+class TestRoundTables:
+    """Table-driven Feistel rounds ≡ the ``hash64`` rounds they replace."""
+
+    def _check(self, bits: int, key: int, values) -> None:
+        for value in values:
+            forward = _feistel(bits, value, key)
+            assert forward == oracle_feistel(bits, value, key)
+            backward = _feistel(bits, value, key, invert=True)
+            assert backward == oracle_feistel(bits, value, key, invert=True)
+            assert _feistel(bits, forward, key, invert=True) == value
+
+    def test_whole_16_bit_domain(self):
+        key = hash64(42, topology._SALT_MID16, 5, 1)
+        self._check(16, key, range(1 << 16))
+
+    @pytest.mark.parametrize("bits", (8, 12, 20, 24))
+    def test_sampled_asn_domains(self, bits):
+        key = hash64(bits, topology._SALT_ASN)
+        rng = random.Random(bits)
+        values = [0, (1 << bits) - 1, *(rng.randrange(1 << bits) for _ in range(3000))]
+        self._check(bits, key, values)
+
+    @pytest.mark.parametrize("num_ases", (48, 120, 1_000_000, MAX_ASES))
+    def test_rank_maps_round_trip_at_scale(self, num_ases):
+        config = InternetConfig(master_seed=num_ases, num_ases=num_ases)
+        if num_ases <= 120:
+            ranks = list(range(num_ases))
+        else:
+            rng = random.Random(num_ases)
+            ranks = [0, num_ases - 1, *rng.sample(range(num_ases), 2000)]
+        for rank in ranks:
+            asn = asn_for_rank(config, rank)
+            assert asn == oracle_asn(config, rank)
+            assert rank_for_asn(config, asn) == rank
+            slash32 = slash32_for_rank(config, rank)
+            assert slash32 == oracle_slash32(config, rank)
+            assert rank_for_top32(config, slash32 >> 96) == rank
 
 
 class TestDerivationPurity:
@@ -240,6 +316,124 @@ class TestLazyEagerEquivalence:
             assert fingerprint(lazy.region_for_net64(region.net64)) == fingerprint(
                 region
             )
+
+
+def batch_world(seed: int = 9, **overrides):
+    """A 12-AS world and batches of /64 lookups that overflow a 4-AS LRU.
+
+    Each batch holds region /64s of more than four ASes, random /64s in
+    allocated /32s, /64s in unallocated /32s and mega-ISP /64s (inside
+    and outside its run), shuffled.
+    """
+    config = micro_config(seed, **overrides)
+    eager = build_topology(config)
+    rng = random.Random(seed)
+    as_nets = [r.net64 for r in eager.regions if r.asn != config.mega_isp_asn]
+    mega_nets = [r.net64 for r in eager.regions if r.asn == config.mega_isp_asn]
+    unallocated = []
+    while len(unallocated) < 6:
+        net64 = rng.getrandbits(64)
+        if rank_for_top32(config, net64 >> 32) is None:
+            unallocated.append(net64)
+    batches = []
+    for _ in range(6):
+        batch = rng.sample(as_nets, 24)
+        batch += [
+            (slash32_for_rank(config, rng.randrange(config.num_ases)) >> 64)
+            | rng.getrandbits(32)
+            for _ in range(8)
+        ]
+        batch += rng.sample(unallocated, 3)
+        batch += rng.sample(mega_nets, 3) + [mega_nets[0] | 0xFF00]
+        rng.shuffle(batch)
+        batches.append(batch)
+    return config, batches
+
+
+class TestBatchResolution:
+    """``regions_for_net64s`` ≡ per-/64 lookups, deriving each AS once."""
+
+    def test_matches_point_lookups(self):
+        config, batches = batch_world()
+        reference = LazyTopology(config)
+        lazy = LazyTopology(config, max_resident_ases=4)
+        for batch in batches:
+            ranks = {rank_for_top32(config, net64 >> 32) for net64 in batch} - {None}
+            assert len(ranks) > 4, "the batch must overflow the 4-AS LRU"
+            resident = set(lazy._as_cache)
+            before = lazy.materialized_ases
+            got = lazy.regions_for_net64s(batch)
+            assert set(got) == set(batch)
+            for net64 in batch:
+                want = reference.region_for_net64(net64)
+                if want is None:
+                    assert got[net64] is None
+                else:
+                    assert fingerprint(got[net64]) == fingerprint(want)
+            assert lazy.materialized_ases - before == len(ranks - resident)
+            assert lazy.resident_ases <= 4
+
+    def test_scan_derives_each_as_once_per_scan(self):
+        """The grouped scan path resolves a batch in one call."""
+        config, batches = batch_world(vector_table_max_ases=0, max_resident_ases=4)
+        pinned = SimulatedInternet(config)
+        pinned.regions
+        squeezed = SimulatedInternet(config)
+        rng = random.Random(4)
+        for batch in batches:
+            targets = [(net64 << 64) | rng.getrandbits(8) for net64 in batch]
+            ranks = {rank_for_top32(config, net64 >> 32) for net64 in batch} - {None}
+            resident = set(squeezed.topology._as_cache)
+            before = squeezed.lazy_stats()["materialized_ases"]
+            got = Scanner(squeezed).scan(targets, Port.ICMP)
+            want = Scanner(pinned).scan(targets, Port.ICMP)
+            assert got.hits == want.hits
+            assert got.stats.responses == want.stats.responses
+            materialized = squeezed.lazy_stats()["materialized_ases"] - before
+            assert materialized == len(ranks - resident)
+            assert squeezed.probe_batch(targets, Port.ICMP) == want.hits
+
+    @pytest.mark.parametrize("seed", SWEEP_SEEDS)
+    def test_batch_attribution_matches_per_address(self, seed, monkeypatch):
+        config = micro_config(seed)
+        eager = build_topology(config)
+        registry = LazyTopology(config).registry
+        rng = random.Random(seed)
+        addresses = [region.address_of(rng.getrandbits(16)) for region in eager.regions]
+        addresses += [
+            slash32_for_rank(config, rng.randrange(config.num_ases)) | rng.getrandbits(96)
+            for _ in range(50)
+        ]
+        addresses += [rng.getrandbits(128) for _ in range(50)]
+        rng.shuffle(addresses)
+        owners = [registry.asn_of(address) for address in addresses]
+        expected_groups: dict[int, list[int]] = {}
+        for address, asn in zip(addresses, owners):
+            if asn is not None:
+                expected_groups.setdefault(asn, []).append(address)
+        expected_counts = Counter(asn for asn in owners if asn is not None)
+
+        assert registry.ases_of(iter(addresses)) == set(expected_groups)
+        counts = registry.count_by_as(iter(addresses))
+        assert counts == expected_counts
+        assert list(counts) == list(expected_counts), "first-seen order kept"
+        groups = registry.group_by_as(iter(addresses))
+        assert groups == expected_groups
+        assert list(groups) == list(expected_groups), "first-seen order kept"
+
+        # Each distinct /32 is resolved once per batch query.
+        calls = Counter()
+        real = topology.rank_for_top32
+
+        def counting(config, top32):
+            calls[top32] += 1
+            return real(config, top32)
+
+        monkeypatch.setattr(topology, "rank_for_top32", counting)
+        for query in (registry.ases_of, registry.count_by_as, registry.group_by_as):
+            calls.clear()
+            query(addresses)
+            assert max(calls.values()) == 1
 
 
 class TestProbeEquivalence:
