@@ -21,8 +21,8 @@ Sections:
   worker hits is asserted equal to the serial hits before any number is
   recorded.
 * ``grid_equivalence`` — a down-scaled (tiny) TGA × port grid run
-  serially and under ``ExecutionPolicy`` with each ``share_model`` mode
-  (fork / shm / off), asserted bit-identical cell by cell.
+  serially and under ``ExecutionPolicy(workers=...)``, asserted
+  bit-identical cell by cell.
 
 Run:  python benchmarks/bench_internet_scale.py [--quick] [--out FILE]
 
@@ -48,7 +48,6 @@ from pathlib import Path
 
 from repro.experiments import ExecutionPolicy, GridSpec, Study, run_grid
 from repro.internet import InternetConfig, Port, SimulatedInternet
-from repro.internet.sharing import repro_segments
 from repro.internet.topology import slash32_for_rank
 from repro.telemetry import ResourceSampler, RunManifest, write_manifest
 from repro.tga import ALL_TGA_NAMES
@@ -156,7 +155,7 @@ def assert_identical_runs(a, b) -> None:
 
 
 def grid_equivalence(seed: int, budget: int, workers: int) -> list[dict]:
-    """Serial vs every share_model mode on a down-scaled world."""
+    """Serial vs parallel on a down-scaled world."""
     ports = (Port.ICMP, Port.TCP80)
 
     def one_grid(policy: ExecutionPolicy | None):
@@ -176,27 +175,20 @@ def grid_equivalence(seed: int, budget: int, workers: int) -> list[dict]:
         return time.perf_counter() - start, results
 
     serial_seconds, serial = one_grid(None)
-    rows = [{"mode": "serial", "seconds": round(serial_seconds, 3)}]
-    for mode in ("fork", "shm", "off"):
-        seconds, grid = one_grid(
-            ExecutionPolicy(workers=workers, share_model=mode)
-        )
-        if set(grid.runs) != set(serial.runs):
-            raise AssertionError(f"share_model={mode} lost cells")
-        for key in serial.runs:
-            assert_identical_runs(serial.runs[key], grid.runs[key])
-        rows.append(
-            {
-                "mode": mode,
-                "workers": workers,
-                "seconds": round(seconds, 3),
-                "identical_to_serial": True,
-            }
-        )
-    leaked = repro_segments()
-    if leaked:
-        raise AssertionError(f"leaked shared-memory segments: {leaked}")
-    return rows
+    seconds, grid = one_grid(ExecutionPolicy(workers=workers))
+    if set(grid.runs) != set(serial.runs):
+        raise AssertionError("the parallel grid lost cells")
+    for key in serial.runs:
+        assert_identical_runs(serial.runs[key], grid.runs[key])
+    return [
+        {"mode": "serial", "seconds": round(serial_seconds, 3)},
+        {
+            "mode": "parallel",
+            "workers": workers,
+            "seconds": round(seconds, 3),
+            "identical_to_serial": True,
+        },
+    ]
 
 
 def main(argv=None) -> int:

@@ -41,7 +41,7 @@ import os
 import time
 from pathlib import Path
 
-from repro.addr import HAVE_NUMPY, PackedAddresses, use_vectorized
+from repro.addr import PackedAddresses, use_vectorized
 from repro.experiments import ExecutionPolicy, GridSpec, Study, run_grid
 from repro.internet import ALL_PORTS, InternetConfig, Port, SimulatedInternet
 from repro.scanner import Scanner
@@ -379,22 +379,16 @@ def main(argv=None) -> int:
 
     manifest = manifest.with_snapshot(telemetry.snapshot())
 
-    # Raw probe throughput: scalar vs vectorized core (skipped — with a
-    # stub row — when numpy is unavailable, since there is nothing to
-    # compare against).
-    if HAVE_NUMPY:
-        print(f"probe throughput ({probe_total:,} addresses per pool):")
-        probe_rows = bench_probe_throughput(args.seed, probe_total)
-        for row in probe_rows:
-            print(
-                f"  {row['pool']:<12}: scalar "
-                f"{row['scalar_addresses_per_sec']:12,.0f} addr/s  "
-                f"vectorized {row['vectorized_addresses_per_sec']:12,.0f} addr/s  "
-                f"speedup {row['speedup']:5.2f}x  identical=True"
-            )
-    else:
-        probe_rows = [{"skipped": "numpy unavailable"}]
-        print("probe throughput: skipped (numpy unavailable)")
+    # Raw probe throughput: scalar vs vectorized core.
+    print(f"probe throughput ({probe_total:,} addresses per pool):")
+    probe_rows = bench_probe_throughput(args.seed, probe_total)
+    for row in probe_rows:
+        print(
+            f"  {row['pool']:<12}: scalar "
+            f"{row['scalar_addresses_per_sec']:12,.0f} addr/s  "
+            f"vectorized {row['vectorized_addresses_per_sec']:12,.0f} addr/s  "
+            f"speedup {row['speedup']:5.2f}x  identical=True"
+        )
 
     record = {
         "benchmark": "parallel_scaling",

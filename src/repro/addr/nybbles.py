@@ -122,7 +122,7 @@ def nybble_counts(addresses: Iterable[int], index: int) -> list[int]:
 # ``j`` of every address, most significant first, matching
 # :func:`to_nybbles` row for row.
 
-from .vector import HAVE_NUMPY, np  # noqa: E402
+from .vector import np  # noqa: E402
 
 
 def to_nybble_matrix(prefix64, iid64):
@@ -130,8 +130,6 @@ def to_nybble_matrix(prefix64, iid64):
 
     Row ``k`` equals ``to_nybbles((prefix64[k] << 64) | iid64[k])``.
     """
-    if not HAVE_NUMPY:
-        raise RuntimeError("to_nybble_matrix requires numpy")
     prefix64 = np.ascontiguousarray(prefix64, dtype=np.uint64)
     iid64 = np.ascontiguousarray(iid64, dtype=np.uint64)
     # Big-endian byte views give the 16 bytes of each half in
@@ -153,8 +151,6 @@ def nybble_counts_matrix(matrix):
     :func:`numpy.bincount` over the whole matrix by offsetting each
     column into its own 16-bin band.
     """
-    if not HAVE_NUMPY:
-        raise RuntimeError("nybble_counts_matrix requires numpy")
     positions = matrix.shape[1]
     offsets = (np.arange(positions, dtype=np.intp) * 16)[np.newaxis, :]
     flat = matrix.astype(np.intp, copy=False) + offsets
@@ -170,8 +166,6 @@ def common_prefix_len_matrix(matrix) -> int:
     equals ``common_prefix_len(a, b)``.  An empty or single-row matrix
     shares everything (``ADDRESS_NYBBLES``).
     """
-    if not HAVE_NUMPY:
-        raise RuntimeError("common_prefix_len_matrix requires numpy")
     if matrix.shape[0] <= 1:
         return ADDRESS_NYBBLES
     varies = (matrix != matrix[0]).any(axis=0)
@@ -189,7 +183,5 @@ def first_seen_values(column):
     order keeps the (non-associative) summation bit-identical to the
     scalar formulation.
     """
-    if not HAVE_NUMPY:
-        raise RuntimeError("first_seen_values requires numpy")
     _, first_index = np.unique(column, return_index=True)
     return column[np.sort(first_index)]

@@ -95,7 +95,7 @@ def choice_index(n: int, *parts: int) -> int:
 # `coin(p, ...)` agree bit for bit.  The scalar≡vectorized contract is
 # asserted wholesale in tests/test_vector_parity.py.
 
-from .vector import HAVE_NUMPY, np  # noqa: E402  (gate lives with the toggle)
+from .vector import np  # noqa: E402
 
 _HASH_STATE = 0x5DEE_CE66_D1A4_F087
 _TWO64 = 18446744073709551616.0  # 2**64
@@ -127,8 +127,6 @@ def hash64_batch(*parts):
     at any position.  Returns a uint64 array — or a ``np.uint64`` scalar
     when no part was an array.
     """
-    if not HAVE_NUMPY:
-        raise RuntimeError("hash64_batch requires numpy")
     state = _HASH_STATE
     vector = False
     for part in parts:

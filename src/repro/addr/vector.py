@@ -1,18 +1,15 @@
-"""The vectorized-core gate and packed address representation.
+"""The vectorized-core seam and packed address representation.
 
 The simulation hot paths (probing, IID generation, nybble histograms)
 have two implementations: the scalar reference (plain Python integers,
 one address at a time) and a numpy batch core operating on packed
 arrays.  Both are bit-identical by contract — every kernel in
 :mod:`repro.addr.rand` and :mod:`repro.addr.nybbles` reproduces the
-scalar functions element for element — so which one runs is purely an
-execution concern:
-
-* ``REPRO_NO_VECTOR=1`` in the environment disables the batch core
-  process-wide (the escape hatch for debugging or numpy-less installs);
-* :func:`use_vectorized` / :func:`set_vectorized` override it
-  programmatically (``ExecutionPolicy(vectorized=...)`` routes here);
-* without numpy the scalar path is always used.
+scalar functions element for element.  The batch core is always on;
+the scalar reference still serves batches too small to pay for packing
+and the grouped probe path of resident-capped worlds.
+:func:`use_vectorized` is the seam the parity suite and the probe
+throughput benchmark use to run the scalar reference on any batch.
 
 A 128-bit IPv6 address does not fit a single uint64 lane, so the batch
 core's currency is a :class:`PackedAddresses` pair of uint64 columns —
@@ -24,59 +21,38 @@ once per batch via :meth:`PackedAddresses.from_addresses`.
 
 from __future__ import annotations
 
-import os
 from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
 
-try:  # pragma: no cover - numpy is a declared dependency, but stay graceful
-    import numpy as np
-
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover
-    np = None  # type: ignore[assignment]
-    HAVE_NUMPY = False
+import numpy as np
 
 __all__ = [
-    "HAVE_NUMPY",
     "vector_enabled",
-    "set_vectorized",
     "use_vectorized",
     "PackedAddresses",
 ]
 
 _MASK64 = 0xFFFF_FFFF_FFFF_FFFF
 
-#: Programmatic override: None = defer to the environment.
-_FORCED: bool | None = None
+#: False only inside ``use_vectorized(False)``.
+_ENABLED = True
 
 
 def vector_enabled() -> bool:
-    """Whether batch kernels should run (numpy present and not disabled)."""
-    if not HAVE_NUMPY:
-        return False
-    if _FORCED is not None:
-        return _FORCED
-    return os.environ.get("REPRO_NO_VECTOR", "") != "1"
-
-
-def set_vectorized(enabled: bool | None) -> None:
-    """Force the vectorized core on/off; ``None`` restores the default."""
-    global _FORCED
-    _FORCED = enabled
+    """Whether batch kernels should run."""
+    return _ENABLED
 
 
 @contextmanager
-def use_vectorized(enabled: bool | None):
-    """Scoped :func:`set_vectorized`; ``None`` is a no-op passthrough."""
-    if enabled is None:
-        yield
-        return
-    previous = _FORCED
-    set_vectorized(enabled)
+def use_vectorized(enabled: bool):
+    """Run the enclosed block on the batch core or the scalar reference."""
+    global _ENABLED
+    previous = _ENABLED
+    _ENABLED = enabled
     try:
         yield
     finally:
-        set_vectorized(previous)
+        _ENABLED = previous
 
 
 class PackedAddresses:
@@ -91,8 +67,6 @@ class PackedAddresses:
     __slots__ = ("prefix64", "iid64")
 
     def __init__(self, prefix64, iid64) -> None:
-        if not HAVE_NUMPY:
-            raise RuntimeError("PackedAddresses requires numpy")
         prefix64 = np.ascontiguousarray(prefix64, dtype=np.uint64)
         iid64 = np.ascontiguousarray(iid64, dtype=np.uint64)
         if prefix64.shape != iid64.shape or prefix64.ndim != 1:

@@ -31,12 +31,10 @@ streams rather than materialising everything.
 
 ``--workers N`` spreads uncached experiment cells across N worker
 processes (``--workers auto`` picks ``min(cpu_count, cells)``); results
-are bit-identical to a serial run.  ``--share-model`` controls how those
-workers obtain the prepared read-only model (fork inheritance of the
-parent's warmed world, a shared-memory probe-table segment, or per-
-worker rebuilds; ``auto`` picks the best available).  ``--no-model-cache``
-disables the prepared-model cache (see ``repro.tga.modelcache``) — an
-escape hatch for debugging; results are bit-identical with it on or off.
+are bit-identical to a serial run.  Forked workers inherit the parent's
+warmed world instead of rebuilding it.  ``--no-model-cache`` disables
+the prepared-model cache (see ``repro.tga.modelcache``) — an escape
+hatch for debugging; results are bit-identical with it on or off.
 
 Fault tolerance (``repro.experiments.ExecutionPolicy``):
 ``--checkpoint PATH`` appends every completed cell to a RunStore the
@@ -61,7 +59,7 @@ byte-identical with the flag on or off).
 ``--sample-resources SECONDS`` starts the resource flight recorder
 (:mod:`repro.telemetry.resources`): a background sampler in the parent
 and in every worker emits ``resource.*`` gauge events (RSS, CPU, GC,
-model-cache and shared-memory footprints) into the trace, workers
+model-cache footprint, resident ASes) into the trace, workers
 piggyback heartbeats so stalls are detected in O(interval) instead of
 waiting out ``--cell-timeout``, and budget watermarks fire against the
 scale's ``memory_budget_mb``.  ``resource.*`` / ``heartbeat.*`` are
@@ -82,7 +80,6 @@ import argparse
 import sys
 from collections.abc import Sequence
 
-from .addr.vector import set_vectorized
 from .dealias import DealiasMode
 from .analysis import summarize_convergence
 from .experiments import (
@@ -279,21 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
         "packs longest-predicted-first head chunks plus a stealable "
         "single-cell tail; 'static' keeps contiguous ~4-chunks-per-worker "
         "slices (results are bit-identical under either)",
-    )
-    parser.add_argument(
-        "--no-vector",
-        action="store_true",
-        help="disable the vectorized numpy simulation core and run the "
-        "scalar reference path (results are bit-identical either way, "
-        "scans just get slower; same effect as REPRO_NO_VECTOR=1)",
-    )
-    parser.add_argument(
-        "--share-model",
-        choices=("auto", "fork", "shm", "off"),
-        default="auto",
-        help="how workers obtain the prepared read-only model: fork "
-        "inheritance, a shared-memory probe-table segment, neither, or "
-        "auto-select (results are bit-identical in every mode)",
     )
     parser.add_argument(
         "--export", default="", help="write result rows to a .csv or .json file"
@@ -644,8 +626,6 @@ def _make_policy(args: argparse.Namespace) -> ExecutionPolicy:
         cell_timeout=args.cell_timeout,
         max_retries=args.max_retries,
         fault_plan=args.inject_fault,
-        vectorized=False if args.no_vector else None,
-        share_model=getattr(args, "share_model", "auto"),
         resource_interval=args.sample_resources,
         heartbeat_grace=args.heartbeat_grace,
         model_store=False if args.no_model_store else args.model_store,
@@ -1381,10 +1361,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.no_model_cache:
         # Reaches worker processes too: WorkerSpec captures the setting.
         get_model_cache().enabled = False
-    if args.no_vector:
-        # Process-wide (the policy also ships it to workers): commands
-        # that scan outside run_grid honour the flag too.
-        set_vectorized(False)
     command = args.func
     # Trace analysis reads telemetry rather than producing it, and the
     # service owns a registry per submitted study.

@@ -17,7 +17,6 @@ import time
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 
-from ..addr.vector import use_vectorized
 from ..datasets import SeedDataset
 from ..errors import EmptyResultsError, UnknownCellError, UnknownMetricError
 from ..internet import ALL_PORTS, Port
@@ -201,7 +200,7 @@ def run_grid(
     from .parallel import ParallelExecutor, default_cost_model, resolve_workers
 
     policy = coalesce_policy(policy, "run_grid", progress=progress, **_removed)
-    with use_telemetry(policy.telemetry), use_vectorized(policy.vectorized):
+    with use_telemetry(policy.telemetry):
         results = GridResults(spec=spec)
         total = spec.size
         progress = policy.progress

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from ..addr.vector import use_vectorized
 from ..datasets import DatasetCollection, SeedDataset, collect_all
 from ..internet import ALL_PORTS, InternetConfig, Port, SimulatedInternet
 from ..preprocess import DatasetConstructions
@@ -193,7 +192,7 @@ class Study:
             for port in ports
             for tga_name in tga_names
         ]
-        with use_telemetry(policy.telemetry), use_vectorized(policy.vectorized):
+        with use_telemetry(policy.telemetry):
             self.precompute(cells, policy=policy)
             results: dict[tuple[str, str, Port], RunResult] = {}
             for tga_name, dataset, port, _budget in cells:

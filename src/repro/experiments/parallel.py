@@ -15,11 +15,13 @@ Key design points:
   Study-equivalent world (config, budget, round size, blocklist, rate,
   generator roster).  Specs are frozen/hashable; they double as the
   fingerprint for the worker-side memo.
-* Each worker process rebuilds the world **once** per distinct spec
+* Each worker process obtains the world **once** per distinct spec
   (module-global memo keyed on the spec), then runs every cell chunk it
-  receives against the memoised Study.  With *n* workers the simulated
-  Internet and the 12 collected sources are constructed ~*n* times
-  total, never per cell.
+  receives against the memoised Study.  A forked worker adopts the
+  parent's warmed study as copy-on-write pages (the fork donor); a
+  worker the start method did not fork rebuilds it from the spec.  The
+  simulated Internet and the 12 collected sources are never
+  constructed per cell.
 * Completed :class:`RunResult`\\ s are merged back into the parent
   study's run cache, so downstream RQ pipelines (which overlap heavily)
   reuse them exactly as they would after a serial run.
@@ -37,7 +39,6 @@ Key design points:
 from __future__ import annotations
 
 import contextlib
-import multiprocessing
 import os
 import shutil
 import tempfile
@@ -49,16 +50,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 
 from ..addr import Prefix
-from ..addr.vector import set_vectorized, vector_enabled
 from ..internet import InternetConfig, Port
-from ..internet.regions import SCAN_EPOCH
-from ..internet.sharing import (
-    AttachedModel,
-    SharedModelHandle,
-    SharedModelOwner,
-    attach_probe_tables,
-    export_probe_tables,
-)
 from ..scanner import Blocklist
 from ..telemetry import MemorySink, Telemetry, get_telemetry, use_telemetry
 from ..telemetry.resources import (
@@ -88,7 +80,6 @@ __all__ = [
     "CellFailure",
     "WorkerSpec",
     "ParallelExecutor",
-    "attached_model_bytes",
     "default_cost_model",
     "resolve_workers",
 ]
@@ -152,15 +143,6 @@ class WorkerSpec:
     #: Deterministic fault injection, threaded to every worker so crash
     #: recovery is reproducible (None in production runs).
     fault_plan: FaultPlan | None = None
-    #: Vectorized-core toggle for the worker process (``None`` = the
-    #: worker's own default).  Purely an execution knob: results are
-    #: bit-identical either way, so it never keys the world memo.
-    vectorized: bool | None = None
-    #: Shared-memory handle of the parent's exported probe tables
-    #: (``share_model="shm"``).  Execution-only like ``vectorized`` —
-    #: adopted tables are bit-identical to rebuilt ones — so it never
-    #: keys the world memo.
-    shared_model: SharedModelHandle | None = None
     #: Resource flight-recorder configuration (``None`` = no sampler in
     #: the worker).  Execution-only — sampling observes a run, it never
     #: changes one — so it never keys the world memo.
@@ -178,7 +160,6 @@ class WorkerSpec:
         telemetry: bool = False,
         model_cache: bool | None = None,
         fault_plan: FaultPlan | None = None,
-        vectorized: bool | None = None,
         resources: ResourceSpec | None = None,
         model_store: str | None = None,
     ) -> "WorkerSpec":
@@ -198,7 +179,6 @@ class WorkerSpec:
             telemetry=telemetry,
             model_cache=model_cache,
             fault_plan=fault_plan,
-            vectorized=vectorized,
             resources=resources,
             model_store=model_store,
         )
@@ -229,11 +209,6 @@ _WORKER_STUDIES: dict[WorkerSpec, Study] = {}
 #: mechanism degrades to a rebuild, never to wrong answers.
 _FORK_DONOR: tuple[WorkerSpec, Study] | None = None
 
-#: Worker-global shared-memory attachments, keyed by segment name; one
-#: mapping per segment per process, closed when a different segment
-#: supersedes it (and by the kernel at worker exit).
-_ATTACHED_MODELS: dict[str, AttachedModel] = {}
-
 
 def _memo_key(spec: WorkerSpec) -> WorkerSpec:
     """The world identity of a spec: execution-only fields nulled out."""
@@ -242,20 +217,9 @@ def _memo_key(spec: WorkerSpec) -> WorkerSpec:
         telemetry=False,
         model_cache=True,
         fault_plan=None,
-        vectorized=None,
-        shared_model=None,
         resources=None,
         model_store=None,
     )
-
-
-def attached_model_bytes() -> int:
-    """Bytes of shared-memory model segments attached by this process.
-
-    The resource sampler's ``shm_mb`` provider reads this so attached
-    (not owned) segment footprint shows up in worker samples.
-    """
-    return sum(attached.nbytes for attached in _ATTACHED_MODELS.values())
 
 
 def resolve_workers(workers: int | str | None, cells: int) -> int:
@@ -285,8 +249,8 @@ def resolve_workers(workers: int | str | None, cells: int) -> int:
 
 def _worker_study(spec: WorkerSpec) -> Study:
     # One world per *world* spec: neither telemetry capture, the
-    # model-cache toggle, an attached fault plan, the vectorized-core
-    # toggle nor a shared-model handle changes what gets built.
+    # model-cache toggle, an attached fault plan, the resource sampler
+    # nor the model store changes what gets built.
     key = _memo_key(spec)
     study = _WORKER_STUDIES.get(key)
     if study is None:
@@ -300,23 +264,6 @@ def _worker_study(spec: WorkerSpec) -> Study:
             study = spec.build_study()
         _WORKER_STUDIES[key] = study
     return study
-
-
-def _adopt_shared_model(spec: WorkerSpec, study: Study) -> None:
-    """Attach the spec's shared-memory model into the worker's study."""
-    handle = spec.shared_model
-    if handle is None:
-        return
-    attached = _ATTACHED_MODELS.get(handle.segment)
-    if attached is None:
-        for segment, stale in list(_ATTACHED_MODELS.items()):
-            stale.close()
-            del _ATTACHED_MODELS[segment]
-        attached = attach_probe_tables(
-            handle, study.internet.topology.region_for_net64
-        )
-        _ATTACHED_MODELS[handle.segment] = attached
-    study.internet.adopt_probe_tables(attached.tables)
 
 
 def _run_cell_chunk(
@@ -353,7 +300,6 @@ def _run_cell_chunk(
     """
     get_model_cache().enabled = spec.model_cache
     set_model_store(ModelStore(spec.model_store) if spec.model_store else None)
-    set_vectorized(spec.vectorized)
     sampler: ResourceSampler | None = None
     res = spec.resources
     if res is not None:
@@ -368,7 +314,6 @@ def _run_cell_chunk(
         ).start()
     try:
         study = _worker_study(spec)
-        _adopt_shared_model(spec, study)
         if sampler is not None:
             sampler.providers.update(default_providers(study.internet))
         if attempt:
@@ -499,40 +444,8 @@ class ParallelExecutor:
             telemetry=get_telemetry().enabled,
             model_cache=self.policy.model_cache,
             fault_plan=self.policy.fault_plan,
-            vectorized=self.policy.vectorized,
             resources=resources,
             model_store=str(active_store.root) if active_store is not None else None,
-        )
-
-    def _resolve_share_mode(self) -> str:
-        """Pick the model-sharing mechanism this run can actually use.
-
-        ``fork`` requires the fork start method (inherited globals are
-        the transport); ``shm`` requires the probe tables to be
-        buildable (vector core on, world under the table-size gate).
-        ``auto`` prefers fork — it shares everything, not just the
-        tables — and silently degrades, never errors: sharing is an
-        optimisation, correctness never depends on it.
-        """
-        mode = self.policy.share_model
-        if mode == "off":
-            return "off"
-        try:
-            fork_ok = multiprocessing.get_start_method() == "fork"
-        except Exception:  # pragma: no cover - platform quirk
-            fork_ok = False
-        shm_ok = vector_enabled() and self.study.internet.vector_tables_allowed
-        if mode == "auto":
-            return "fork" if fork_ok else ("shm" if shm_ok else "off")
-        if mode == "fork":
-            return "fork" if fork_ok else "off"
-        return "shm" if shm_ok else "off"
-
-    def _export_model(self, missing) -> SharedModelOwner | None:
-        """Export the study's probe tables for the ports in flight."""
-        ports = tuple(dict.fromkeys(cell[2] for cell in missing))
-        return export_probe_tables(
-            self.study.internet.probe_tables(), ports, (SCAN_EPOCH,)
         )
 
     def _chunks(self, cells: list[Cell]) -> list[list[Cell]]:
@@ -844,17 +757,11 @@ class ParallelExecutor:
         global _FORK_DONOR
         policy = self.policy
         spec = self.worker_spec()
-        share_mode = self._resolve_share_mode()
-        owner: SharedModelOwner | None = None
-        donor_set = False
-        if share_mode == "fork":
-            # Park the warmed study for forked workers to inherit; COW
-            # means pool rebuilds after crashes re-inherit it for free.
-            _FORK_DONOR = (_memo_key(spec), self.study)
-            donor_set = True
-        elif share_mode == "shm":
-            owner = self._export_model(missing)
-            spec = replace(spec, shared_model=owner.handle)
+        # Park the warmed study for forked workers to inherit; COW means
+        # pool rebuilds after crashes re-inherit it for free.  Workers of
+        # a spawn start method re-import this module, see no donor and
+        # rebuild the world from the spec.
+        _FORK_DONOR = (_memo_key(spec), self.study)
         # Heartbeat-based stall detection needs both the sampler (the
         # beat source) and a cell timeout (per-cell dispatch, and the
         # semantic licence to reap): with only one of the two, workers
@@ -1087,13 +994,7 @@ class ParallelExecutor:
                 pool.shutdown()
             if hb_dir is not None:
                 shutil.rmtree(hb_dir, ignore_errors=True)
-            if donor_set:
-                _FORK_DONOR = None
-            if owner is not None:
-                # The parent owns the segment: close + unlink exactly
-                # here, after the pool is gone, on every exit path —
-                # including crash recovery and timeout reaping above.
-                owner.close()
+            _FORK_DONOR = None
         # Deterministic merge: canonical cell order — the order the
         # caller resolved the grid in, which is the order a serial run
         # executes — never completion, chunk-plan or retry order.

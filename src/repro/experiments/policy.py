@@ -59,21 +59,6 @@ class ExecutionPolicy:
     max_retries: int = 2
     #: Deterministic fault injection (tests / chaos drills).
     fault_plan: FaultPlan | None = None
-    #: Vectorized numpy simulation core (``None`` = inherit the process
-    #: default: on when numpy is available and ``REPRO_NO_VECTOR`` is
-    #: unset).  Results are bit-identical either way; this is purely a
-    #: performance/debugging toggle, propagated to worker processes.
-    vectorized: bool | None = None
-    #: How workers obtain the prepared read-only model instead of
-    #: rebuilding it per process: ``"fork"`` donates the parent's warmed
-    #: study to forked workers as copy-on-write pages, ``"shm"`` exports
-    #: the columnar probe tables into a ``multiprocessing.shared_memory``
-    #: segment workers attach to, ``"off"`` rebuilds per worker (the
-    #: pre-sharing behaviour), and ``"auto"`` picks fork where the start
-    #: method allows it, else shm where the tables exist, else off.
-    #: Purely an execution knob — results are bit-identical in every
-    #: mode.
-    share_model: str = "auto"
     #: Seconds between resource flight-recorder samples (``None`` = the
     #: sampler is off).  When set, a background
     #: :class:`~repro.telemetry.ResourceSampler` runs in the parent and
@@ -116,11 +101,6 @@ class ExecutionPolicy:
             raise ValueError("cell_timeout must be positive")
         if self.max_retries < 0:
             raise ValueError("max_retries cannot be negative")
-        if self.share_model not in ("auto", "fork", "shm", "off"):
-            raise ValueError(
-                f"share_model must be one of 'auto', 'fork', 'shm', 'off'; "
-                f"got {self.share_model!r}"
-            )
         if self.resource_interval is not None and self.resource_interval <= 0:
             raise ValueError("resource_interval must be positive")
         if self.heartbeat_grace is not None:

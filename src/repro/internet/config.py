@@ -80,15 +80,13 @@ class InternetConfig:
 
     # Memory discipline for the lazy topology.  ``max_resident_ases``
     # bounds how many fully-materialised ASes the LRU keeps (None =
-    # unbounded, appropriate below internet scale); ``memory_budget_mb``
-    # is the declared peak-heap budget the memory regression test and
-    # the internet-scale benchmark enforce.  ``vector_table_max_ases``
-    # gates the packed probe-table build: above it, ``probe_batch``
-    # stays on the grouped per-region path so probing never forces the
-    # whole world resident.
+    # unbounded, appropriate below internet scale).  A capped world
+    # never builds the packed probe tables, which would pin every
+    # region: its probes stay on the grouped per-region path.
+    # ``memory_budget_mb`` is the declared peak-heap budget the memory
+    # regression test and the internet-scale benchmark enforce.
     max_resident_ases: int | None = None
     memory_budget_mb: int = 4096
-    vector_table_max_ases: int = 20000
 
     def __post_init__(self) -> None:
         if self.num_ases < 2:
@@ -103,8 +101,6 @@ class InternetConfig:
             raise ValueError("max_resident_ases must be positive (or None)")
         if self.memory_budget_mb < 1:
             raise ValueError("memory_budget_mb must be positive")
-        if self.vector_table_max_ases < 0:
-            raise ValueError("vector_table_max_ases must be non-negative")
 
     # -- presets --------------------------------------------------------
 
@@ -155,8 +151,9 @@ class InternetConfig:
 
         Usable only through :class:`~repro.internet.topology.LazyTopology`
         (``SimulatedInternet`` picks it automatically): the resident-AS
-        budget keeps ~0.1% of the world materialised at a time, and the
-        packed probe tables stay off so no path forces a full walk.
+        budget keeps ~0.1% of the world materialised at a time, and (like
+        any capped world) keeps the packed probe tables off so no path
+        forces a full walk.
         """
         return cls(
             master_seed=master_seed,

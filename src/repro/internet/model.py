@@ -67,11 +67,9 @@ class _ProbeTables:
         "salt",
         "_port_prob",
         "_member_keys",
-        "_region_resolver",
     )
 
     def __init__(self, regions: list[Region]) -> None:
-        self._region_resolver = None
         self.regions = sorted(regions, key=lambda region: region.net64)
         n = len(self.regions)
         self.net64 = np.fromiter(
@@ -94,66 +92,15 @@ class _ProbeTables:
         self._port_prob: dict[int, object] = {}
         self._member_keys: dict[tuple, object] = {}
 
-    @classmethod
-    def from_columns(
-        cls,
-        net64,
-        firewalled,
-        aliased,
-        alias_prob,
-        salt,
-        *,
-        region_resolver,
-        port_prob=None,
-        member_tables=None,
-    ) -> "_ProbeTables":
-        """Rebuild tables from prepared columns (shared-memory attach).
-
-        No region list is held: the base columns plus the preloaded
-        ``port_prob`` / ``member_tables`` caches answer the hot path, and
-        ``region_resolver`` (net64 → Region, the lazy topology lookup)
-        covers the cold remainder — uncached port columns and the
-        essentially-never-taken key-collision re-check.
-        """
-        self = cls.__new__(cls)
-        self.regions = None
-        self.net64 = net64
-        self.firewalled = firewalled
-        self.aliased = aliased
-        self.alias_prob = alias_prob
-        self.salt = salt
-        self._port_prob = dict(port_prob or {})
-        self._member_keys = dict(member_tables or {})
-        self._region_resolver = region_resolver
-        return self
-
-    def covers(self, port: Port, epoch: int) -> bool:
-        """Whether :meth:`hit_mask` can serve ``(port, epoch)``.
-
-        Tables built from regions cover everything; attached tables only
-        cover the member tables they were exported with.
-        """
-        return self.regions is not None or (port, max(epoch, 0)) in self._member_keys
-
-    def _region_at(self, slot: int) -> Region:
-        if self.regions is not None:
-            return self.regions[slot]
-        return self._region_resolver(int(self.net64[slot]))
-
     def port_prob(self, port: Port):
         """Per-region service probability on ``port`` (cached column)."""
         arr = self._port_prob.get(port.index)
         if arr is None:
-            n = int(self.net64.shape[0])
-            if self.regions is not None:
-                source = (region.profile.probability(port) for region in self.regions)
-            else:
-                resolver = self._region_resolver
-                source = (
-                    resolver(net).profile.probability(port)
-                    for net in self.net64.tolist()
-                )
-            arr = np.fromiter(source, dtype=np.float64, count=n)
+            arr = np.fromiter(
+                (region.profile.probability(port) for region in self.regions),
+                dtype=np.float64,
+                count=len(self.regions),
+            )
             self._port_prob[port.index] = arr
         return arr
 
@@ -178,11 +125,6 @@ class _ProbeTables:
         cache_key = (port, max(epoch, 0))
         cached = self._member_keys.get(cache_key)
         if cached is None:
-            if self.regions is None:
-                raise RuntimeError(
-                    f"attached probe tables were not exported with a "
-                    f"member table for {cache_key}; gate on covers() first"
-                )
             key_chunks, net_chunks, iid_chunks = [], [], []
             for region in self.regions:
                 if region.aliased:
@@ -267,9 +209,10 @@ class _ProbeTables:
                             query[unsure].tolist(),
                             qiid[unsure].tolist(),
                         ):
-                            if key in tied and iid in self._region_at(
-                                int(slots[row])
-                            ).responsive_iids(port, epoch):
+                            if key not in tied:
+                                continue
+                            region = self.regions[int(slots[row])]
+                            if iid in region.responsive_iids(port, epoch):
                                 hits[row] = True
         return hits, slots, exists
 
@@ -281,7 +224,6 @@ class SimulatedInternet:
         self.config = config or InternetConfig()
         self.topology = LazyTopology(self.config)
         self._probe_tables: _ProbeTables | None = None
-        self._adopted_tables: _ProbeTables | None = None
 
     # -- probe tables (vectorized path) ---------------------------------
 
@@ -289,42 +231,23 @@ class SimulatedInternet:
     def vector_tables_allowed(self) -> bool:
         """Whether packed probe tables may be built for this world.
 
-        Building them pins every region, so above
-        ``config.vector_table_max_ases`` probing stays on the grouped
-        per-region path (which still runs the per-region array kernels).
+        Building them pins every region, so a world with a resident-AS
+        cap (``config.max_resident_ases``) probes on the grouped
+        per-region path instead (which still runs the per-region array
+        kernels).
         """
-        return self.config.num_ases <= self.config.vector_table_max_ases
+        return self.config.max_resident_ases is None
 
     def probe_tables(self) -> _ProbeTables:
         """Columnar region views for the vectorized probe path (lazy)."""
-        if self._adopted_tables is not None:
-            return self._adopted_tables
         if self._probe_tables is None:
             if not self.vector_tables_allowed:
                 raise RuntimeError(
-                    f"probe tables disabled: num_ases={self.config.num_ases} "
-                    f"exceeds vector_table_max_ases="
-                    f"{self.config.vector_table_max_ases}"
+                    f"probe tables disabled: the world is capped at "
+                    f"max_resident_ases={self.config.max_resident_ases}"
                 )
             self._probe_tables = _ProbeTables(self.topology.regions)
         return self._probe_tables
-
-    def adopt_probe_tables(self, tables: _ProbeTables) -> None:
-        """Adopt prepared tables (shared-memory attach in a worker).
-
-        Adopted tables take precedence over building our own; callers
-        must gate packed probing on :meth:`packed_probe_ready` because
-        attached tables only cover their exported ``(port, epoch)``
-        member tables.
-        """
-        self._adopted_tables = tables
-
-    def packed_probe_ready(self, port: Port, epoch: int) -> bool:
-        """Whether the packed probe path can serve ``(port, epoch)``."""
-        adopted = self._adopted_tables
-        if adopted is not None:
-            return adopted.covers(port, epoch)
-        return self.vector_tables_allowed
 
     # -- basic accessors ----------------------------------------------------
 
@@ -392,11 +315,11 @@ class SimulatedInternet:
         region in one batch that derives each owning AS at most once.
         Results are identical to calling :meth:`probe` per address.
 
-        When the vectorized core is enabled, large batches (and any
+        On a world without a resident-AS cap, large batches (and any
         :class:`~repro.addr.vector.PackedAddresses` input) run through
         the columnar probe tables instead; outputs are bit-identical.
         """
-        if vector_enabled() and self.packed_probe_ready(port, epoch):
+        if vector_enabled() and self.vector_tables_allowed:
             packed = addresses if isinstance(addresses, PackedAddresses) else None
             if packed is None:
                 if not isinstance(addresses, (list, tuple)):

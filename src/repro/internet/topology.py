@@ -579,15 +579,6 @@ class Topology:
     regions: list[Region]
     config: InternetConfig
 
-    @property
-    def regions_by_net64(self) -> dict[int, Region]:
-        """O(1) region lookup keyed by the high 64 bits (built lazily)."""
-        cache = getattr(self, "_net64_cache", None)
-        if cache is None:
-            cache = {region.net64: region for region in self.regions}
-            object.__setattr__(self, "_net64_cache", cache)
-        return cache
-
 
 def build_topology(config: InternetConfig) -> Topology:
     """Materialise the full world eagerly (the reference walk).
@@ -611,33 +602,6 @@ def build_topology(config: InternetConfig) -> Topology:
 
 
 # -- lazy topology (deterministic-on-demand) ---------------------------------
-
-
-class _LazyRegionIndex:
-    """Read-only mapping facade over :meth:`LazyTopology.region_for_net64`.
-
-    Drop-in for the eager ``{net64: Region}`` dict on the lookup
-    operations the scanner and model hot paths use (``get`` /
-    ``__getitem__`` / ``in``).
-    """
-
-    __slots__ = ("_topology",)
-
-    def __init__(self, topology: "LazyTopology") -> None:
-        self._topology = topology
-
-    def get(self, net64: int, default: Region | None = None) -> Region | None:
-        region = self._topology.region_for_net64(net64)
-        return default if region is None else region
-
-    def __getitem__(self, net64: int) -> Region:
-        region = self._topology.region_for_net64(net64)
-        if region is None:
-            raise KeyError(net64)
-        return region
-
-    def __contains__(self, net64: int) -> bool:
-        return self._topology.region_for_net64(net64) is not None
 
 
 class LazyASRegistry:
@@ -783,7 +747,6 @@ class LazyTopology:
         self.evicted_ases = 0
         self.materialized_mega = 0
         self.registry = LazyASRegistry(self)
-        self.regions_by_net64 = _LazyRegionIndex(self)
 
     # -- bookkeeping ----------------------------------------------------
 

@@ -123,12 +123,12 @@ class Scanner:
         batch that derives each owning AS at most once per scan;
         outcomes are identical to probing each address individually.
 
-        With the vectorized core enabled, large batches (and any
+        On a world without a resident-AS cap, large batches (and any
         :class:`~repro.addr.vector.PackedAddresses` input) run the
         columnar probe path instead — hits, stats and telemetry are
         bit-identical to the scalar formulation.
         """
-        if vector_enabled() and self.internet.packed_probe_ready(port, self.epoch):
+        if vector_enabled() and self.internet.vector_tables_allowed:
             packed = addresses if isinstance(addresses, PackedAddresses) else None
             if packed is None:
                 if not isinstance(addresses, (list, tuple)):

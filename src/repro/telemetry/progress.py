@@ -189,7 +189,6 @@ class TopSink(ProgressSink):
                     "gc",
                     "cache_entries",
                     "resident_ases",
-                    "shm_mb",
                     "span",
                     "tga",
                 )

@@ -11,9 +11,8 @@ in the parent, one per worker process, wired through
   ``resource.getrusage`` fallback everywhere else (**no psutil
   dependency**);
 * garbage-collector collections (``gc.get_stats``);
-* pluggable *providers*: prepared-model cache entries/cost, the lazy
-  topology's resident-AS count, attached shared-memory segment bytes
-  (see :func:`default_providers`).
+* pluggable *providers*: prepared-model cache entries/cost and the lazy
+  topology's resident-AS count (see :func:`default_providers`).
 
 Each sample lands in the trace stream as a ``{"type": "resource"}``
 event tagged with the sampler's rank and the innermost open span (plus
@@ -254,7 +253,7 @@ class ResourceSpec:
     """Picklable sampler configuration shipped to workers.
 
     Rides inside ``WorkerSpec`` as an execution-only field (like
-    ``vectorized``): it never keys the worker's world memo, because
+    ``model_store``): it never keys the worker's world memo, because
     sampling cannot change what a cell computes.
     """
 
@@ -291,15 +290,9 @@ def default_providers(internet=None) -> dict[str, Callable[[], float]]:
 
         return float(get_model_cache().total_cost)
 
-    def shm_mb() -> float:
-        from ..experiments.parallel import attached_model_bytes
-
-        return attached_model_bytes() / MB
-
     providers: dict[str, Callable[[], float]] = {
         "cache_entries": cache_entries,
         "cache_cost": cache_cost,
-        "shm_mb": shm_mb,
     }
     if internet is not None:
         providers["resident_ases"] = lambda: float(

@@ -33,9 +33,8 @@ class TestBuildTopology:
             assert any(prefix.contains(address) for prefix in info.prefixes)
 
     def test_regions_by_net64_cache(self, internet):
-        lookup = internet.topology.regions_by_net64
         sample = internet.regions[0]
-        assert lookup[sample.net64] is sample
+        assert internet.topology.region_for_net64(sample.net64) is sample
 
 
 class TestOrgMix:

@@ -254,6 +254,38 @@ def nonmeta_counters(telemetry: Telemetry) -> dict[str, int]:
     }
 
 
+class TestWorkerRebuild:
+    """A worker the start method did not fork rebuilds its world."""
+
+    def test_unforked_worker_rebuilds_bit_identically(self, monkeypatch):
+        from repro.experiments import parallel
+        from repro.tga import get_model_cache
+        from repro.tga.modelstore import get_model_store, set_model_store
+
+        serial_study = make_study()
+        serial = run_grid(serial_study, make_spec(serial_study))
+
+        study = make_study()
+        spec = make_spec(study)
+        chunk = [(tga, dataset, port, BUDGET) for tga, dataset, port in spec.cells()]
+        # No fork donor and an empty memo: what a spawned worker sees.
+        monkeypatch.setattr(parallel, "_FORK_DONOR", None)
+        monkeypatch.setattr(parallel, "_WORKER_STUDIES", {})
+        cache = get_model_cache()
+        cache_enabled, store = cache.enabled, get_model_store()
+        try:
+            records = parallel._run_cell_chunk(WorkerSpec.from_study(study), chunk)
+            (rebuilt,) = parallel._WORKER_STUDIES.values()
+        finally:
+            cache.enabled = cache_enabled
+            set_model_store(store)
+        assert rebuilt is not study
+        assert rebuilt.internet is not study.internet
+        assert len(records) == len(serial.runs)
+        for key, run, _wall, _capture in records:
+            assert_identical_runs(serial.runs[key[:3]], run)
+
+
 class TestCrashRecovery:
     """An injected worker crash must be invisible in the final results."""
 

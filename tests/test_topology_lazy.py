@@ -11,6 +11,7 @@ that force LRU evictions and re-derivations.
 
 import random
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -76,7 +77,7 @@ def fingerprint(region):
 
 
 class TestRankMappings:
-    """The invertible allocation maths underneath ``regions_by_net64``."""
+    """The invertible allocation maths underneath ``region_for_net64``."""
 
     @pytest.mark.parametrize("seed", SWEEP_SEEDS)
     def test_asn_round_trips(self, seed):
@@ -231,10 +232,9 @@ class TestLazyEagerEquivalence:
         eager = build_topology(config)
         lazy = LazyTopology(config)
         for region in eager.regions:
-            got = lazy.regions_by_net64[region.net64]
+            got = lazy.region_for_net64(region.net64)
             assert fingerprint(got) == fingerprint(region)
-        assert lazy.regions_by_net64.get(0xDEAD_BEEF_0000_0000) is None
-        assert 0xDEAD_BEEF_0000_0000 not in lazy.regions_by_net64
+        assert lazy.region_for_net64(0xDEAD_BEEF_0000_0000) is None
 
     def test_touch_order_independence_under_eviction(self):
         """The key property: any touch order, with an LRU small enough
@@ -261,7 +261,7 @@ class TestLazyEagerEquivalence:
         assert lazy.pinned
         sample = random.Random(3).sample(regions, 20)
         for region in sample:
-            assert lazy.regions_by_net64[region.net64] is region
+            assert lazy.region_for_net64(region.net64) is region
 
     @pytest.mark.parametrize("seed", SWEEP_SEEDS)
     def test_registry_answers_match_eager(self, seed):
@@ -375,7 +375,7 @@ class TestBatchResolution:
 
     def test_scan_derives_each_as_once_per_scan(self):
         """The grouped scan path resolves a batch in one call."""
-        config, batches = batch_world(vector_table_max_ases=0, max_resident_ases=4)
+        config, batches = batch_world(max_resident_ases=4)
         pinned = SimulatedInternet(config)
         pinned.regions
         squeezed = SimulatedInternet(config)
@@ -476,10 +476,10 @@ class TestProbeEquivalence:
     def test_eviction_pressure_does_not_change_probes(self):
         """Grouped probing under a 2-AS LRU ≡ probing the pinned world.
 
-        ``vector_table_max_ases=0`` keeps the packed tables off so the
-        probe path exercises region materialisation and eviction.
+        The resident-AS cap keeps the packed tables off so the probe
+        path exercises region materialisation and eviction.
         """
-        config = micro_config(5, vector_table_max_ases=0)
+        config = micro_config(5, max_resident_ases=2)
         pinned = SimulatedInternet(config)
         pinned.regions  # pin everything up front
         rng = random.Random(5)
@@ -491,7 +491,6 @@ class TestProbeEquivalence:
         # Fresh world with a tiny resident budget, probed in two passes
         # and two orders: evictions and re-derivations must be invisible.
         squeezed = SimulatedInternet(config)
-        squeezed.topology._max_resident = 2
         shuffled = targets[:]
         rng.shuffle(shuffled)
         for port in (Port.ICMP, Port.TCP443):
@@ -499,6 +498,37 @@ class TestProbeEquivalence:
             assert squeezed.probe_batch(shuffled, port) == want
             assert squeezed.probe_batch(targets, port) == want
         assert squeezed.topology.evicted_ases > 0
+
+
+class TestResidencyCap:
+    """A resident-AS cap holds on every probe path, whatever the batch size."""
+
+    def test_large_batches_never_pin_a_capped_world(self):
+        uncapped = SimulatedInternet(InternetConfig.tiny())
+        capped = SimulatedInternet(replace(InternetConfig.tiny(), max_resident_ases=4))
+        rng = random.Random(13)
+        regions = [
+            region
+            for region in build_topology(InternetConfig.tiny()).regions
+            if not region.aliased
+        ]
+        targets = []
+        for region in rng.sample(regions, 50):
+            targets.extend(region.address_of(iid) for iid in sorted(region.active_iids())[:1])
+            targets.append(region.address_of(rng.getrandbits(16)))
+        assert len(targets) >= 64, "large enough for the packed path"
+        want = Scanner(uncapped).scan(targets, Port.ICMP)
+        assert want.hits
+
+        got = Scanner(capped).scan(targets, Port.ICMP)
+        assert got.hits == want.hits
+        assert got.stats.responses == want.stats.responses
+        assert not capped.topology.pinned
+        assert capped.topology.resident_ases <= 4
+
+        assert capped.probe_batch(targets, Port.ICMP) == want.hits
+        assert not capped.topology.pinned
+        assert capped.topology.resident_ases <= 4
 
 
 class TestStreamingConsumers:

@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.addr import (
     ADDRESS_NYBBLES,
-    HAVE_NUMPY,
     PackedAddresses,
     Prefix,
     coin,
@@ -42,11 +42,6 @@ from repro.internet.patterns import PatternKind, _build_iids
 from repro.internet.ports import PortProfile
 from repro.internet.regions import Region, RegionRole
 from repro.scanner import Blocklist, Scanner
-
-pytestmark = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy unavailable")
-
-if HAVE_NUMPY:
-    import numpy as np
 
 _MASK64 = 0xFFFF_FFFF_FFFF_FFFF
 
@@ -427,28 +422,6 @@ class TestGridParity:
             assert a.probes_sent == b.probes_sent, key
             assert a.metrics == b.metrics, key
             assert a.round_history == b.round_history, key
-
-    def test_execution_policy_vectorized_toggle(self, tiny_config):
-        from repro.experiments import ExecutionPolicy, GridSpec, Study, run_grid
-
-        def run(policy):
-            study = Study(
-                internet=SimulatedInternet(tiny_config), budget=400, round_size=200
-            )
-            spec = GridSpec(
-                datasets=(study.constructions.all_active,),
-                tga_names=("det",),
-                ports=(Port.ICMP,),
-            )
-            return run_grid(study, spec, policy=policy)
-
-        on = run(ExecutionPolicy(vectorized=True))
-        off = run(ExecutionPolicy(vectorized=False))
-        default = run(None)
-        for key in on.runs:
-            assert on.runs[key].clean_hits == off.runs[key].clean_hits
-            assert on.runs[key].metrics == off.runs[key].metrics
-            assert default.runs[key].clean_hits == on.runs[key].clean_hits
 
     def test_vector_enabled_reflects_policy_scope(self):
         baseline = vector_enabled()
