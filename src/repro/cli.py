@@ -45,7 +45,7 @@ reaps cells stuck in a worker, ``--max-retries N`` bounds how often a
 crashing/timing-out cell is retried before it is reported as failed
 (``grid`` exits 3 on a partial result), and ``--inject-fault
 KIND[:TGA][:PORT][:FIRES]`` injects a deterministic fault (crash/stall/
-exception) for testing recovery paths.
+exception/busy) for testing recovery paths.
 
 ``--telemetry trace.jsonl`` writes a deterministic JSONL event trace of
 the whole command (byte-identical across runs for a fixed seed, even
@@ -83,6 +83,7 @@ from collections.abc import Sequence
 from .dealias import DealiasMode
 from .analysis import summarize_convergence
 from .experiments import (
+    FAULT_KINDS,
     ExecutionPolicy,
     FaultPlan,
     GridSpec,
@@ -269,15 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
         "in the process",
     )
     parser.add_argument(
-        "--scheduler",
-        choices=("cost", "static"),
-        default="cost",
-        help="cell-to-chunk scheduling for --workers: 'cost' (default) "
-        "packs longest-predicted-first head chunks plus a stealable "
-        "single-cell tail; 'static' keeps contiguous ~4-chunks-per-worker "
-        "slices (results are bit-identical under either)",
-    )
-    parser.add_argument(
         "--export", default="", help="write result rows to a .csv or .json file"
     )
     parser.add_argument(
@@ -314,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="SPEC",
         help="deterministically inject a fault: KIND[:TGA][:PORT][:FIRES] "
-        "with KIND one of crash/stall/exception (recovery testing)",
+        f"with KIND one of {'/'.join(FAULT_KINDS)} (recovery testing)",
     )
     parser.add_argument(
         "--telemetry",
@@ -339,17 +331,10 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="SECONDS",
         help="sample RSS/CPU/cache gauges into the trace every SECONDS "
-        "(parent and workers; enables heartbeat stall detection when "
-        "--cell-timeout is also set; resource.* events are a sanctioned "
-        "variant namespace, so results stay bit-identical)",
-    )
-    parser.add_argument(
-        "--heartbeat-grace",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="declare a worker stalled after this long without heartbeat "
-        "progress (default: 2x the --sample-resources interval)",
+        "(parent and workers; with --cell-timeout also set, a worker "
+        "without heartbeat progress for 2x SECONDS is declared stalled; "
+        "resource.* events are a sanctioned variant namespace, so "
+        "results stay bit-identical)",
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
@@ -627,9 +612,7 @@ def _make_policy(args: argparse.Namespace) -> ExecutionPolicy:
         max_retries=args.max_retries,
         fault_plan=args.inject_fault,
         resource_interval=args.sample_resources,
-        heartbeat_grace=args.heartbeat_grace,
         model_store=False if args.no_model_store else args.model_store,
-        scheduler=args.scheduler,
     )
 
 
@@ -1200,10 +1183,7 @@ def _cmd_trace_stragglers(args: argparse.Namespace) -> int:
             "--checkpoint, --cell-timeout or --inject-fault)"
         )
         return 1
-    print(
-        f"cells: {len(report.cells)}  workers: {report.workers}  "
-        f"scheduler: {report.scheduler or '?'}"
-    )
+    print(f"cells: {len(report.cells)}  workers: {report.workers}")
     print(
         f"total work: {report.total_wall_s:.3f}s  "
         f"ideal makespan (total/workers): {report.ideal_makespan_s:.3f}s  "
@@ -1214,8 +1194,6 @@ def _cmd_trace_stragglers(args: argparse.Namespace) -> int:
             else ""
         )
     )
-    if report.predicted_makespan_s is not None:
-        print(f"planner predicted makespan: {report.predicted_makespan_s:.3f}s")
     total = report.total_wall_s or 1.0
     print(
         render_table(

@@ -3,9 +3,8 @@
 from .faults import FAULT_KINDS, FaultInjected, FaultPlan, FaultRule
 from .grid import GridResults, GridSpec, run_grid
 from .harness import Study
-from .parallel import CellFailure, ParallelExecutor, WorkerSpec, default_cost_model
+from .parallel import CellFailure, ParallelExecutor, WorkerSpec
 from .policy import ExecutionPolicy
-from .scheduler import TGA_COST_PRIOR, ChunkPlan, CostModel, plan_chunks, simulate_makespan
 from .recommendations import (
     RECOMMENDED_ENSEMBLE,
     EnsembleResult,
@@ -66,10 +65,4 @@ __all__ = [
     "FaultPlan",
     "FaultRule",
     "FaultInjected",
-    "CostModel",
-    "ChunkPlan",
-    "TGA_COST_PRIOR",
-    "plan_chunks",
-    "simulate_makespan",
-    "default_cost_model",
 ]

@@ -87,8 +87,8 @@ class GridResults:
     #: Measured wall-clock seconds per executed cell, keyed like
     #: :attr:`runs`.  Observation, not result: cells served from the
     #: run cache (or a resumed checkpoint) are absent, and the values
-    #: never participate in result identity — they feed the cost-aware
-    #: scheduler and post-hoc straggler analysis.
+    #: never participate in result identity — they feed post-hoc
+    #: straggler analysis.
     wall_seconds: dict[tuple[str, str, Port], float] = field(default_factory=dict)
 
     @property
@@ -180,14 +180,14 @@ def run_grid(
     ``policy`` governs execution mechanics — worker processes,
     checkpoint/resume, per-cell timeout, retry budget and fault
     injection; see :class:`~repro.experiments.ExecutionPolicy`.  The
-    legacy ``workers``/``chunksize``/``telemetry`` keyword arguments
-    were removed and raise ``TypeError``.
+    legacy ``workers``/``telemetry`` keyword arguments were removed and
+    raise ``TypeError``.
 
     ``progress(done, total, last_result)`` is invoked after each cell —
     in cell order when running serially, in completion order when
     workers spread uncached cells across processes.  Parallel results
     are bit-identical to serial ones, and worker-process telemetry is
-    merged back in deterministic chunk order, so a fixed-seed grid
+    merged back in canonical cell order, so a fixed-seed grid
     writes a byte-identical JSONL event log no matter how cells were
     scheduled.
 
@@ -197,7 +197,7 @@ def run_grid(
     cell that keeps failing past ``policy.max_retries`` lands in
     ``GridResults.failed_cells`` instead of sinking the grid.
     """
-    from .parallel import ParallelExecutor, default_cost_model, resolve_workers
+    from .parallel import ParallelExecutor, resolve_workers
 
     policy = coalesce_policy(policy, "run_grid", progress=progress, **_removed)
     with use_telemetry(policy.telemetry):
@@ -265,7 +265,6 @@ def run_grid(
                     results.failed_cells = tuple(executor.failed_cells)
                     return results
                 budget = spec.budget or study.budget
-                cost_model = default_cost_model()
                 for index, (tga, dataset, port) in enumerate(spec.cells(), start=1):
                     key = (canonical_tga_name(tga), dataset.name, port, budget)
                     fresh = key not in study._run_cache
@@ -275,10 +274,8 @@ def run_grid(
                     results.runs[key[:3]] = run
                     if fresh:
                         # Only genuinely-executed cells are observations
-                        # (a run-cache hit would teach the cost model
-                        # that cells are free).
+                        # (a run-cache hit would look free).
                         results.wall_seconds[key[:3]] = wall
-                        cost_model.observe(key[0], budget, wall)
                     if progress is not None:
                         progress(index, total, run)
                 return results

@@ -136,8 +136,8 @@ class Study:
         missing from the cache when called.  Parallel results are
         bit-identical to serial ones (every stochastic draw is keyed on
         the master seed), so downstream consumers cannot tell the
-        difference.  The legacy ``workers``/``chunksize`` kwargs were
-        removed and raise ``TypeError``.
+        difference.  The legacy ``workers`` kwarg was removed and raises
+        ``TypeError``.
         """
         from .parallel import ParallelExecutor, resolve_workers
         from .policy import coalesce_policy
@@ -179,8 +179,7 @@ class Study:
         retries, fault injection); results and the populated run cache
         are identical to a serial run (worker-process telemetry is
         merged back deterministically).  The legacy ``parallel``/
-        ``chunksize``/``telemetry`` kwargs were removed and raise
-        ``TypeError``.
+        ``telemetry`` kwargs were removed and raise ``TypeError``.
         """
         from .policy import coalesce_policy
 

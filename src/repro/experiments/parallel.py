@@ -71,7 +71,6 @@ from .faults import FaultInjected, FaultPlan
 from .harness import Study
 from .policy import ExecutionPolicy
 from .results import RunResult
-from .scheduler import CostModel, plan_chunks
 from .store import RunStore, study_digest
 
 __all__ = [
@@ -80,7 +79,6 @@ __all__ = [
     "CellFailure",
     "WorkerSpec",
     "ParallelExecutor",
-    "default_cost_model",
     "resolve_workers",
 ]
 
@@ -275,13 +273,12 @@ def _run_cell_chunk(
     """Run a chunk of cells in a worker.
 
     Returns one record per cell: ``(key, result, wall_s, capture)``.
-    ``wall_s`` is the measured wall-clock seconds of the cell (cost-
-    model training data and straggler analysis).  ``capture`` is
-    ``(telemetry_snapshot, telemetry_events)`` when the spec requests
-    telemetry, else ``None`` — one registry per *cell*, not per chunk,
-    so the parent can merge captures in canonical cell order and the
-    trace stays byte-identical to serial no matter how the cost-aware
-    scheduler shaped the chunks.  World construction (simulated
+    ``wall_s`` is the measured wall-clock seconds of the cell (straggler
+    analysis).  ``capture`` is ``(telemetry_snapshot, telemetry_events)``
+    when the spec requests telemetry, else ``None`` — one registry per
+    *cell*, not per chunk, so the parent can merge captures in canonical
+    cell order and the trace stays byte-identical to serial no matter
+    how the cells were chunked.  World construction (simulated
     Internet, seed collection, the known-address pool) is warmed
     *before* the first cell registry activates, so worker telemetry
     measures exactly the cell work — matching the parent, where those
@@ -373,61 +370,34 @@ def _run_cell_chunk(
 # -- parent side -----------------------------------------------------------
 
 
-#: Process-wide learned cost model: every executor feeds completed-cell
-#: wall times back in, so later grids in the same session schedule on
-#: observed per-TGA rates instead of the static prior.
-_PROCESS_COST_MODEL = CostModel.static_prior()
-
-
-def default_cost_model() -> CostModel:
-    """The process-wide cost model executors share by default."""
-    return _PROCESS_COST_MODEL
-
-
 class ParallelExecutor:
     """Runs grid cells across processes, merging into a study's run cache.
 
-    ``max_workers`` defaults to the machine's CPU count.  ``chunksize``
-    controls how many cells ride in one inter-process task (larger
-    chunks amortise dataset pickling; smaller chunks balance load) — by
-    default the cost-aware scheduler (:mod:`repro.experiments.scheduler`)
-    plans chunks from predicted cell costs: expensive cells first in
-    packed head chunks, the cheap tail as single-cell chunks claimed
-    dynamically from the pool's shared queue.  ``policy.scheduler=
-    "static"`` restores the legacy contiguous ~4-chunks-per-worker
-    split, and ``policy.cell_timeout`` forces one cell per task
-    (per-cell timeouts need per-cell dispatch).  ``policy`` also
-    supplies the fault-tolerance knobs: checkpoint/resume, retry
-    budget, timeout and fault injection.
+    ``max_workers`` defaults to the machine's CPU count.  Cells travel
+    in contiguous grid-order chunks of ⌈cells ÷ (4 × workers)⌉ — one
+    cell per chunk under ``policy.cell_timeout``, since per-cell
+    timeouts need per-cell dispatch — and at most one chunk per worker
+    is in flight at a time.  ``policy`` also supplies the
+    fault-tolerance knobs: checkpoint/resume, retry budget, timeout and
+    fault injection.
     """
 
     def __init__(
         self,
         study: Study,
         max_workers: int | None = None,
-        chunksize: int | None = None,
         policy: ExecutionPolicy | None = None,
-        cost_model: CostModel | None = None,
     ) -> None:
         if max_workers is not None and max_workers < 1:
             raise ValueError("max_workers must be at least 1")
-        if chunksize is not None and chunksize < 1:
-            raise ValueError("chunksize must be at least 1")
         self.study = study
         self.policy = policy or ExecutionPolicy()
         self.max_workers = max_workers or os.cpu_count() or 1
-        self.chunksize = (
-            chunksize if chunksize is not None else self.policy.chunksize
-        )
-        #: The model predicting per-cell cost for chunk planning; the
-        #: process-wide shared model unless the caller brings its own.
-        self.cost_model = cost_model if cost_model is not None else default_cost_model()
         #: Cells that exhausted their retries in the last ``run_cells``.
         self.failed_cells: list[CellFailure] = []
         #: Measured wall seconds per run key from the last ``run_cells``
         #: (executed cells only — cached/restored cells cost nothing).
         self.wall_seconds: dict[RunKey, float] = {}
-        self._last_plan = None
         self._last_workers = 1
 
     def worker_spec(self) -> WorkerSpec:
@@ -449,20 +419,14 @@ class ParallelExecutor:
         )
 
     def _chunks(self, cells: list[Cell]) -> list[list[Cell]]:
-        self._last_plan = None
+        """Split cells, in grid order, into contiguous dispatch chunks."""
         if self.policy.cell_timeout is not None:
             # Per-cell timeout semantics require per-cell dispatch: the
             # parent can only observe task completion, so a task must be
             # exactly one cell.
             return [[cell] for cell in cells]
-        if self.chunksize is not None or self.policy.scheduler == "static":
-            size = self.chunksize
-            if size is None:
-                size = max(1, -(-len(cells) // (self.max_workers * 4)))
-            return [cells[i : i + size] for i in range(0, len(cells), size)]
-        plan = plan_chunks(cells, self.cost_model, self.max_workers)
-        self._last_plan = plan
-        return plan.chunks
+        size = max(1, -(-len(cells) // (self.max_workers * 4)))
+        return [cells[i : i + size] for i in range(0, len(cells), size)]
 
     # -- checkpointing -----------------------------------------------------
 
@@ -482,11 +446,6 @@ class ParallelExecutor:
         if self.policy.resume and store.path.exists():
             store.load()
             store.verify(digest)
-            # Recorded wall times (v3 checkpoints) are free cost-model
-            # training data: the resumed grid schedules its remaining
-            # cells on the interrupted run's real rates.
-            for key, wall_s in store.wall_seconds.items():
-                self.cost_model.observe(key[0], key[3], wall_s)
             restored = 0
             for key in resolved:
                 result = store.get(key)
@@ -545,15 +504,14 @@ class ParallelExecutor:
             tel.count(f"fault.{reason}")
             tel.emit("fault", reason=reason, cells=cells, attempt=attempt, **extra)
 
-    # -- cost observation ---------------------------------------------------
+    # -- wall-time observation ----------------------------------------------
 
     def _observe_cell(self, key: RunKey, wall_s: float, tel) -> None:
-        """Record one executed cell's wall time: feeds the cost model,
-        :attr:`wall_seconds`, and the sanctioned ``sched`` event stream
-        (training data for later runs and ``repro trace stragglers``)."""
+        """Record one executed cell's wall time in :attr:`wall_seconds`
+        and the sanctioned ``sched`` event stream (the input of
+        ``repro trace stragglers``)."""
         tga_name, dataset_name, port, budget = key
         self.wall_seconds[key] = wall_s
-        self.cost_model.observe(tga_name, budget, wall_s)
         if tel.enabled:
             tel.emit(
                 "sched",
@@ -647,7 +605,6 @@ class ParallelExecutor:
                         tel.emit(
                             "sched",
                             kind="summary",
-                            scheduler=policy.scheduler,
                             cells=len(self.wall_seconds),
                             workers=self._last_workers,
                             elapsed_s=round(time.perf_counter() - started, 6),
@@ -722,12 +679,17 @@ class ParallelExecutor:
     ) -> None:
         """Run cells across a worker pool, surviving crashes and stalls.
 
+        Dispatch keeps at most one chunk per worker in flight and
+        submits the next as one finishes, so a chunk's ``cell_timeout``
+        deadline, which starts at submission, measures its own run and
+        never time spent queued behind other chunks.
+
         Recovery model, per chunk of cells:
 
         * a normal exception from a chunk charges and retries just that
           chunk (the pool stays healthy, attribution is exact);
         * a dead worker (``BrokenProcessPool``) poisons the whole pool:
-          the pool is rebuilt and every lost chunk moves to an
+          the pool is rebuilt and every lost in-flight chunk moves to an
           *isolation queue* — re-run one at a time, so the next pool
           death identifies its culprit exactly.  Only the isolated
           culprit is charged; innocent bystanders retry for free, which
@@ -735,24 +697,27 @@ class ParallelExecutor:
           chunks happened to be in flight when a worker died);
         * a chunk overrunning ``cell_timeout`` has the whole pool
           terminated (a stuck worker cannot be cancelled); the expired
-          chunk is charged — deadlines identify it exactly — and
-          everything else requeues for free;
+          chunk is charged — deadlines identify it exactly — and the
+          other in-flight chunks requeue for free;
         * with the resource sampler on (``policy.resource_interval``)
           alongside ``cell_timeout``, workers heartbeat into a
           parent-owned temp directory and a :class:`HeartbeatMonitor`
           is consulted on every wait wake-up: a cell whose heartbeats
-          go stale *or* whose CPU counter stops advancing is charged a
-          ``stall`` in O(sample interval) instead of waiting out the
-          whole ``cell_timeout`` — while slow-but-alive cells, still
-          burning CPU, are left to the ordinary deadline.
+          go stale *or* whose CPU counter stops advancing for twice the
+          sample interval is charged a ``stall`` instead of waiting out
+          the whole ``cell_timeout`` — while slow-but-alive cells,
+          still burning CPU, are left to the ordinary deadline.
 
+        Chunks not yet submitted when a pool is reaped or breaks, and a
+        chunk a broken pool refuses at submission, were never in a
+        worker: they stay queued, uncharged and unisolated.
         A chunk charged more than ``max_retries`` times fails all its
         cells into :attr:`failed_cells`.  Worker telemetry is captured
         per *cell* and merged in canonical cell order — not completion,
         chunk or retry order — and a retried cell overwrites its
-        capture slot, so serial, statically-chunked, cost-scheduled and
-        fault-recovered runs of the same grid all merge identical
-        (variant-event-stripped) traces.
+        capture slot, so serial, parallel and fault-recovered runs of
+        the same grid all merge identical (variant-event-stripped)
+        traces.
         """
         global _FORK_DONOR
         policy = self.policy
@@ -773,32 +738,15 @@ class ParallelExecutor:
             spec = replace(
                 spec, resources=replace(spec.resources, heartbeat_dir=hb_dir)
             )
-            monitor = HeartbeatMonitor(grace=policy.resolved_heartbeat_grace)
+            monitor = HeartbeatMonitor(grace=2.0 * policy.resource_interval)
         chunks = self._chunks(missing)
         workers = min(self.max_workers, len(chunks))
         self._last_workers = workers
         if tel.enabled:
             tel.count("meta.parallel.chunks", len(chunks))
             tel.gauge("meta.parallel.workers", workers)
-            if self._last_plan is not None:
-                chunk_plan = self._last_plan
-                tel.emit(
-                    "sched",
-                    kind="plan",
-                    scheduler=policy.scheduler,
-                    cells=len(missing),
-                    chunks=len(chunks),
-                    head_chunks=chunk_plan.head_chunks,
-                    tail_chunks=chunk_plan.tail_chunks,
-                    workers=workers,
-                    trained=self.cost_model.observations,
-                    predicted_total_s=round(chunk_plan.predicted_total, 6),
-                    predicted_makespan_s=round(
-                        chunk_plan.predicted_makespan(workers), 6
-                    ),
-                )
         #: Worker telemetry, keyed by run key so the merge below is
-        #: independent of completion, retry and chunk-plan order.
+        #: independent of completion, retry and chunk order.
         captured: dict[RunKey, tuple[dict, list[dict]]] = {}
         attempts = [0] * len(chunks)
         pending: deque[int] = deque(range(len(chunks)))
@@ -846,9 +794,18 @@ class ParallelExecutor:
                 tel.count("fault.pool_rebuilds")
 
         beat_serial = 0
+        inflight: dict = {}
+        beats: dict = {}
+        deadlines: dict = {}
 
-        def submit(index: int):
-            """Dispatch a chunk, minting a fresh heartbeat identity.
+        def submit(queue: deque[int], window: int) -> bool:
+            """Dispatch chunks from ``queue`` until ``window`` are in flight.
+
+            Returns False if the pool turned out to be broken: a worker
+            died after ``wait`` last returned, and the executor refuses
+            new work before it fails the lost futures.  The refused
+            chunk never reached a worker, so it goes back to the head
+            of ``queue`` uncharged.
 
             Every dispatch gets its own beat file name (and monitor
             anchor key), so a chunk requeued after a pool rebuild can
@@ -856,44 +813,45 @@ class ParallelExecutor:
             a previous process's CPU counter.
             """
             nonlocal beat_serial
-            name = None
-            if monitor is not None:
-                beat_serial += 1
-                name = f"c{index}a{attempts[index]}s{beat_serial}.hb"
-            future = pool.submit(
-                _run_cell_chunk, spec, chunks[index], attempts[index], name
-            )
-            return future, name
+            while queue and len(inflight) < window:
+                index = queue.popleft()
+                name = None
+                if monitor is not None:
+                    beat_serial += 1
+                    name = f"c{index}a{attempts[index]}s{beat_serial}.hb"
+                try:
+                    future = pool.submit(
+                        _run_cell_chunk, spec, chunks[index], attempts[index], name
+                    )
+                except BrokenProcessPool:
+                    queue.appendleft(index)
+                    return False
+                inflight[future] = index
+                beats[future] = name
+                if policy.cell_timeout is not None:
+                    deadlines[future] = time.monotonic() + policy.cell_timeout
+            return True
 
         try:
             while pending or suspects:
                 if pool is None:
                     pool = ProcessPoolExecutor(max_workers=workers)
-                if suspects:
-                    isolated = True
-                    batch = [suspects.popleft()]
-                else:
-                    isolated = False
-                    batch = list(pending)
-                    pending.clear()
-                inflight: dict = {}
-                beats: dict = {}
-                for index in batch:
-                    future, name = submit(index)
-                    inflight[future] = index
-                    beats[future] = name
-                deadline = (
-                    None
-                    if policy.cell_timeout is None
-                    else {future: time.monotonic() + policy.cell_timeout for future in inflight}
-                )
-                broken = False
+                # Suspects run one at a time so a pool death names its
+                # culprit; otherwise the window draws on ``pending``,
+                # where retried chunks rejoin it.
+                isolated = bool(suspects)
+                queue, window = (suspects, 1) if isolated else (pending, workers)
+                inflight.clear()
+                beats.clear()
+                deadlines.clear()
+                broken = not submit(queue, window)
                 while inflight and not broken:
                     timeout = None
-                    if deadline is not None:
+                    if policy.cell_timeout is not None:
                         timeout = max(
                             0.0,
-                            min(deadline[future] for future in inflight) - time.monotonic(),
+                            min(deadlines[future] for future in inflight)
+                            - time.monotonic(),
                         )
                     if monitor is not None:
                         # Wake at least once per sample interval so a
@@ -918,13 +876,15 @@ class ParallelExecutor:
                         expired = [
                             future
                             for future in inflight
-                            if deadline is not None and deadline[future] <= now
+                            if policy.cell_timeout is not None
+                            and deadlines[future] <= now
                         ]
                         stalled: list[tuple[object, str]] = []
                         if monitor is not None:
-                            for future, name in beats.items():
-                                if future in expired or future not in inflight:
+                            for future in inflight:
+                                if future in expired:
                                     continue
+                                name = beats[future]
                                 why = monitor.check(
                                     name, os.path.join(hb_dir, name)
                                 )
@@ -949,7 +909,7 @@ class ParallelExecutor:
                     for future in finished:
                         index = inflight.pop(future)
                         if monitor is not None:
-                            monitor.forget(beats.get(future))
+                            monitor.forget(beats[future])
                         try:
                             payload = future.result()
                         except BrokenProcessPool:
@@ -976,19 +936,21 @@ class ParallelExecutor:
                             )
                         else:
                             harvest(index, payload)
-                    if broken:
-                        if not isolated:
-                            self._note_fault(
-                                "crash",
-                                sum(len(chunks[i]) for i in inflight.values()) or 0,
-                                0,
-                                tel,
-                            )
-                        suspects.extend(inflight.values())
-                        inflight.clear()
-                        if monitor is not None:
-                            monitor.reset()
-                        rebuild(kill=False)
+                    if not broken:
+                        broken = not submit(queue, window)
+                if broken:
+                    if not isolated:
+                        self._note_fault(
+                            "crash",
+                            sum(len(chunks[i]) for i in inflight.values()) or 0,
+                            0,
+                            tel,
+                        )
+                    suspects.extend(inflight.values())
+                    inflight.clear()
+                    if monitor is not None:
+                        monitor.reset()
+                    rebuild(kill=False)
         finally:
             if pool is not None:
                 pool.shutdown()
@@ -997,11 +959,9 @@ class ParallelExecutor:
             _FORK_DONOR = None
         # Deterministic merge: canonical cell order — the order the
         # caller resolved the grid in, which is the order a serial run
-        # executes — never completion, chunk-plan or retry order.
-        # Counters, span trees and forwarded events (hence JSONL sinks)
-        # are therefore byte-identical across runs *and* across chunk
-        # plans, even though the cost-aware scheduler's plans vary with
-        # learned rates.
+        # executes — never completion, chunk or retry order.  Counters,
+        # span trees and forwarded events (hence JSONL sinks) are
+        # therefore byte-identical across runs and worker counts.
         for tga_name, dataset, port, budget in missing:
             capture = captured.get((tga_name, dataset.name, port, budget))
             if capture is None:

@@ -1,7 +1,7 @@
 """The unified execution-control surface for experiment pipelines.
 
 Grid execution grew knobs one at a time — ``workers=``, ``parallel=``,
-``chunksize=``, ``telemetry=`` — scattered across ``run_grid``,
+``telemetry=`` — scattered across ``run_grid``,
 :meth:`Study.run_matrix`, :meth:`Study.precompute` and the RQ1–RQ4
 pipelines.  Fault tolerance (checkpointing, retries, timeouts, fault
 injection) would have doubled that sprawl, so every entry point takes
@@ -34,8 +34,6 @@ class ExecutionPolicy:
 
     #: Worker processes: ``None``/1 = serial, ``"auto"`` = min(CPUs, cells).
     workers: int | str | None = None
-    #: Cells per inter-process task (``None`` = ~4 chunks per worker).
-    chunksize: int | None = None
     #: Prepared-model cache in workers (``None`` = inherit the global
     #: :func:`repro.tga.get_model_cache` setting).
     model_cache: bool | None = None
@@ -46,7 +44,7 @@ class ExecutionPolicy:
     progress: Callable | None = None
     #: Checkpoint path (:class:`~repro.experiments.RunStore`, format v3):
     #: every completed cell is appended as it finishes, with its
-    #: measured wall seconds (cost-model training data on resume).
+    #: measured wall seconds.
     checkpoint: str | Path | None = None
     #: Load the checkpoint first and skip every cell it already holds
     #: (the store's config digest must match the study).
@@ -64,14 +62,11 @@ class ExecutionPolicy:
     #: :class:`~repro.telemetry.ResourceSampler` runs in the parent and
     #: in every worker, emitting sanctioned ``resource.*`` /
     #: ``heartbeat.*`` telemetry; grid results and stripped traces are
-    #: bit-identical with sampling on or off.
+    #: bit-identical with sampling on or off.  Together with
+    #: ``cell_timeout`` it also arms heartbeat stall detection: a worker
+    #: cell whose heartbeats go silent, or whose CPU stays idle, for
+    #: twice this interval is retried without waiting out the timeout.
     resource_interval: float | None = None
-    #: Seconds of heartbeat silence / CPU idleness before a worker cell
-    #: is declared stalled and retried without waiting out the whole
-    #: ``cell_timeout`` (``None`` = 2x ``resource_interval``).  Only
-    #: meaningful when both ``resource_interval`` and ``cell_timeout``
-    #: are set.
-    heartbeat_grace: float | None = None
     #: Persistent prepared-model store (disk tier under the in-memory
     #: model cache): ``None`` = inherit whatever store is already active
     #: in the process, ``False`` = force persistence off, ``True`` = the
@@ -80,12 +75,6 @@ class ExecutionPolicy:
     #: stored artifact is digest-verified and rebuilt on mismatch, so
     #: results are bit-identical with the store hot, cold or off.
     model_store: str | Path | bool | None = None
-    #: Cell-to-chunk scheduling strategy: ``"cost"`` (default) orders
-    #: cells longest-predicted-first and splits the tail into
-    #: single-cell chunks workers claim dynamically; ``"static"`` keeps
-    #: the legacy contiguous ~4-chunks-per-worker split.  Results and
-    #: stripped traces are bit-identical under either scheduler.
-    scheduler: str = "cost"
 
     def __post_init__(self) -> None:
         if self.workers is not None and not isinstance(self.workers, int):
@@ -95,32 +84,12 @@ class ExecutionPolicy:
                 )
         if isinstance(self.workers, int) and self.workers < 1:
             raise ValueError("workers must be at least 1")
-        if self.chunksize is not None and self.chunksize < 1:
-            raise ValueError("chunksize must be at least 1")
         if self.cell_timeout is not None and self.cell_timeout <= 0:
             raise ValueError("cell_timeout must be positive")
         if self.max_retries < 0:
             raise ValueError("max_retries cannot be negative")
         if self.resource_interval is not None and self.resource_interval <= 0:
             raise ValueError("resource_interval must be positive")
-        if self.heartbeat_grace is not None:
-            if self.resource_interval is None:
-                raise ValueError("heartbeat_grace requires resource_interval")
-            if self.heartbeat_grace <= 0:
-                raise ValueError("heartbeat_grace must be positive")
-        if self.scheduler not in ("cost", "static"):
-            raise ValueError(
-                f"scheduler must be 'cost' or 'static'; got {self.scheduler!r}"
-            )
-
-    @property
-    def resolved_heartbeat_grace(self) -> float | None:
-        """The effective stall-declaration window (``None`` = sampler off)."""
-        if self.resource_interval is None:
-            return None
-        if self.heartbeat_grace is not None:
-            return self.heartbeat_grace
-        return 2.0 * self.resource_interval
 
     @property
     def resilient(self) -> bool:
@@ -143,7 +112,6 @@ class ExecutionPolicy:
 _LEGACY_FIELDS = {
     "workers": "workers",
     "parallel": "workers",
-    "chunksize": "chunksize",
     "telemetry": "telemetry",
 }
 
@@ -158,7 +126,7 @@ def coalesce_policy(
 
     The deprecation cycle for the scattered execution kwargs is over:
     passing any of the removed names (``workers``/``parallel``/
-    ``chunksize``/``telemetry``) — or anything else unexpected — raises
+    ``telemetry``) — or anything else unexpected — raises
     ``TypeError`` with the ``policy=`` migration spelled out.
     ``progress`` still folds silently (it is a per-call callback, not
     configuration).

@@ -12,9 +12,9 @@ Three on-disk formats exist:
   digest of the world configuration the results were computed against;
   every subsequent line is one ``(RunKey, RunResult)`` record, plus an
   optional ``wall_s`` field — the measured wall-clock seconds of the
-  cell, recorded so the cost-aware scheduler can train on history and
-  post-hoc straggler analysis is possible.  ``wall_s`` is observation,
-  not result: it never participates in digests or identity checks.
+  cell, recorded for post-hoc straggler analysis.  ``wall_s`` is
+  observation, not result: it never participates in digests or
+  identity checks.
   Records are appended (and flushed) as cells complete, so a
   checkpoint is crash-safe by construction: whatever survives an
   interruption is a valid prefix, and a torn final line is detected
@@ -158,7 +158,7 @@ class RunStore:
         self._records: list[tuple[tuple, RunResult]] = []
         self._by_key: dict[tuple, RunResult] = {}
         #: Measured wall seconds per key, for records that carried one
-        #: (v3 stores; the cost model trains on these).
+        #: (v3 stores).
         self.wall_seconds: dict[tuple, float] = {}
         self._handle = None
         #: Records read from disk by :meth:`load`.
@@ -313,8 +313,8 @@ class RunStore:
         """Persist one completed cell (appends and flushes immediately).
 
         ``wall_s`` is the measured wall-clock seconds of the cell, when
-        the caller has one — recorded alongside the result so resumed
-        runs can train the cost-aware scheduler on real history.
+        the caller has one — recorded alongside the result, never part
+        of its identity.
         """
         if self._handle is None:
             self.begin()

@@ -18,7 +18,7 @@ bookkeeping, ``tga.model_cache.*`` prepared-model cache traffic,
 ``tga.model_store.*`` persistent-store traffic, ``fault.*``
 retry/recovery weather, ``checkpoint.*`` RunStore traffic,
 ``resource.*`` / ``heartbeat.*`` flight-recorder samples, ``sched.*``
-scheduler bookkeeping) are
+per-cell wall times) are
 additionally allowed to depend on the execution strategy (serial vs
 parallel, cold vs warm cache, fault-free vs fault-recovered, sampled
 vs unsampled); all other names must not.  :func:`strip_variant_events`

@@ -54,8 +54,8 @@ __all__ = [
 ]
 
 #: Event types that record execution weather (injected faults, retries,
-#: checkpoint traffic, resource samples, worker heartbeats, scheduler
-#: plans and wall-time observations) rather than workload results — the
+#: checkpoint traffic, resource samples, worker heartbeats, per-cell
+#: wall-time observations) rather than workload results — the
 #: event-stream counterpart of
 #: :data:`~repro.telemetry.SANCTIONED_VARIANT_PREFIXES`.
 VARIANT_EVENT_TYPES: tuple[str, ...] = (
@@ -576,12 +576,13 @@ def trace_peak_rss_mb(trace: Trace) -> float:
 class StragglerReport:
     """Per-cell wall-time ranking reconstructed from ``sched`` events.
 
-    The scheduler emits one ``sched``/``kind="cell"`` event per executed
-    cell (measured wall seconds), a ``kind="plan"`` event per pool launch
-    (predicted figures) and a ``kind="summary"`` event per grid (workers,
-    elapsed).  This report ranks the cells longest-first and compares the
-    achieved makespan against the ``total_wall / workers`` lower bound —
-    the gap is what better chunking (or fewer stragglers) could recover.
+    The executor emits one ``sched``/``kind="cell"`` event per executed
+    cell (measured wall seconds) and a ``kind="summary"`` event per grid
+    (workers, elapsed).  This report ranks the cells longest-first and
+    compares the achieved makespan against the ``total_wall / workers``
+    lower bound — the gap is what better chunking (or fewer stragglers)
+    could recover.  Other ``sched`` kinds, such as the ``plan`` events
+    of older traces, are ignored.
     """
 
     #: ``(tga, dataset, port, budget, wall_s)`` rows, longest first.
@@ -593,10 +594,6 @@ class StragglerReport:
     elapsed_s: float = 0.0
     #: Sum of per-cell wall seconds (serial-equivalent work).
     total_wall_s: float = 0.0
-    #: Scheduler strategy named by the summary event (``""`` = unknown).
-    scheduler: str = ""
-    #: Predicted makespan from the ``kind="plan"`` event, if any.
-    predicted_makespan_s: float | None = None
 
     @property
     def ideal_makespan_s(self) -> float:
@@ -623,13 +620,11 @@ class StragglerReport:
     def as_dict(self) -> dict:
         return {
             "workers": self.workers,
-            "scheduler": self.scheduler,
             "cells": len(self.cells),
             "elapsed_s": round(self.elapsed_s, 6),
             "total_wall_s": round(self.total_wall_s, 6),
             "ideal_makespan_s": round(self.ideal_makespan_s, 6),
             "efficiency": round(self.efficiency, 4),
-            "predicted_makespan_s": self.predicted_makespan_s,
         }
 
 
@@ -658,11 +653,6 @@ def straggler_report(trace: Trace) -> StragglerReport:
         elif kind == "summary":
             report.workers = max(1, int(event.get("workers", 1) or 1))
             report.elapsed_s = float(event.get("elapsed_s", 0.0) or 0.0)
-            report.scheduler = str(event.get("scheduler", "") or "")
-        elif kind == "plan":
-            predicted = event.get("predicted_makespan_s")
-            if predicted is not None:
-                report.predicted_makespan_s = float(predicted)
     cells.sort(key=lambda row: (-row[4], row[0], row[1], row[2], row[3]))
     report.cells = cells
     report.total_wall_s = sum(row[4] for row in cells)

@@ -22,8 +22,8 @@ Design constraints (see ``docs/architecture.md`` § Telemetry):
   restored from a RunStore), ``resource.*`` / ``heartbeat.*`` (the
   resource flight recorder of :mod:`repro.telemetry.resources` —
   RSS/CPU samples and worker liveness beats, wall-clock-dependent by
-  nature), and ``sched.*`` (the cost-aware scheduler's wall-time
-  observations and chunk plans) — which may
+  nature), and ``sched.*`` (the grid executor's per-cell wall times
+  and per-grid makespan summary) — which may
   legitimately differ between serial and parallel execution, between
   cold- and warm-cache runs, between fault-free and fault-recovered
   runs, or between sampled and unsampled runs of the same workload;
@@ -61,7 +61,7 @@ __all__ = [
 #: wall-clock-dependent by design, never reproducible.
 #: ``tga.model_store.*`` counts persistent disk-store traffic (a
 #: function of machine state, like any cache) and ``sched.*`` carries
-#: the cost-aware scheduler's measured wall times and chunk plans.
+#: the grid executor's measured per-cell wall times and makespan.
 SANCTIONED_VARIANT_PREFIXES: tuple[str, ...] = (
     "meta.",
     "tga.model_cache.",

@@ -183,9 +183,9 @@ class HeartbeatMonitor:
     """Parent-side stall detection over worker heartbeat files.
 
     :meth:`check` returns ``None`` while a chunk looks healthy (or has
-    not produced a heartbeat yet — queued chunks are governed by the
-    cell deadline alone) and a human-readable stall reason once it does
-    not.  Two signals compose:
+    not produced a heartbeat yet — a just-dispatched chunk whose worker
+    is still starting up is governed by the cell deadline alone) and a
+    human-readable stall reason once it does not.  Two signals compose:
 
     * **freshness** — a heartbeat older than ``grace`` means the whole
       worker process (sampler thread included) is frozen or gone;

@@ -87,8 +87,29 @@ class TestWorkerSpec:
         study = make_study()
         with pytest.raises(ValueError):
             ParallelExecutor(study, max_workers=0)
-        with pytest.raises(ValueError):
-            ParallelExecutor(study, chunksize=0)
+
+
+class TestChunking:
+    def test_contiguous_grid_order_chunks(self):
+        """Every cell lands in exactly one chunk, grid order is kept,
+        there are at most 4 chunks per worker, and a cell timeout gives
+        every cell its own chunk."""
+        study = make_study()
+        timed = ExecutionPolicy(cell_timeout=5.0)
+        for workers in (1, 2, 3, 8):
+            for n_cells in (1, 5, 8, 9, 64, 65):
+                cells = [
+                    ("6tree", f"ds{i}", Port.ICMP, BUDGET) for i in range(n_cells)
+                ]
+                chunks = ParallelExecutor(study, max_workers=workers)._chunks(cells)
+                assert [cell for chunk in chunks for cell in chunk] == cells
+                assert all(chunks)
+                assert len(chunks) <= 4 * workers
+                assert len({len(chunk) for chunk in chunks[:-1]}) <= 1
+                single = ParallelExecutor(
+                    study, max_workers=workers, policy=timed
+                )._chunks(cells)
+                assert single == [[cell] for cell in cells]
 
 
 class TestParallelDeterminism:
@@ -302,6 +323,46 @@ class TestCrashRecovery:
         )
         assert recovered.complete
         assert not recovered.failed_cells
+        assert set(baseline.runs) == set(recovered.runs)
+        for key in baseline.runs:
+            assert_identical_runs(baseline.runs[key], recovered.runs[key])
+
+    @pytest.mark.parametrize("fail_on", (1, 2, 3))
+    def test_pool_broken_at_submission_recovers_bit_identically(
+        self, monkeypatch, fail_on
+    ):
+        """A worker that dies after ``wait`` returns leaves a pool that
+        refuses the next submission before it fails the lost futures.
+        The refused chunk requeues, the pool is rebuilt, and the grid
+        still completes bit-identically (call 3 is the first refill
+        after a chunk finishes; calls 1 and 2 fill the window)."""
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+
+        baseline_study = make_study()
+        baseline = run_grid(baseline_study, make_spec(baseline_study))
+
+        real_submit = ProcessPoolExecutor.submit
+        calls = []
+
+        def flaky_submit(pool, *args, **kwargs):
+            calls.append(None)
+            if len(calls) == fail_on:
+                raise BrokenProcessPool("a worker died")
+            return real_submit(pool, *args, **kwargs)
+
+        monkeypatch.setattr(ProcessPoolExecutor, "submit", flaky_submit)
+        study = make_study()
+        telemetry = Telemetry()
+        recovered = run_grid(
+            study,
+            make_spec(study),
+            policy=ExecutionPolicy(workers=2, telemetry=telemetry),
+        )
+        assert len(calls) > fail_on
+        assert recovered.complete
+        assert not recovered.failed_cells
+        assert telemetry.counters.get("fault.pool_rebuilds") == 1
         assert set(baseline.runs) == set(recovered.runs)
         for key in baseline.runs:
             assert_identical_runs(baseline.runs[key], recovered.runs[key])

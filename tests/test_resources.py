@@ -310,17 +310,6 @@ class TestExecutionPolicyValidation:
         with pytest.raises(ValueError):
             ExecutionPolicy(resource_interval=0.0)
 
-    def test_heartbeat_grace_requires_interval(self):
-        with pytest.raises(ValueError):
-            ExecutionPolicy(heartbeat_grace=1.0)
-
-    def test_resolved_grace_defaults_to_twice_interval(self):
-        policy = ExecutionPolicy(resource_interval=0.25)
-        assert policy.resolved_heartbeat_grace == 0.5
-        explicit = ExecutionPolicy(resource_interval=0.25, heartbeat_grace=3.0)
-        assert explicit.resolved_heartbeat_grace == 3.0
-        assert ExecutionPolicy().resolved_heartbeat_grace is None
-
 
 # ---------------------------------------------------------------------------
 # the bit-identity property: sampling must never move results or the
@@ -498,7 +487,6 @@ class TestHeartbeatStallDetection:
             max_retries=2,
             cell_timeout=60.0,
             resource_interval=0.15,
-            heartbeat_grace=0.3,
             telemetry=telemetry,
         )
         results = run_grid(study, spec, policy=policy)

@@ -27,7 +27,7 @@ from repro.experiments import (
     run_grid,
     study_digest,
 )
-from repro.internet import InternetConfig, Port
+from repro.internet import ALL_PORTS, InternetConfig, Port
 from repro.telemetry import MemorySink, Telemetry, strip_variant_events, use_telemetry
 
 TGAS = ("6tree", "6gen", "eip")
@@ -181,8 +181,6 @@ class TestExecutionPolicy:
             ExecutionPolicy(workers=0)
         with pytest.raises(ValueError):
             ExecutionPolicy(workers="many")
-        with pytest.raises(ValueError):
-            ExecutionPolicy(chunksize=0)
         with pytest.raises(ValueError):
             ExecutionPolicy(cell_timeout=0.0)
         with pytest.raises(ValueError):
@@ -484,6 +482,27 @@ class TestCrashResumeProperty:
         assert results.complete
         for key in baseline.runs:
             assert baseline.runs[key] == results.runs[key]
+
+    def test_timeout_never_counts_queue_time(self):
+        """A cell's deadline starts when it is dispatched to a worker,
+        not when the grid starts: twelve cells of 0.5 s+ on two workers
+        take over 3 s in all, yet none runs near the 2 s timeout."""
+        study = make_study()
+        telemetry = Telemetry()
+        plan = FaultPlan(rate=1.0, rate_kind="busy", busy_seconds=0.5)
+        results = run_grid(
+            study,
+            make_spec(study, ports=ALL_PORTS),
+            policy=ExecutionPolicy(
+                workers=2,
+                fault_plan=plan,
+                cell_timeout=2.0,
+                max_retries=0,
+                telemetry=telemetry,
+            ),
+        )
+        assert results.complete
+        assert telemetry.counters.get("fault.timeout", 0) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -1,26 +1,22 @@
-"""Tests for repro.experiments.scheduler and the warm-start layers.
+"""Tests for per-cell wall times and the warm-start layers.
 
-Covers the cost model and chunk planner as units, the straggler report
-over ``sched`` trace events, RunStore v3 wall-time persistence (with v2
-backward reads), and the system-level property that neither the
-cost-aware scheduler nor a warm persistent model store can change grid
-results or stripped traces.
+Covers the straggler report over ``sched`` trace events (including
+traces recorded by older versions), RunStore v3 wall-time persistence
+(with v2 backward reads), and the system-level property that a warm
+persistent model store cannot change grid results or stripped traces.
 """
 
 import json
 
 import pytest
 
+from repro.cli import main
 from repro.experiments import (
-    CostModel,
     ExecutionPolicy,
     GridSpec,
     RunStore,
     Study,
-    TGA_COST_PRIOR,
-    plan_chunks,
     run_grid,
-    simulate_makespan,
     study_digest,
 )
 from repro.internet import InternetConfig, Port
@@ -52,151 +48,6 @@ def make_spec(study: Study) -> GridSpec:
     )
 
 
-def make_cells(n_tgas=None, budget=1000):
-    names = list(TGA_COST_PRIOR)[: n_tgas or len(TGA_COST_PRIOR)]
-    return [(tga, "ds", Port.ICMP, budget) for tga in names]
-
-
-class TestCostModel:
-    def test_prior_preserves_relative_cost_order(self):
-        model = CostModel.static_prior()
-        assert model.estimate("eip", 1000) > model.estimate("6graph", 1000)
-        assert model.estimate("6graph", 1000) > model.estimate("6scan", 1000)
-
-    def test_unknown_tga_gets_midpack_prior(self):
-        model = CostModel.static_prior()
-        estimate = model.estimate("custom_plugin", 1000)
-        assert model.estimate("6scan", 1000) < estimate < model.estimate("eip", 1000)
-
-    def test_estimate_scales_with_budget(self):
-        model = CostModel.static_prior()
-        assert model.estimate("det", 2000) == pytest.approx(
-            2 * model.estimate("det", 1000)
-        )
-
-    def test_observation_replaces_prior(self):
-        model = CostModel()
-        model.observe("6scan", 1000, 5.0)
-        assert model.estimate("6scan", 1000) == pytest.approx(5.0)
-        assert model.observations == 1
-
-    def test_ewma_blends_observations(self):
-        model = CostModel()
-        model.observe("6scan", 1000, 4.0)
-        model.observe("6scan", 1000, 8.0)
-        # alpha=0.5: halfway between the two rates.
-        assert model.estimate("6scan", 1000) == pytest.approx(6.0)
-
-    def test_nonpositive_walls_ignored(self):
-        model = CostModel()
-        model.observe("6scan", 1000, 0.0)
-        model.observe("6scan", 1000, -1.0)
-        assert model.observations == 0
-
-    def test_from_records(self):
-        model = CostModel.from_records([("eip", 500, 2.0), ("6gen", 500, 0.5)])
-        assert model.estimate("eip", 500) == pytest.approx(2.0)
-        assert model.estimate("6gen", 500) == pytest.approx(0.5)
-
-    def test_from_events_reads_sched_cell_events(self):
-        events = [
-            {"type": "sched", "kind": "cell", "tga": "det", "budget": 800, "wall_s": 1.6},
-            {"type": "sched", "kind": "plan", "scheduler": "cost"},
-            {"type": "fault", "kind": "crash"},
-        ]
-        model = CostModel.from_events(events)
-        assert model.observations == 1
-        assert model.estimate("det", 800) == pytest.approx(1.6)
-
-
-class TestSimulateMakespan:
-    def test_empty(self):
-        assert simulate_makespan([], 4) == 0.0
-
-    def test_single_worker_sums(self):
-        assert simulate_makespan([1.0, 2.0, 3.0], 1) == pytest.approx(6.0)
-
-    def test_greedy_dispatch(self):
-        # Two workers, tasks in order: w1=3, w2=1, then 2 goes to w2.
-        assert simulate_makespan([3.0, 1.0, 2.0], 2) == pytest.approx(3.0)
-
-    def test_heavy_task_last_is_the_static_pathology(self):
-        costs = [1.0] * 8 + [8.0]
-        in_order = simulate_makespan(costs, 4)
-        lpt = simulate_makespan(sorted(costs, reverse=True), 4)
-        assert in_order > lpt
-
-    def test_rejects_bad_workers(self):
-        with pytest.raises(ValueError):
-            simulate_makespan([1.0], 0)
-
-
-class TestPlanChunks:
-    def test_empty_cells(self):
-        plan = plan_chunks([], CostModel.static_prior(), 4)
-        assert plan.chunks == []
-        assert plan.predicted_total == 0.0
-
-    def test_every_cell_exactly_once(self):
-        cells = make_cells()
-        plan = plan_chunks(cells, CostModel.static_prior(), 4)
-        flat = [cell for chunk in plan.chunks for cell in chunk]
-        assert sorted(map(repr, flat)) == sorted(map(repr, cells))
-
-    def test_deterministic_for_fixed_model(self):
-        cells = make_cells()
-        a = plan_chunks(cells, CostModel.static_prior(), 4)
-        b = plan_chunks(cells, CostModel.static_prior(), 4)
-        assert a.chunks == b.chunks
-        assert a.costs == b.costs
-
-    def test_most_expensive_cell_dispatched_first(self):
-        plan = plan_chunks(make_cells(), CostModel.static_prior(), 2)
-        assert plan.chunks[0][0][0] == "eip"
-
-    def test_tail_is_single_cell_chunks(self):
-        cells = make_cells() * 4  # 32 cells
-        plan = plan_chunks(cells, CostModel.static_prior(), 2)
-        assert plan.tail_chunks == 4  # min(len, 2*workers)
-        for chunk in plan.chunks[-plan.tail_chunks :]:
-            assert len(chunk) == 1
-        assert plan.head_chunks == len(plan.chunks) - plan.tail_chunks
-
-    def test_serial_plan_has_no_steal_tail(self):
-        plan = plan_chunks(make_cells(), CostModel.static_prior(), 1)
-        assert plan.tail_chunks == 0
-
-    def test_tiny_grid_is_all_tail(self):
-        plan = plan_chunks(make_cells(n_tgas=3), CostModel.static_prior(), 4)
-        assert plan.head_chunks == 0
-        assert plan.tail_chunks == 3
-
-    def test_explicit_chunksize_keeps_legacy_contiguous_slices(self):
-        cells = make_cells()
-        plan = plan_chunks(cells, CostModel.static_prior(), 4, chunksize=3)
-        assert plan.chunks == [cells[0:3], cells[3:6], cells[6:8]]
-        assert plan.tail_chunks == 0
-
-    def test_predicted_makespan_uses_plan_costs(self):
-        plan = plan_chunks(make_cells(), CostModel.static_prior(), 4)
-        assert plan.predicted_makespan(4) == pytest.approx(
-            simulate_makespan(plan.costs, 4)
-        )
-        assert plan.predicted_makespan(4) <= plan.predicted_total
-
-    def test_rejects_bad_workers(self):
-        with pytest.raises(ValueError):
-            plan_chunks(make_cells(), CostModel.static_prior(), 0)
-
-
-class TestPolicyValidation:
-    def test_scheduler_choices(self):
-        ExecutionPolicy(scheduler="cost")
-        ExecutionPolicy(scheduler="static")
-        with pytest.raises(ValueError, match="scheduler"):
-            ExecutionPolicy(scheduler="random")
-
-
 class TestStragglerReport:
     def events(self):
         return [
@@ -220,13 +71,35 @@ class TestStragglerReport:
     def test_aggregates_and_bounds(self):
         report = straggler_report(Trace(path=None, events=self.events()))
         assert report.workers == 2
-        assert report.scheduler == "cost"
         assert report.total_wall_s == pytest.approx(3.0)
         assert report.ideal_makespan_s == pytest.approx(1.5)
         assert report.elapsed_s == pytest.approx(2.0)
         assert report.efficiency == pytest.approx(0.75)
-        assert report.predicted_makespan_s == pytest.approx(2.5)
         assert report.as_dict()["cells"] == 3
+
+    def test_older_trace_loads_unchanged(self, tmp_path, capsys):
+        """Traces recorded with the retired chunk planner carry a
+        ``kind="plan"`` event and a ``scheduler`` summary field; the
+        report ignores both, and the CLI still loads such a trace."""
+        events = self.events()
+        current = [
+            {k: v for k, v in event.items() if k != "scheduler"}
+            for event in events
+            if event.get("kind") != "plan"
+        ]
+        old = straggler_report(Trace(path=None, events=events))
+        new = straggler_report(Trace(path=None, events=current))
+        assert old == new
+        assert old.as_dict() == new.as_dict()
+        assert "scheduler" not in old.as_dict()
+        path = tmp_path / "old.jsonl"
+        path.write_text(
+            "".join(json.dumps(event) + "\n" for event in events), encoding="utf-8"
+        )
+        assert main(["trace", "stragglers", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "cells: 3  workers: 2" in out
+        assert "scheduler" not in out and "predicted" not in out
 
     def test_trace_without_sched_events_is_empty(self):
         report = straggler_report(
@@ -266,8 +139,6 @@ class TestRunStoreWallSeconds:
         assert reread.header["format"] == 3
         assert reread.wall_seconds == {key: 1.25}
         assert reread.get(key) == result
-        model = CostModel.from_store(reread)
-        assert model.estimate("6gen", 200) == pytest.approx(1.25)
 
     def test_wall_seconds_optional(self, tmp_path):
         study = make_study()
@@ -279,8 +150,6 @@ class TestRunStoreWallSeconds:
         reread = RunStore(tmp_path / "ckpt.jsonl")
         reread.load()
         assert reread.wall_seconds == {}
-        # A v2-era store trains nothing, but loads fine.
-        assert CostModel.from_store(reread).observations == 0
 
     def test_v2_store_still_loads(self, tmp_path):
         """A pre-wall_s (format 2) checkpoint reads transparently."""
@@ -317,8 +186,7 @@ def assert_identical_runs(a, b) -> None:
 
 
 class TestBitIdentity:
-    """The tentpole property: scheduling strategy and store temperature
-    are invisible in results and stripped traces."""
+    """Store temperature is invisible in results and stripped traces."""
 
     def serial_reference(self):
         study = make_study()
@@ -330,41 +198,6 @@ class TestBitIdentity:
             policy=ExecutionPolicy(telemetry=telemetry),
         )
         return results, strip_variant_events(list(sink.events))
-
-    def test_cost_and_static_schedulers_bit_identical(self):
-        reference, _reference_events = self.serial_reference()
-        for scheduler in ("cost", "static"):
-            study = make_study()
-            sink = MemorySink()
-            telemetry = Telemetry(sinks=[sink])
-            results = run_grid(
-                study,
-                make_spec(study),
-                policy=ExecutionPolicy(
-                    workers=2, scheduler=scheduler, telemetry=telemetry
-                ),
-            )
-            assert set(results.runs) == set(reference.runs)
-            for key, run in reference.runs.items():
-                assert_identical_runs(run, results.runs[key])
-            # The cost scheduler's plan is visible in the raw trace
-            # (static chunking has no plan to publish)...
-            raw = list(sink.events)
-            plans = [
-                event
-                for event in raw
-                if event.get("type") == "sched" and event.get("kind") == "plan"
-            ]
-            if scheduler == "cost":
-                assert plans and plans[0]["scheduler"] == "cost"
-            else:
-                assert not plans
-            # ...and fully stripped from the sanctioned-variant view.
-            assert not [
-                event
-                for event in strip_variant_events(raw)
-                if event.get("type") == "sched"
-            ]
 
     def test_warm_model_store_bit_identical(self, tmp_path):
         reference, reference_events = self.serial_reference()
