@@ -25,6 +25,7 @@ __all__ = [
     "differing_positions",
     "nybble_counts",
     "to_nybble_matrix",
+    "nybble_matrix_from_bytes",
     "nybble_counts_matrix",
     "common_prefix_len_matrix",
     "first_seen_values",
@@ -131,16 +132,20 @@ def to_nybble_matrix(prefix64, iid64):
     Row ``k`` equals ``to_nybbles((prefix64[k] << 64) | iid64[k])``.
     """
     prefix64 = np.ascontiguousarray(prefix64, dtype=np.uint64)
-    iid64 = np.ascontiguousarray(iid64, dtype=np.uint64)
-    # Big-endian byte views give the 16 bytes of each half in
-    # most-significant-first order; each byte then splits into two nybbles.
-    high = prefix64.astype(">u8").view(np.uint8).reshape(-1, 8)
-    low = iid64.astype(">u8").view(np.uint8).reshape(-1, 8)
-    matrix = np.empty((prefix64.shape[0], ADDRESS_NYBBLES), dtype=np.uint8)
-    matrix[:, 0:16:2] = high >> 4
-    matrix[:, 1:16:2] = high & 0xF
-    matrix[:, 16:32:2] = low >> 4
-    matrix[:, 17:32:2] = low & 0xF
+    # Big-endian words give the 16 bytes of each address in
+    # most-significant-first order.
+    words = np.empty((prefix64.shape[0], 2), dtype=">u8")
+    words[:, 0] = prefix64
+    words[:, 1] = np.ascontiguousarray(iid64, dtype=np.uint64)
+    return nybble_matrix_from_bytes(words.view(np.uint8))
+
+
+def nybble_matrix_from_bytes(data):
+    """Split an ``(n, 16)`` uint8 array of big-endian addresses into the
+    ``(n, 32)`` uint8 nybble matrix (each byte is two nybbles)."""
+    matrix = np.empty((data.shape[0], ADDRESS_NYBBLES), dtype=np.uint8)
+    matrix[:, 0::2] = data >> 4
+    matrix[:, 1::2] = data & 0xF
     return matrix
 
 

@@ -15,20 +15,14 @@ faithfully rather than improving it.
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 
 from ..addr import ADDRESS_NYBBLES
-from ..addr.nybbles import (
-    first_seen_values,
-    get_nybble,
-    nybble_counts_matrix,
-    to_nybble_matrix,
-)
 from ..addr.rand import DeterministicStream
-from ..addr.vector import PackedAddresses, vector_enabled
+from ..addr.vector import np
 from .base import TargetGenerator, register_tga
 from .modelcache import get_model_cache, seed_fingerprint
+from .spacetree import column_entropies, seed_matrix
 
 __all__ = ["EntropyIP"]
 
@@ -37,41 +31,15 @@ _TOP_VALUES = 24       # values kept per segment
 _MAX_ATTEMPT_FACTOR = 24
 
 
-def _nybble_entropy(seeds: list[int], dim: int) -> float:
-    counts = Counter(get_nybble(seed, dim) for seed in seeds)
-    total = len(seeds)
-    entropy = 0.0
-    for count in counts.values():
-        p = count / total
-        entropy -= p * math.log2(p)
-    return entropy
-
-
 def _entropy_profile(seeds: list[int]) -> list[float]:
     """Per-nybble entropies of the seed set (all 32 dimensions).
 
-    The vectorized path explodes the seeds into one nybble matrix and
-    histograms every position with a single ``bincount``; the float
-    terms are then summed in first-seen value order — the insertion
-    order of the scalar path's ``Counter`` — so the (non-associative)
-    summation is bit-identical to :func:`_nybble_entropy`.
+    Each is bit-identical to counting the nybble column in a ``Counter``
+    and summing ``-p * log2(p)`` in its insertion (first-seen) order.
     """
-    if vector_enabled() and len(seeds) >= 64:
-        packed = PackedAddresses.from_addresses(seeds)
-        matrix = to_nybble_matrix(packed.prefix64, packed.iid64)
-        counts_all = nybble_counts_matrix(matrix)
-        total = len(seeds)
-        log2 = math.log2
-        entropies = []
-        for dim in range(ADDRESS_NYBBLES):
-            counts = counts_all[dim].tolist()
-            entropy = 0.0
-            for value in first_seen_values(matrix[:, dim]).tolist():
-                p = counts[value] / total
-                entropy -= p * log2(p)
-            entropies.append(entropy)
-        return entropies
-    return [_nybble_entropy(seeds, dim) for dim in range(ADDRESS_NYBBLES)]
+    matrix = seed_matrix(seeds)
+    wanted = np.ones((1, ADDRESS_NYBBLES), dtype=bool)
+    return column_entropies(matrix, [len(seeds)], wanted)[0].tolist()
 
 
 def segment_boundaries(entropies: list[float], step: float = _ENTROPY_STEP) -> list[int]:
@@ -100,12 +68,6 @@ class EntropyIP(TargetGenerator):
 
     # -- model -----------------------------------------------------------
 
-    def _segment_value(self, seed: int, start: int, length: int) -> int:
-        value = 0
-        for dim in range(start, start + length):
-            value = (value << 4) | get_nybble(seed, dim)
-        return value
-
     def _frozen_model(self, seeds: list[int]) -> tuple:
         """Frozen model: segments, marginals and transition tables.
 
@@ -122,24 +84,28 @@ class EntropyIP(TargetGenerator):
                 end = starts[i + 1] if i + 1 < len(starts) else ADDRESS_NYBBLES
                 segments.append((start, end - start))
 
-            # Per-segment marginals and adjacent-segment transition counts.
+            # Per-segment marginals and adjacent-segment transition
+            # counts.  A segment value is one shift-and-mask per seed;
+            # ``Counter`` keeps first-seen order, so ``most_common``
+            # breaks count ties by first occurrence.
             marginals: list[list[tuple[int, int]]] = []
             transitions_chain: list[dict[int, list[tuple[int, int]]]] = []
             previous_values: list[int] | None = None
             for start, length in segments:
-                values = [
-                    self._segment_value(seed, start, length) for seed in seeds
-                ]
-                counts = Counter(values)
-                marginals.append(counts.most_common(_TOP_VALUES))
+                shift = 4 * (ADDRESS_NYBBLES - start - length)
+                mask = (1 << (4 * length)) - 1
+                values = [(seed >> shift) & mask for seed in seeds]
+                marginals.append(Counter(values).most_common(_TOP_VALUES))
                 transitions: dict[int, list[tuple[int, int]]] = {}
                 if previous_values is not None:
-                    pair_counts: dict[int, Counter] = {}
-                    for prev, cur in zip(previous_values, values):
-                        pair_counts.setdefault(prev, Counter())[cur] += 1
+                    following: dict[int, dict[int, int]] = {}
+                    for (prev, cur), count in Counter(
+                        zip(previous_values, values)
+                    ).items():
+                        following.setdefault(prev, {})[cur] = count
                     transitions = {
-                        prev: counter.most_common(_TOP_VALUES)
-                        for prev, counter in pair_counts.items()
+                        prev: Counter(counts).most_common(_TOP_VALUES)
+                        for prev, counts in following.items()
                     }
                 transitions_chain.append(transitions)
                 previous_values = values

@@ -11,10 +11,10 @@ rebuilt many times per study.
 
 :class:`ModelCache` memoises those builds process-wide.  Keys are
 ``(artifact_kind, seed_fingerprint, params)`` where the fingerprint is
-:func:`~repro.addr.rand.hash64` over the seed list, so a hit can only
-occur for the exact same seed sequence and build parameters — and
-since every builder is deterministic, serving a cached artifact is
-bit-identical to rebuilding it.  Artifacts must therefore be treated
+an 8-byte BLAKE2b over the seed count and the packed seed bytes, so a
+hit can only occur for the exact same seed sequence and build
+parameters — and since every builder is deterministic, serving a
+cached artifact is bit-identical to rebuilding it.  Artifacts must therefore be treated
 as *frozen*: TGAs layer their per-run mutable state (pools, pending
 maps, random streams seeded by the per-cell salt) on top without
 mutating the shared structures.
@@ -29,15 +29,16 @@ executions of an otherwise identical workload.
 
 from __future__ import annotations
 
+import hashlib
 from collections import OrderedDict
 from collections.abc import Callable, Iterator, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
 
 from ..addr import ADDRESS_NYBBLES
-from ..addr.rand import hash64
 from ..telemetry import get_telemetry
 from .modelstore import get_model_store
+from .spacetree import SpaceTree, seed_bytes
 
 __all__ = [
     "CacheStats",
@@ -58,8 +59,13 @@ def seed_fingerprint(seeds: Sequence[int]) -> int:
     order.  Callers that ingest sorted seeds get cross-cell hits for
     free because :func:`~repro.experiments.runner.run_generation`
     always prepares on ``sorted(seed_set)``.
+
+    The fingerprint is an 8-byte BLAKE2b over the seed count and each
+    seed's 16 big-endian bytes.
     """
-    return hash64(len(seeds), *seeds)
+    digest = hashlib.blake2b(len(seeds).to_bytes(8, "big"), digest_size=8)
+    digest.update(seed_bytes(seeds))
+    return int.from_bytes(digest.digest(), "big")
 
 
 @dataclass
@@ -239,8 +245,6 @@ def cached_space_tree(
     ``fingerprint`` lets callers that already fingerprinted the seed
     list skip rehashing it.
     """
-    from .spacetree import SpaceTree
-
     if fingerprint is None:
         fingerprint = seed_fingerprint(seeds)
     params = (

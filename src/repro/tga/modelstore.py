@@ -68,7 +68,7 @@ __all__ = [
 DEFAULT_STORE_ROOT = Path("~/.cache/repro/models")
 
 #: File preamble: format identifier, bumped on any layout change.
-_MAGIC = b"repro-model-store-v1\n"
+_MAGIC = b"repro-model-store-v2\n"
 
 #: Hex SHA-256 digest length (the integrity line between magic and payload).
 _DIGEST_LEN = 64
@@ -215,7 +215,7 @@ class ModelStore:
         self.stats.stores += 1
         if tel.enabled:
             tel.count("tga.model_store.stores")
-        self._evict()
+        self._evict(keep=path)
         return True
 
     def get_or_build(
@@ -316,12 +316,13 @@ class ModelStore:
         except OSError:
             pass
 
-    def _evict(self) -> None:
+    def _evict(self, keep: Path) -> None:
         """Drop oldest-mtime entries until the store fits ``max_bytes``.
 
-        The just-written entry is the newest, so it survives even when
+        ``keep`` — the entry just written — is never dropped, even when
         it alone exceeds the budget (mirroring the in-memory cache's
-        never-evict-newest rule).
+        never-evict-newest rule) or when coarse timestamps or a clock
+        step make it look no newer than the rest.
         """
         stamped = []
         total = 0
@@ -336,9 +337,11 @@ class ModelStore:
             return
         stamped.sort()
         evicted = 0
-        for _, size, path in stamped[:-1]:
+        for _, size, path in stamped:
             if total <= self.max_bytes:
                 break
+            if path == keep:
+                continue
             try:
                 path.unlink()
             except OSError:

@@ -14,11 +14,10 @@ fewer ASes than the tree generators.
 
 from __future__ import annotations
 
-from ..addr.nybbles import differing_positions
 from .base import TargetGenerator, register_tga
 from .leafpool import LeafPool
 from .modelcache import get_model_cache, seed_fingerprint
-from .spacetree import SpaceTreeLeaf
+from .spacetree import leaves_for_groups
 
 __all__ = ["SixGen"]
 
@@ -54,14 +53,7 @@ class SixGen(TargetGenerator):
             for members in sparse_by_net48.values():
                 clusters.append(sorted(members))
 
-            leaves = [
-                SpaceTreeLeaf(
-                    seeds=members,
-                    variable_dims=differing_positions(members),
-                    depth=0,
-                )
-                for members in clusters
-            ]
+            leaves = leaves_for_groups(clusters)
             for index, leaf in enumerate(leaves):
                 leaf.index = index
             return tuple(leaves)

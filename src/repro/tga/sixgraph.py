@@ -19,13 +19,12 @@ AS diversity, hits below the best exploiters.
 
 from __future__ import annotations
 
-import math
+import copy
 
-from ..addr.nybbles import differing_positions
 from .base import TargetGenerator, register_tga
 from .leafpool import LeafPool
 from .modelcache import cached_space_tree, get_model_cache, seed_fingerprint
-from .spacetree import SpaceTreeLeaf
+from .spacetree import SpaceTreeLeaf, leaves_for_groups
 
 __all__ = ["SixGraph"]
 
@@ -74,36 +73,29 @@ class SixGraph(TargetGenerator):
             passthrough: list[SpaceTreeLeaf] = []
             for leaf in tree.leaves:
                 if leaf.is_internal:
-                    passthrough.append(
-                        SpaceTreeLeaf(
-                            seeds=leaf.seeds,
-                            variable_dims=leaf.variable_dims,
-                            depth=leaf.depth,
-                            is_internal=True,
-                            _packed=leaf._packed,
-                        )
-                    )
+                    passthrough.append(copy.copy(leaf))
                     continue
                 key = (leaf.seeds[0] >> 96, tuple(leaf.variable_dims))
                 buckets.setdefault(key, []).extend(leaf.seeds)
 
-            leaves: list[SpaceTreeLeaf] = []
-            for (_, signature), members in sorted(buckets.items()):
-                members = sorted(set(members))
-                merged_dims = differing_positions(members)
-                if len(merged_dims) <= max(len(signature) + 2, self.max_merged_dims):
-                    leaves.append(
-                        SpaceTreeLeaf(seeds=members, variable_dims=merged_dims)
-                    )
-                else:
-                    # Outlier merge: the combined pattern is too diffuse, so
-                    # keep the densest half of the members as one pattern.
-                    half = members[: max(2, len(members) // 2)]
-                    leaves.append(
-                        SpaceTreeLeaf(
-                            seeds=half, variable_dims=differing_positions(half)
-                        )
-                    )
+            keys = sorted(buckets)
+            leaves = leaves_for_groups([sorted(set(buckets[key])) for key in keys])
+            diffuse = [
+                slot
+                for slot, (leaf, (_, signature)) in enumerate(zip(leaves, keys))
+                if len(leaf.variable_dims)
+                > max(len(signature) + 2, self.max_merged_dims)
+            ]
+            # Outlier merge: a combined pattern that is too diffuse keeps
+            # only the densest half of its members as one pattern.
+            halves = leaves_for_groups(
+                [
+                    leaves[slot].seeds[: max(2, len(leaves[slot].seeds) // 2)]
+                    for slot in diffuse
+                ]
+            )
+            for slot, half in zip(diffuse, halves):
+                leaves[slot] = half
             leaves.extend(passthrough)
             for index, leaf in enumerate(leaves):
                 leaf.index = index

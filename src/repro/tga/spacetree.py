@@ -18,38 +18,56 @@ Two split strategies are provided:
     with the *lowest* Shannon entropy, peeling the most structured
     dimension first.
 
-Construction is the hottest path in a full grid (see
+Construction is the hottest path of a cold reproduction (see
 ``docs/architecture.md`` § Model preparation cache), so the tree works
-on *packed nybble planes*: each seed is pre-encoded once as 16 big-endian
-``bytes`` and every nybble read below is a byte index instead of a
-128-bit integer shift.  Entropy nodes build all per-dimension nybble
-histograms in a single pass over those planes, folding the
-variable-dimension scan and the entropy counts together.  All of it is
-bit-identical to the straightforward per-nybble formulation — float
-summation order in the entropy scoring is preserved exactly.
+on columns: the sorted seeds are packed once into their 16 big-endian
+bytes and exploded into an ``(n, 32)`` nybble matrix, and the build
+advances one depth level at a time over every open node at once.  A
+node is a contiguous range of matrix rows; its variable dimensions and
+the leaves' value sets come from one per-dimension presence mask, and a
+split is a stable partition of its range on the chosen column.  All of
+it is bit-identical to the recursive per-seed formulation: leaves keep
+its depth-first order and the entropy terms keep its float summation
+order.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-from collections import Counter
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 
 from ..addr import ADDRESS_NYBBLES
 from ..addr.address import MAX_ADDRESS
-from ..addr.nybbles import (
-    differing_positions,
-    first_seen_values,
-    get_nybble,
-    nybble_counts_matrix,
-)
-from ..addr.vector import np, vector_enabled
+from ..addr.nybbles import nybble_matrix_from_bytes
+from ..addr.vector import np
 
-__all__ = ["SpaceTreeLeaf", "SpaceTree", "expanded_values", "leaf_candidates"]
+__all__ = [
+    "SpaceTreeLeaf",
+    "SpaceTree",
+    "column_entropies",
+    "expanded_values",
+    "leaf_candidates",
+    "leaves_for_groups",
+    "seed_bytes",
+    "seed_matrix",
+]
 
 _ADDRESS_BYTES = ADDRESS_NYBBLES // 2
+
+#: Dimensions to vary when a leaf's seeds are all identical.  Expanding
+#: the least significant IID nybbles mirrors what tree TGAs do with
+#: degenerate regions: probe the immediate numeric neighbourhood of the
+#: known address.
+_DEFAULT_EXPANSION_DIMS = (ADDRESS_NYBBLES - 1, ADDRESS_NYBBLES - 2)
+
+#: Bin offset of each dimension in a group's 32 x 16 (dim, value) bins.
+_DIM_BINS = np.arange(ADDRESS_NYBBLES, dtype=np.int32) << 4
+
+#: ``log2(max(2, k))``, the pattern-space term of a ``k``-value set.
+_SPACE_LOG = [math.log2(max(2, size)) for size in range(17)]
 
 
 def expanded_values(observed: set[int]) -> list[int]:
@@ -74,50 +92,93 @@ def expanded_values(observed: set[int]) -> list[int]:
     return result
 
 
-def _default_expansion_dims(seeds: list[int]) -> list[int]:
-    """Dimensions to vary when a leaf's seeds are all identical.
+# A presence mask has 16 bits, so this memo holds at most 2**16 entries.
+@functools.cache
+def _mask_values(mask: int) -> tuple[int, ...]:
+    """:func:`expanded_values` of the nybble values set in ``mask``."""
+    return tuple(expanded_values({value for value in range(16) if mask >> value & 1}))
 
-    Expanding the least significant IID nybbles mirrors what tree TGAs
-    do with degenerate regions: probe the immediate numeric
-    neighbourhood of the known address.
+
+# -- columnar seed representation ---------------------------------------------
+
+
+def seed_bytes(seeds: Iterable[int]) -> bytes:
+    """Each seed's 16 big-endian bytes (two nybbles a byte), concatenated."""
+    return b"".join(
+        map(
+            int.to_bytes,
+            seeds,
+            itertools.repeat(_ADDRESS_BYTES),
+            itertools.repeat("big"),
+        )
+    )
+
+
+def seed_matrix(seeds: Iterable[int]):
+    """The ``(n, 32)`` uint8 nybble matrix of the seeds' packed bytes."""
+    data = np.frombuffer(seed_bytes(seeds), dtype=np.uint8)
+    return nybble_matrix_from_bytes(data.reshape(-1, _ADDRESS_BYTES))
+
+
+def _presence_masks(matrix, offsets):
+    """Per-range presence masks: bit ``v`` of ``masks[k, d]`` is set when
+    some row of range ``k`` has nybble ``v`` at dimension ``d``.
+
+    ``offsets`` are the ascending starts of consecutive, non-empty row
+    ranges that together cover ``matrix``.
     """
-    return [ADDRESS_NYBBLES - 1, ADDRESS_NYBBLES - 2]
+    bits = np.left_shift(np.uint16(1), matrix, dtype=np.uint16)
+    return np.bitwise_or.reduceat(bits, offsets, axis=0)
 
 
-def _pack_seeds(seeds: list[int]) -> list[bytes]:
-    """Encode each seed as its 16 big-endian bytes (two nybbles each)."""
-    return [seed.to_bytes(_ADDRESS_BYTES, "big") for seed in seeds]
+def column_entropies(matrix, sizes, wanted):
+    """Shannon entropy of the wanted nybble columns of each row group.
 
+    ``matrix`` rows form consecutive groups of ``sizes`` rows (each at
+    least one); ``wanted`` is a ``(groups, 32)`` bool array.  Returns a
+    ``(groups, 32)`` float64 array, zero where not wanted.
 
-def _nybble_histogram(
-    column_counts: Counter, odd: bool
-) -> tuple[list[int], list[int]]:
-    """Fold a byte-column histogram into one nybble dimension's counts.
-
-    Returns ``(counts, order)``: a 16-slot count table plus the values
-    in first-seen order.  A byte value's first-seen rank in the Counter
-    equals the first row where it occurs, so the first Counter key
-    carrying a given nybble yields exactly the row-order first
-    occurrence of that nybble — replicating the insertion order of the
-    per-dimension counting dicts the scoring loop historically used and
-    keeping the (non-associative) float entropy summation
-    bit-identical.
+    Each entropy is bit-identical to subtracting ``p * math.log2(p)``
+    from ``0.0`` one term after another in first-seen value order: the
+    terms use :func:`math.log2` (numpy's vector ``log2`` need not match
+    libm), and the subtraction runs term rank by term rank over every
+    column at once, so each column's sum keeps its sequential order.
     """
-    counts = [0] * 16
-    order: list[int] = []
-    if odd:
-        for byte_value, count in column_counts.items():
-            value = byte_value & 0xF
-            if counts[value] == 0:
-                order.append(value)
-            counts[value] += count
-    else:
-        for byte_value, count in column_counts.items():
-            value = byte_value >> 4
-            if counts[value] == 0:
-                order.append(value)
-            counts[value] += count
-    return counts, order
+    groups = len(sizes)
+    group = np.repeat(np.arange(groups, dtype=np.int32), sizes)
+    # One bin per (group, dim, value), in row-major (row, dim) order.
+    bins = ((group << 9)[:, np.newaxis] | _DIM_BINS) | matrix
+    bins = bins[wanted[group]]
+    size = groups << 9
+    counts = np.bincount(bins, minlength=size)
+    # The smallest position in a bin is its value's first occurrence.
+    first = np.full(size, bins.size, dtype=np.intp)
+    np.minimum.at(first, bins, np.arange(bins.size, dtype=np.intp))
+    present = np.flatnonzero(counts)
+    cell = present >> 4
+    order = np.lexsort((first[present], cell))
+    present = present[order]
+    cell = cell[order]
+
+    p = counts[present] / np.asarray(sizes)[cell >> 5]
+    distinct, inverse = np.unique(p, return_inverse=True)
+    logs = np.array([math.log2(value) for value in distinct.tolist()])
+    terms = p * logs[inverse]
+
+    heads = np.flatnonzero(np.concatenate(([True], cell[1:] != cell[:-1])))
+    lengths = np.diff(np.concatenate((heads, [cell.size])))
+    rank = np.arange(cell.size) - np.repeat(heads, lengths)
+    ranked = np.zeros((heads.size, 16))
+    ranked[np.repeat(np.arange(heads.size), lengths), rank] = terms
+    sums = np.zeros(heads.size)
+    for column in ranked.T:
+        sums -= column
+    entropies = np.zeros(groups * ADDRESS_NYBBLES)
+    entropies[cell[heads]] = sums
+    return entropies.reshape(groups, ADDRESS_NYBBLES)
+
+
+# -- leaves --------------------------------------------------------------------
 
 
 @dataclass
@@ -129,6 +190,9 @@ class SpaceTreeLeaf:
     carry wider wildcard patterns — they model the tree TGAs' behaviour
     of expanding back up the hierarchy once a dense leaf is exhausted
     (e.g. discovering sibling subnets never seen in the seeds).
+
+    The expanded value sets and the density are computed once, at
+    construction, and travel with the leaf when it is pickled.
     """
 
     seeds: list[int]
@@ -138,49 +202,83 @@ class SpaceTreeLeaf:
     is_internal: bool = False
 
     _value_sets: dict[int, list[int]] | None = field(default=None, repr=False)
-    #: Packed nybble planes of ``seeds`` (tree-built leaves only) — lets
-    #: :meth:`value_sets` read nybbles as byte halves instead of
-    #: shifting 128-bit integers.
-    _packed: list[bytes] | None = field(default=None, repr=False, compare=False)
+    #: Seeds per unit of (log) pattern-space size — the ranking signal.
+    #: Denser regions (many seeds, small wildcard space) are likelier to
+    #: contain further active addresses, so they are expanded first.
+    density: float = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        if self._value_sets is None:
+            (masks,) = _presence_masks(seed_matrix(self.seeds), [0]).tolist()
+            self._value_sets = _value_sets(self.effective_dims, masks)
+        space_log = sum(
+            [_SPACE_LOG[len(values)] for values in self._value_sets.values()]
+        )
+        self.density = len(self.seeds) / (1.0 + space_log)
 
     @property
     def effective_dims(self) -> list[int]:
         """Variable dims, or fallback expansion dims for degenerate leaves."""
-        return self.variable_dims or _default_expansion_dims(self.seeds)
+        return self.variable_dims or list(_DEFAULT_EXPANSION_DIMS)
 
     def value_sets(self) -> dict[int, list[int]]:
-        """Expanded candidate values per effective dimension (cached)."""
-        if self._value_sets is None:
-            sets: dict[int, list[int]] = {}
-            packed = self._packed
-            for dim in self.effective_dims:
-                if packed is None:
-                    observed = {get_nybble(seed, dim) for seed in self.seeds}
-                else:
-                    byte_index, odd = divmod(dim, 2)
-                    if odd:
-                        observed = {row[byte_index] & 0xF for row in packed}
-                    else:
-                        observed = {row[byte_index] >> 4 for row in packed}
-                sets[dim] = expanded_values(observed)
-            self._value_sets = sets
+        """Expanded candidate values per effective dimension."""
         return self._value_sets
-
-    @property
-    def density(self) -> float:
-        """Seeds per unit of (log) pattern-space size — the ranking signal.
-
-        Denser regions (many seeds, small wildcard space) are likelier to
-        contain further active addresses, so they are expanded first.
-        """
-        space_log = sum(
-            math.log2(max(2, len(values))) for values in self.value_sets().values()
-        )
-        return len(self.seeds) / (1.0 + space_log)
 
     def span_score(self) -> float:
         """How much *new space* this leaf opens (higher = more exploratory)."""
-        return sum(len(values) for values in self.value_sets().values())
+        return sum(len(values) for values in self._value_sets.values())
+
+
+def _value_sets(dims: Iterable[int], masks: list[int]) -> dict[int, list[int]]:
+    return {dim: list(_mask_values(masks[dim])) for dim in dims}
+
+
+def _leaves(
+    seed_lists: Iterable[list[int]],
+    masks,
+    depth: int,
+    internal: Iterable[bool],
+) -> list[SpaceTreeLeaf]:
+    """Leaves over seed lists given their ``(k, 32)`` presence masks.
+
+    Each leaf varies where its seeds differ: the dims whose mask has
+    more than one bit set.
+    """
+    varies = (masks & (masks - 1)) != 0
+    dims = np.nonzero(varies)[1].tolist()
+    ends = np.cumsum(varies.sum(axis=1)).tolist()
+    leaves = []
+    start = 0
+    for seeds, end, row, is_internal in zip(seed_lists, ends, masks.tolist(), internal):
+        variable = dims[start:end]
+        start = end
+        leaves.append(
+            SpaceTreeLeaf(
+                seeds=seeds,
+                variable_dims=variable,
+                depth=depth,
+                is_internal=is_internal,
+                _value_sets=_value_sets(variable or _DEFAULT_EXPANSION_DIMS, row),
+            )
+        )
+    return leaves
+
+
+def leaves_for_groups(groups: Sequence[list[int]]) -> list[SpaceTreeLeaf]:
+    """One leaf per non-empty seed group, varying where its seeds differ.
+
+    Equivalent to ``SpaceTreeLeaf(seeds=g, variable_dims=
+    differing_positions(g))`` for each group ``g``, with every group's
+    presence masks taken in one pass over one matrix.
+    """
+    if not groups:
+        return []
+    sizes = [len(group) for group in groups]
+    offsets = list(itertools.accumulate(sizes, initial=0))[:-1]
+    matrix = seed_matrix(itertools.chain.from_iterable(groups))
+    masks = _presence_masks(matrix, offsets)
+    return _leaves(groups, masks, 0, itertools.repeat(False))
 
 
 def leaf_candidates(leaf: SpaceTreeLeaf, max_level: int = 3) -> Iterator[int]:
@@ -243,6 +341,16 @@ def _product(value_lists: list[list[int]]) -> Iterator[tuple[int, ...]]:
     return itertools.product(*value_lists)
 
 
+def _concat_ranges(starts, counts, steps=None):
+    """Concatenated ``arange(start, start + count * step, step)`` of every
+    range (``step`` 1 when ``steps`` is omitted)."""
+    offsets = np.cumsum(counts) - counts
+    index = np.arange(int(counts.sum()), dtype=np.intp) - np.repeat(offsets, counts)
+    if steps is not None:
+        index *= np.repeat(steps, counts)
+    return np.repeat(starts, counts) + index
+
+
 class SpaceTree:
     """A space tree over a seed set with pluggable split strategy."""
 
@@ -266,136 +374,111 @@ class SpaceTree:
         self.internal_regions = internal_regions
         self.max_internal_seeds = max_internal_seeds
         self.max_internal_dims = max_internal_dims
-        self.leaves: list[SpaceTreeLeaf] = []
-        unique = sorted(set(seeds))
-        self._build(unique, _pack_seeds(unique), depth=0)
+        self.leaves = self._build(sorted(set(seeds)))
         for index, leaf in enumerate(self.leaves):
             leaf.index = index
 
     # -- construction -----------------------------------------------------
 
-    def _build(self, seeds: list[int], packed: list[bytes], depth: int) -> None:
-        variable = differing_positions(seeds)
-        if (
-            len(seeds) <= self.max_leaf_seeds
-            or len(variable) <= 2  # already a compact pattern
-            or depth >= self.max_depth
-        ):
-            self.leaves.append(
-                SpaceTreeLeaf(
-                    seeds=seeds, variable_dims=variable, depth=depth,
-                    _packed=packed,
-                )
+    def _build(self, seeds: list[int]) -> list[SpaceTreeLeaf]:
+        """Partition ``seeds`` (sorted, unique) level by level.
+
+        ``rows`` is the current arrangement of matrix rows: every open
+        node is a contiguous range of it, and stable partitions keep
+        each range in ascending seed order.  A region is recorded with
+        the start of its range and its depth; sorting on that pair
+        yields the depth-first leaf order (a node before its children,
+        children by ascending nybble).
+        """
+        matrix = seed_matrix(seeds)
+        seed_column = np.array(seeds, dtype=object)
+        rows = np.arange(len(seeds), dtype=np.intp)
+        starts = np.zeros(1, dtype=np.intp)
+        sizes = np.array([len(seeds)], dtype=np.intp)
+        regions: list[tuple[int, int, SpaceTreeLeaf]] = []
+        for depth in itertools.count():
+            positions = _concat_ranges(starts, sizes)
+            active = rows[positions]
+            offsets = np.cumsum(sizes) - sizes
+            masks = _presence_masks(matrix[active], offsets)
+            varies = (masks & (masks - 1)) != 0
+            variable_counts = varies.sum(axis=1)
+            final = (
+                (sizes <= self.max_leaf_seeds)
+                | (variable_counts <= 2)  # already a compact pattern
+                | (depth >= self.max_depth)
             )
-            return
-        if (
-            self.internal_regions
-            and len(seeds) <= self.max_internal_seeds
-            and len(variable) <= self.max_internal_dims
-        ):
-            # Generalisation region for this split node: lets the pool
-            # expand back up the hierarchy (e.g. into sibling subnets)
-            # after the dense leaves below are exhausted.
-            self.leaves.append(
-                SpaceTreeLeaf(
-                    seeds=seeds,
-                    variable_dims=variable,
-                    depth=depth,
-                    is_internal=True,
-                    _packed=packed,
-                )
+            # Internal regions are generalisation regions for split
+            # nodes: they let the pool expand back up the hierarchy
+            # (e.g. into sibling subnets) after the dense leaves below
+            # are exhausted.
+            internal = (
+                ~final
+                & (sizes <= self.max_internal_seeds)
+                & (variable_counts <= self.max_internal_dims)
+                & self.internal_regions
             )
-        dim = self._choose_dim(seeds, packed, variable)
-        byte_index, odd = divmod(dim, 2)
-        buckets: dict[int, tuple[list[int], list[bytes]]] = {}
-        if odd:
-            for seed, row in zip(seeds, packed):
-                bucket = buckets.get(row[byte_index] & 0xF)
-                if bucket is None:
-                    bucket = buckets[row[byte_index] & 0xF] = ([], [])
-                bucket[0].append(seed)
-                bucket[1].append(row)
-        else:
-            for seed, row in zip(seeds, packed):
-                bucket = buckets.get(row[byte_index] >> 4)
-                if bucket is None:
-                    bucket = buckets[row[byte_index] >> 4] = ([], [])
-                bucket[0].append(seed)
-                bucket[1].append(row)
-        if len(buckets) <= 1:  # defensive: cannot actually split here
-            self.leaves.append(
-                SpaceTreeLeaf(
-                    seeds=seeds, variable_dims=variable, depth=depth,
-                    _packed=packed,
+            emitted = np.flatnonzero(final | internal)
+            if emitted.size:
+                emitted_sizes = sizes[emitted]
+                emitted_seeds = seed_column[
+                    active[_concat_ranges(offsets[emitted], emitted_sizes)]
+                ].tolist()
+                bounds = itertools.pairwise(
+                    itertools.accumulate(emitted_sizes.tolist(), initial=0)
                 )
+                seed_lists = [emitted_seeds[lo:hi] for lo, hi in bounds]
+                leaves = _leaves(
+                    seed_lists, masks[emitted], depth, internal[emitted].tolist()
+                )
+                regions.extend(
+                    zip(starts[emitted].tolist(), itertools.repeat(depth), leaves)
+                )
+            split = np.flatnonzero(~final)
+            if not split.size:
+                break
+            dims = self._choose_dims(
+                matrix, active, offsets[split], sizes[split], varies[split]
             )
-            return
-        for value in sorted(buckets):
-            sub_seeds, sub_packed = buckets[value]
-            self._build(sub_seeds, sub_packed, depth + 1)
+            # Stable partition of every split node on its chosen column.
+            local = _concat_ranges(offsets[split], sizes[split])
+            split_rows = active[local]
+            node = np.repeat(np.arange(split.size, dtype=np.intp), sizes[split])
+            keys = (node << 4) | matrix[split_rows, dims[node]]
+            order = np.argsort(keys, kind="stable")
+            keys = keys[order]
+            split_positions = positions[local]
+            rows[split_positions] = split_rows[order]
+            bounds = np.flatnonzero(keys[1:] != keys[:-1]) + 1
+            child_starts = np.concatenate(([0], bounds))
+            child_sizes = np.diff(np.concatenate((child_starts, [keys.size])))
+            starts = split_positions[child_starts]
+            sizes = child_sizes
+        regions.sort(key=lambda region: (region[0], region[1]))
+        return [leaf for _, _, leaf in regions]
 
     # Entropy estimation on huge nodes samples a deterministic stride of
     # seeds: the split choice is a ranking, and a few thousand samples
     # rank 16-bin histograms reliably.
     _ENTROPY_SAMPLE = 2048
 
-    def _choose_dim(
-        self, seeds: list[int], packed: list[bytes], variable: list[int]
-    ) -> int:
+    def _choose_dims(self, matrix, active, offsets, sizes, varies):
+        """The split dimension of each node (ranges of ``active``)."""
         if self.strategy == "leftmost":
-            return variable[0]
-        # Entropy strategy: lowest-entropy variable dimension first.
-        # Each byte column is extracted and Counter-tallied once (at C
-        # speed) and shared by both of its nybble dimensions, instead
-        # of re-extracting nybbles per dimension per seed.
-        if len(seeds) > self._ENTROPY_SAMPLE:
-            stride = len(seeds) // self._ENTROPY_SAMPLE
-            sample = packed[::stride]
-        else:
-            sample = packed
-        total = len(sample)
-        best_dim = variable[0]
-        best_entropy = float("inf")
-        log2 = math.log2
-        if vector_enabled() and total >= 64:
-            # Vectorized scoring: one nybble matrix straight off the
-            # packed byte rows, histogrammed with a single bincount.
-            # Entropy terms are summed in first-seen value order (the
-            # Counter insertion order of the scalar path) so the float
-            # summation stays bit-identical.
-            data = np.frombuffer(b"".join(sample), dtype=np.uint8)
-            data = data.reshape(-1, _ADDRESS_BYTES)
-            matrix = np.empty((total, ADDRESS_NYBBLES), dtype=np.uint8)
-            matrix[:, 0::2] = data >> 4
-            matrix[:, 1::2] = data & 0xF
-            counts_all = nybble_counts_matrix(matrix)
-            for dim in variable:
-                counts = counts_all[dim].tolist()
-                entropy = 0.0
-                for value in first_seen_values(matrix[:, dim]).tolist():
-                    p = counts[value] / total
-                    entropy -= p * log2(p)
-                if 0.0 < entropy < best_entropy:
-                    best_entropy = entropy
-                    best_dim = dim
-            return best_dim
-        column_counts: dict[int, Counter] = {}
-        for dim in variable:
-            byte_index, odd = divmod(dim, 2)
-            column = column_counts.get(byte_index)
-            if column is None:
-                column = column_counts[byte_index] = Counter(
-                    [row[byte_index] for row in sample]
-                )
-            counts, order = _nybble_histogram(column, bool(odd))
-            entropy = 0.0
-            for value in order:
-                p = counts[value] / total
-                entropy -= p * log2(p)
-            if 0.0 < entropy < best_entropy:
-                best_entropy = entropy
-                best_dim = dim
-        return best_dim
+            return varies.argmax(axis=1)
+        # Entropy strategy: lowest-entropy variable dimension first,
+        # scored on every row, or on every ``n // 2048``-th row of a
+        # node above 2,048 seeds.
+        strides = np.maximum(sizes // self._ENTROPY_SAMPLE, 1)
+        samples = (sizes + strides - 1) // strides
+        picked = active[_concat_ranges(offsets, samples, strides)]
+        entropies = column_entropies(matrix[picked], samples, varies)
+        # The first dim reaching the lowest positive entropy, like a
+        # strict ``0 < entropy < best`` scan in ascending dim order.
+        scores = np.where(varies & (entropies > 0.0), entropies, np.inf)
+        return np.where(
+            np.isinf(scores.min(axis=1)), varies.argmax(axis=1), scores.argmin(axis=1)
+        )
 
     # -- queries --------------------------------------------------------------
 

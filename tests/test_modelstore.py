@@ -7,6 +7,7 @@ benignly.
 """
 
 import concurrent.futures
+import hashlib
 import os
 import pickle
 
@@ -114,6 +115,21 @@ class TestCorruption:
         path.write_bytes(blob[:header_len] + payload)
         assert store.load("det", 42, ()) is None
 
+    def test_v1_entry_dropped_and_rebuilt(self, tmp_path):
+        # Entries written before the leaf layout and the seed fingerprint
+        # changed carry the v1 magic: they are never unpickled.
+        store = make_store(tmp_path)
+        path = store.entry_path("6tree", 5, ())
+        path.parent.mkdir(parents=True)
+        payload = pickle.dumps("old-layout")
+        digest = hashlib.sha256(payload).hexdigest().encode("ascii")
+        path.write_bytes(b"repro-model-store-v1\n" + digest + b"\n" + payload)
+        assert _MAGIC != b"repro-model-store-v1\n"
+        assert store.get_or_build("6tree", 5, (), lambda: "rebuilt") == "rebuilt"
+        assert store.stats.corrupt_dropped == 1
+        assert path.read_bytes().startswith(_MAGIC)
+        assert store.load("6tree", 5, ()) == "rebuilt"
+
     def test_get_or_build_rebuilds_after_corruption(self, tmp_path):
         store = make_store(tmp_path)
         calls = []
@@ -188,6 +204,27 @@ class TestEviction:
         store.store("c", 3, (), "z" * 100)
         assert store.load("a", 1, ()) == "x" * 100
         assert store.load("b", 2, ()) is None
+
+    def test_written_entry_survives_an_mtime_tie(self, tmp_path, monkeypatch):
+        # Coarse filesystem timestamps (or a clock step back) give the
+        # new entry the same mtime as an older one; it must still be the
+        # entry the write keeps.
+        store = make_store(tmp_path)
+        store.store("old", 1, (), "x" * 4096)
+        (old,) = store.entries()
+        os.utime(old, (1_000, 1_000))
+        store.max_bytes = old.stat().st_size
+        real_replace = os.replace
+
+        def replace_with_pinned_mtime(src, dst):
+            real_replace(src, dst)
+            os.utime(dst, (1_000, 1_000))
+
+        monkeypatch.setattr(os, "replace", replace_with_pinned_mtime)
+        assert store.store("new", 2, (), "y" * 100)
+        assert store.load("new", 2, ()) == "y" * 100
+        assert not old.exists()
+        assert store.stats.evictions == 1
 
     def test_clear_removes_everything(self, tmp_path):
         store = make_store(tmp_path)

@@ -8,7 +8,8 @@ Three layers of guarantees:
 * The rewritten :class:`repro.tga.SpaceTree` against an embedded
   reference implementation (the pre-optimisation algorithm, transcribed
   verbatim) on randomized seed sets: identical leaves, value sets,
-  densities and candidate streams.
+  densities and candidate streams; likewise Entropy/IP's frozen model
+  against its per-seed build.
 * End-to-end bit-identity: every TGA prepared and driven with the cache
   off, cold and warm produces identical proposal/feedback streams, and a
   telemetry-instrumented grid records identical traces once the
@@ -17,6 +18,7 @@ Three layers of guarantees:
 
 import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -33,6 +35,7 @@ from repro.telemetry import (
 from repro.tga import (
     ALL_TGA_NAMES,
     TGA_ALIASES,
+    EntropyIP,
     ModelCache,
     SpaceTree,
     cached_space_tree,
@@ -43,6 +46,10 @@ from repro.tga import (
     seed_fingerprint,
     use_model_cache,
 )
+from repro.tga.entropy_ip import segment_boundaries
+from repro.tga.spacetree import leaves_for_groups
+
+from .test_vector_parity import _nybble_entropy
 
 SALT = 0xA11CE
 
@@ -153,6 +160,10 @@ class TestModelCache:
         assert seed_fingerprint([1, 2]) != seed_fingerprint([1, 2, 3])
         assert seed_fingerprint([5, 7]) == seed_fingerprint([5, 7])
 
+    def test_seed_fingerprint_list_and_tuple_agree(self):
+        seeds = [A("2001:db8::1"), A("2400:cb00::2"), (1 << 128) - 1, 0]
+        assert seed_fingerprint(seeds) == seed_fingerprint(tuple(seeds))
+
     def test_cached_space_tree_shares_one_build(self):
         seeds = sorted({A(f"2001:db8::{i:x}") for i in range(1, 40)})
         with use_model_cache(ModelCache()) as cache:
@@ -173,9 +184,14 @@ _REF_ENTROPY_SAMPLE = 2048
 
 
 def _reference_choose_dim(
-    seeds: list[int], variable: list[int], strategy: str
+    seeds: list[int], variable: list[int], strategy: str, order=None
 ) -> int:
-    """``SpaceTree._choose_dim`` as it was before the fast path."""
+    """``SpaceTree._choose_dim`` as it was before the fast path.
+
+    Entropy terms are summed in first-seen value order (dict insertion
+    order); ``order`` replaces it with another ordering of the values,
+    to show a family is sensitive to the summation order.
+    """
     if strategy == "leftmost":
         return variable[0]
     if len(seeds) > _REF_ENTROPY_SAMPLE:
@@ -193,8 +209,9 @@ def _reference_choose_dim(
             value = (seed >> shift) & 0xF
             counts[value] = counts.get(value, 0) + 1
         entropy = 0.0
-        for count in counts.values():
-            p = count / total
+        values = list(counts) if order is None else order(counts)
+        for value in values:
+            p = counts[value] / total
             entropy -= p * math.log2(p)
         if 0.0 < entropy < best_entropy:
             best_entropy = entropy
@@ -202,7 +219,7 @@ def _reference_choose_dim(
     return best_dim
 
 
-def _reference_build(tree: SpaceTree, seeds: list[int]) -> list[dict]:
+def _reference_build(tree: SpaceTree, seeds: list[int], order=None) -> list[dict]:
     """Rebuild ``tree``'s leaf list with the reference algorithm.
 
     Returns plain dicts (seeds/dims/depth/is_internal) in emission
@@ -229,7 +246,7 @@ def _reference_build(tree: SpaceTree, seeds: list[int]) -> list[dict]:
             leaves.append(
                 {"seeds": seeds, "dims": variable, "depth": depth, "internal": True}
             )
-        dim = _reference_choose_dim(seeds, variable, tree.strategy)
+        dim = _reference_choose_dim(seeds, variable, tree.strategy, order)
         buckets: dict[int, list[int]] = {}
         for seed in seeds:
             buckets.setdefault(get_nybble(seed, dim), []).append(seed)
@@ -327,7 +344,44 @@ def _random_seed_sets() -> list[tuple[str, list[int]]]:
             ],
         )
     )
+    # Above 6,144 seeds the entropy sample stride is at least 3.  The
+    # last nybble is 1 on every third seed: a stride-3 sample sees it
+    # constant, any other stride sees the lowest entropy there.
+    sets.append(
+        (
+            "huge",
+            [
+                (0x2A0E0500 << 96) | (index << 4) | (index % 3 == 0)
+                for index in range(6600)
+            ],
+        )
+    )
+    sets.append(("tie", list(_TIE_FAMILY)))
     return sets
+
+
+#: Nybbles 28 and 29 both split these 13 seeds 3/4/6, with the counts
+#: first seen in different orders.  Their entropies differ only in the
+#: last bit, so the root split follows the summation order.
+_TIE_FAMILY = tuple(
+    (0x20010DB8 << 96) | low
+    for low in (
+        0x0, 0x1, 0x7, 0x8, 0x204, 0x205, 0x1003,
+        0x1006, 0x110A, 0x1209, 0x210B, 0x210C, 0x2202,
+    )
+)
+
+
+def _reference_value_sets(leaf_dims: list[int], seeds: list[int]) -> dict:
+    return {
+        dim: expanded_values({get_nybble(seed, dim) for seed in seeds})
+        for dim in leaf_dims or [ADDRESS_NYBBLES - 1, ADDRESS_NYBBLES - 2]
+    }
+
+
+def _reference_density(seeds: list[int], value_sets: dict) -> float:
+    space_log = sum(math.log2(max(2, len(values))) for values in value_sets.values())
+    return len(seeds) / (1.0 + space_log)
 
 
 class TestSpaceTreeMatchesReference:
@@ -349,12 +403,9 @@ class TestSpaceTreeMatchesReference:
             assert leaf.is_internal == ref["internal"]
             # Expanded value sets and the density ranking signal must be
             # bit-identical (floats included: same op order).
-            assert leaf.value_sets() == {
-                dim: expanded_values(
-                    {get_nybble(seed, dim) for seed in leaf.seeds}
-                )
-                for dim in leaf.effective_dims
-            }
+            value_sets = _reference_value_sets(ref["dims"], ref["seeds"])
+            assert list(leaf.value_sets().items()) == list(value_sets.items())
+            assert leaf.density == _reference_density(ref["seeds"], value_sets)
         # Candidate streams: compare a prefix of every leaf's stream.
         for leaf in tree.leaves[:12]:
             expected = _reference_candidates(leaf, limit=300)
@@ -364,6 +415,93 @@ class TestSpaceTreeMatchesReference:
                 if len(actual) >= len(expected):
                     break
             assert actual == expected
+
+    def test_tie_split_follows_first_seen_order(self):
+        seeds = list(_TIE_FAMILY)
+        tree = SpaceTree(seeds, strategy="entropy")
+        first_seen = _reference_build(tree, seeds)
+        by_value = _reference_build(tree, seeds, order=sorted)
+        # The family discriminates: summing in value order splits on
+        # another nybble.
+        assert first_seen[0]["dims"] == [28, 29, 31]
+        assert first_seen != by_value
+        assert [
+            {
+                "seeds": leaf.seeds,
+                "dims": leaf.variable_dims,
+                "depth": leaf.depth,
+                "internal": leaf.is_internal,
+            }
+            for leaf in tree.leaves
+        ] == first_seen
+
+    def test_grouped_leaves_match_reference(self):
+        # 6Gen clusters and 6Graph patterns: leaves over arbitrary seed
+        # groups, including a single-seed one.
+        _, seeds = _random_seed_sets()[0]
+        groups = [sorted(seeds[start : start + 37]) for start in range(0, 320, 37)]
+        groups.append([seeds[0]])
+        for leaf, group in zip(leaves_for_groups(groups), groups):
+            dims = differing_positions(group)
+            value_sets = _reference_value_sets(dims, group)
+            assert (leaf.seeds, leaf.variable_dims) == (group, dims)
+            assert list(leaf.value_sets().items()) == list(value_sets.items())
+            assert leaf.density == _reference_density(group, value_sets)
+
+
+# ---------------------------------------------------------------------------
+# Entropy/IP vs its pre-columnar model build
+# ---------------------------------------------------------------------------
+
+
+def _reference_eip_model(seeds: list[int]) -> tuple:
+    """``EntropyIP._frozen_model``'s build as written before the columnar
+    prepare: a per-nybble segment loop and ``setdefault`` pair counting."""
+    entropies = [_nybble_entropy(seeds, dim) for dim in range(ADDRESS_NYBBLES)]
+    starts = segment_boundaries(entropies)
+    segments = []
+    for i, start in enumerate(starts):
+        end = starts[i + 1] if i + 1 < len(starts) else ADDRESS_NYBBLES
+        segments.append((start, end - start))
+    marginals = []
+    transitions_chain = []
+    previous_values = None
+    for start, length in segments:
+        values = []
+        for seed in seeds:
+            value = 0
+            for dim in range(start, start + length):
+                value = (value << 4) | get_nybble(seed, dim)
+            values.append(value)
+        marginals.append(Counter(values).most_common(24))
+        transitions = {}
+        if previous_values is not None:
+            pair_counts = {}
+            for prev, cur in zip(previous_values, values):
+                pair_counts.setdefault(prev, Counter())[cur] += 1
+            transitions = {
+                prev: counter.most_common(24)
+                for prev, counter in pair_counts.items()
+            }
+        transitions_chain.append(transitions)
+        previous_values = values
+    return tuple(segments), tuple(marginals), tuple(transitions_chain)
+
+
+class TestEntropyIPMatchesReference:
+    @pytest.mark.parametrize(
+        "name,seeds",
+        _random_seed_sets(),
+        ids=[name for name, _ in _random_seed_sets()],
+    )
+    def test_model_matches_including_transition_order(self, name, seeds):
+        with use_model_cache(ModelCache(enabled=False)):
+            model = EntropyIP()._frozen_model(list(seeds))
+        reference = _reference_eip_model(list(seeds))
+        assert model[:2] == reference[:2]
+        assert [list(table.items()) for table in model[2]] == [
+            list(table.items()) for table in reference[2]
+        ]
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,9 @@ with the core forced on and off.
 
 from __future__ import annotations
 
+import math
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from repro.addr import (
     common_prefix_len,
     common_prefix_len_matrix,
     first_seen_values,
+    get_nybble,
     hash64,
     hash64_batch,
     mix64,
@@ -436,6 +439,18 @@ class TestGridParity:
 # -- TGA histogram routing ---------------------------------------------------
 
 
+def _nybble_entropy(seeds: list[int], dim: int) -> float:
+    """Scalar oracle: one nybble column counted in a ``Counter``, terms
+    summed in its insertion (first-seen) order."""
+    counts = Counter(get_nybble(seed, dim) for seed in seeds)
+    total = len(seeds)
+    entropy = 0.0
+    for count in counts.values():
+        p = count / total
+        entropy -= p * math.log2(p)
+    return entropy
+
+
 class TestTgaParity:
     def _seeds(self) -> list[int]:
         rng = _rng(16)
@@ -455,14 +470,11 @@ class TestTgaParity:
         return seeds
 
     def test_entropy_profile_bitwise(self):
-        from repro.tga.entropy_ip import _entropy_profile, _nybble_entropy
+        from repro.tga.entropy_ip import _entropy_profile
 
         seeds = self._seeds()
         expected = [_nybble_entropy(seeds, dim) for dim in range(ADDRESS_NYBBLES)]
-        with use_vectorized(False):
-            assert _entropy_profile(seeds) == expected
-        with use_vectorized(True):
-            assert _entropy_profile(seeds) == expected
+        assert _entropy_profile(seeds) == expected
 
     @pytest.mark.parametrize("strategy", ["leftmost", "entropy"])
     def test_space_tree_structurally_identical(self, strategy):
