@@ -49,6 +49,7 @@ from pathlib import Path
 from repro.experiments import ExecutionPolicy, GridSpec, Study, run_grid
 from repro.internet import InternetConfig, Port, SimulatedInternet
 from repro.internet.topology import slash32_for_rank
+from repro.scanner import Scanner
 from repro.telemetry import ResourceSampler, RunManifest, write_manifest
 from repro.tga import ALL_TGA_NAMES
 
@@ -102,7 +103,7 @@ def _probe_shard(shard_and_port: tuple[list[int], str]) -> tuple[list[int], floa
     shard, port_value = shard_and_port
     internet = _WORKER_INTERNET
     assert internet is not None, "worker must inherit the parent world via fork"
-    hits = internet.probe_batch(shard, Port(port_value))
+    hits = Scanner(internet).scan(shard, Port(port_value)).hits
     return sorted(hits), rss_mb()
 
 
@@ -248,7 +249,7 @@ def main(argv=None) -> int:
     # measured overhead.
     pool = build_pool(config, pool_total, args.seed)
     start = time.perf_counter()
-    serial_hits = internet.probe_batch(pool, Port.ICMP)
+    serial_hits = Scanner(internet).scan(pool, Port.ICMP).hits
     serial_seconds = time.perf_counter() - start
 
     sampler = ResourceSampler(
@@ -261,7 +262,7 @@ def main(argv=None) -> int:
     )
     with sampler:
         start = time.perf_counter()
-        sampled_hits = internet.probe_batch(pool, Port.ICMP)
+        sampled_hits = Scanner(internet).scan(pool, Port.ICMP).hits
         sampled_seconds = time.perf_counter() - start
     assert sampled_hits == serial_hits, "sampled pass diverged"
     sampler_overhead = (
@@ -275,7 +276,7 @@ def main(argv=None) -> int:
     # python heap, not RSS — the two figures bracket each other).
     tracemalloc.start()
     traced = SimulatedInternet(config)
-    traced.probe_batch(pool[: max(1, len(pool) // 10)], Port.ICMP)
+    Scanner(traced).scan(pool[: max(1, len(pool) // 10)], Port.ICMP)
     _, heap_peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
     del traced

@@ -7,12 +7,14 @@ cells/sec, addresses/sec and speedup to a JSON artifact.  Every
 parallel run is also checked cell-by-cell against the serial run: the
 executor must be bit-identical, not just fast.
 
-A second section measures raw probe throughput: the scalar scan path
-versus the vectorized numpy core on million-address batches, over two
-pool shapes — *dispersed* targets scattered across many /64s (the shape
-TGA output actually has) and *concentrated* per-region blocks (the
-scalar path's best case).  Hits are asserted identical between the two
-paths before any number is recorded.
+A second section measures raw probe throughput of the two
+``Scanner.scan`` formulations on million-address batches: the
+/64-grouped path (run on the world's capped twin, which never builds
+packed tables) versus the packed probe tables of the uncapped world,
+over two pool shapes — *dispersed* targets scattered across many /64s
+(the shape TGA output actually has) and *concentrated* per-region
+blocks.  Hits are asserted identical between the two paths before any
+number is recorded.
 
 Run:  python benchmarks/bench_parallel_scaling.py [--quick] [--out FILE]
 
@@ -39,9 +41,10 @@ import argparse
 import json
 import os
 import time
+from dataclasses import replace
 from pathlib import Path
 
-from repro.addr import PackedAddresses, use_vectorized
+from repro.addr import PackedAddresses
 from repro.experiments import ExecutionPolicy, GridSpec, Study, run_grid
 from repro.internet import ALL_PORTS, InternetConfig, Port, SimulatedInternet
 from repro.scanner import Scanner
@@ -108,8 +111,7 @@ def build_pools(internet: SimulatedInternet, total: int) -> dict[str, list[int]]
 
     ``dispersed`` interleaves targets across every region (plus unrouted
     space) the way TGA output lands on the wire; ``concentrated`` walks
-    regions one dense block at a time, the shape that amortises best in
-    the scalar per-/64 grouping loop.
+    regions one dense block at a time, so its per-/64 groups are large.
     """
     import random
 
@@ -119,7 +121,7 @@ def build_pools(internet: SimulatedInternet, total: int) -> dict[str, list[int]]
 
     # TGA-style: a couple of percent rediscoveries, the rest spread thin
     # across many /64s (most of them unallocated neighbours of real
-    # prefixes) so the per-/64 groups the scalar path builds stay tiny.
+    # prefixes) so the per-/64 groups the grouped path builds stay tiny.
     dispersed: list[int] = []
     for _ in range(total):
         style = rng.random()
@@ -149,46 +151,48 @@ def build_pools(internet: SimulatedInternet, total: int) -> dict[str, list[int]]
 
 
 def bench_probe_throughput(seed: int, total: int) -> list[dict]:
-    """Scalar vs vectorized ``Scanner.scan`` on million-address pools.
+    """Grouped vs packed ``Scanner.scan`` on million-address pools.
 
-    Each measurement uses a fresh world (so no membership table or
+    The grouped path runs on the world's capped twin (a resident-AS cap
+    that holds every AS, so nothing is evicted but no packed table is
+    built); the packed path runs on the uncapped world.  Each
+    measurement uses a fresh world (so no membership table or
     responsive-set cache is warm from the other path's run) and the
     hit sets are asserted identical before any number is recorded.
     """
     config = InternetConfig.tiny(master_seed=seed)
+    capped = replace(config, max_resident_ases=config.num_ases + 1)
     pools = build_pools(SimulatedInternet(config), total)
     rows: list[dict] = []
     warmup = max(1_000, len(next(iter(pools.values()))) // 50)
     for name, pool in pools.items():
         # Warm each path on a slice first so one-time costs (responsive
         # sets, membership tables) don't land inside the timed window.
-        with use_vectorized(False):
-            scanner = Scanner(SimulatedInternet(config))
-            scanner.scan(pool[:warmup], Port.ICMP)
-            start = time.perf_counter()
-            scalar = scanner.scan(list(pool), Port.ICMP)
-            scalar_seconds = time.perf_counter() - start
-        with use_vectorized(True):
-            scanner = Scanner(SimulatedInternet(config))
-            packed = PackedAddresses.from_addresses(pool)
-            scanner.scan(PackedAddresses.from_addresses(pool[:warmup]), Port.ICMP)
-            start = time.perf_counter()
-            vector = scanner.scan(packed, Port.ICMP)
-            vector_seconds = time.perf_counter() - start
-        if vector.hits != scalar.hits:
+        scanner = Scanner(SimulatedInternet(capped))
+        scanner.scan(pool[:warmup], Port.ICMP)
+        start = time.perf_counter()
+        grouped = scanner.scan(list(pool), Port.ICMP)
+        grouped_seconds = time.perf_counter() - start
+        scanner = Scanner(SimulatedInternet(config))
+        packed = PackedAddresses.from_addresses(pool)
+        scanner.scan(PackedAddresses.from_addresses(pool[:warmup]), Port.ICMP)
+        start = time.perf_counter()
+        result = scanner.scan(packed, Port.ICMP)
+        packed_seconds = time.perf_counter() - start
+        if result.hits != grouped.hits:
             raise AssertionError(
-                f"vectorized scan diverged from scalar on the {name} pool"
+                f"packed scan diverged from grouped on the {name} pool"
             )
         rows.append(
             {
                 "pool": name,
                 "addresses": total,
-                "hits": len(scalar.hits),
-                "scalar_seconds": round(scalar_seconds, 4),
-                "scalar_addresses_per_sec": round(total / scalar_seconds, 1),
-                "vectorized_seconds": round(vector_seconds, 4),
-                "vectorized_addresses_per_sec": round(total / vector_seconds, 1),
-                "speedup": round(scalar_seconds / vector_seconds, 2),
+                "hits": len(grouped.hits),
+                "grouped_seconds": round(grouped_seconds, 4),
+                "grouped_addresses_per_sec": round(total / grouped_seconds, 1),
+                "packed_seconds": round(packed_seconds, 4),
+                "packed_addresses_per_sec": round(total / packed_seconds, 1),
+                "speedup": round(grouped_seconds / packed_seconds, 2),
                 "identical_hits": True,
             }
         )
@@ -379,14 +383,14 @@ def main(argv=None) -> int:
 
     manifest = manifest.with_snapshot(telemetry.snapshot())
 
-    # Raw probe throughput: scalar vs vectorized core.
+    # Raw probe throughput: grouped vs packed scan path.
     print(f"probe throughput ({probe_total:,} addresses per pool):")
     probe_rows = bench_probe_throughput(args.seed, probe_total)
     for row in probe_rows:
         print(
-            f"  {row['pool']:<12}: scalar "
-            f"{row['scalar_addresses_per_sec']:12,.0f} addr/s  "
-            f"vectorized {row['vectorized_addresses_per_sec']:12,.0f} addr/s  "
+            f"  {row['pool']:<12}: grouped "
+            f"{row['grouped_addresses_per_sec']:12,.0f} addr/s  "
+            f"packed {row['packed_addresses_per_sec']:12,.0f} addr/s  "
             f"speedup {row['speedup']:5.2f}x  identical=True"
         )
 

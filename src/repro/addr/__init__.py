@@ -13,15 +13,11 @@ from .address import (
 )
 from .nybbles import (
     common_prefix_len,
-    common_prefix_len_matrix,
     differing_positions,
-    first_seen_values,
     from_nybbles,
     get_nybble,
     nybble_counts,
-    nybble_counts_matrix,
     set_nybble,
-    to_nybble_matrix,
     to_nybbles,
 )
 from .prefix import Prefix
@@ -39,7 +35,7 @@ from .rand import (
     uniform_batch,
 )
 from .trie import PrefixTrie
-from .vector import PackedAddresses, use_vectorized, vector_enabled
+from .vector import PackedAddresses
 
 __all__ = [
     "ADDRESS_BITS",
@@ -58,10 +54,6 @@ __all__ = [
     "common_prefix_len",
     "differing_positions",
     "nybble_counts",
-    "to_nybble_matrix",
-    "nybble_counts_matrix",
-    "common_prefix_len_matrix",
-    "first_seen_values",
     "Prefix",
     "PrefixTrie",
     "mix64",
@@ -76,6 +68,4 @@ __all__ = [
     "uniform_batch",
     "coin_batch",
     "PackedAddresses",
-    "vector_enabled",
-    "use_vectorized",
 ]

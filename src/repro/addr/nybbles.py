@@ -24,11 +24,7 @@ __all__ = [
     "common_prefix_len",
     "differing_positions",
     "nybble_counts",
-    "to_nybble_matrix",
     "nybble_matrix_from_bytes",
-    "nybble_counts_matrix",
-    "common_prefix_len_matrix",
-    "first_seen_values",
 ]
 
 
@@ -114,30 +110,13 @@ def nybble_counts(addresses: Iterable[int], index: int) -> list[int]:
     return counts
 
 
-# -- vectorized counterparts -----------------------------------------------
+# -- vectorized counterpart ------------------------------------------------
 #
-# A 128-bit address does not fit one uint64 lane, so the batch kernels
-# take the packed `(prefix64, iid64)` column pair (see
-# :class:`repro.addr.vector.PackedAddresses`) and materialise an
-# ``(n, 32)`` uint8 nybble matrix on demand — column ``j`` is nybble
-# ``j`` of every address, most significant first, matching
-# :func:`to_nybbles` row for row.
+# Column ``j`` of the ``(n, 32)`` uint8 nybble matrix is nybble ``j`` of
+# every address, most significant first, matching :func:`to_nybbles`
+# row for row.
 
 from .vector import np  # noqa: E402
-
-
-def to_nybble_matrix(prefix64, iid64):
-    """Explode packed address columns into an ``(n, 32)`` uint8 matrix.
-
-    Row ``k`` equals ``to_nybbles((prefix64[k] << 64) | iid64[k])``.
-    """
-    prefix64 = np.ascontiguousarray(prefix64, dtype=np.uint64)
-    # Big-endian words give the 16 bytes of each address in
-    # most-significant-first order.
-    words = np.empty((prefix64.shape[0], 2), dtype=">u8")
-    words[:, 0] = prefix64
-    words[:, 1] = np.ascontiguousarray(iid64, dtype=np.uint64)
-    return nybble_matrix_from_bytes(words.view(np.uint8))
 
 
 def nybble_matrix_from_bytes(data):
@@ -147,46 +126,3 @@ def nybble_matrix_from_bytes(data):
     matrix[:, 0::2] = data >> 4
     matrix[:, 1::2] = data & 0xF
     return matrix
-
-
-def nybble_counts_matrix(matrix):
-    """Per-position nybble histograms: ``(32, 16)`` int64 counts.
-
-    Row ``j`` equals ``nybble_counts(addresses, j)``; computed with one
-    :func:`numpy.bincount` over the whole matrix by offsetting each
-    column into its own 16-bin band.
-    """
-    positions = matrix.shape[1]
-    offsets = (np.arange(positions, dtype=np.intp) * 16)[np.newaxis, :]
-    flat = matrix.astype(np.intp, copy=False) + offsets
-    counts = np.bincount(flat.ravel(), minlength=positions * 16)
-    return counts.reshape(positions, 16)
-
-
-def common_prefix_len_matrix(matrix) -> int:
-    """Length, in nybbles, of the prefix shared by *all* rows.
-
-    The column-wise generalisation of :func:`common_prefix_len`:
-    ``common_prefix_len_matrix(to_nybble_matrix(...))`` over two rows
-    equals ``common_prefix_len(a, b)``.  An empty or single-row matrix
-    shares everything (``ADDRESS_NYBBLES``).
-    """
-    if matrix.shape[0] <= 1:
-        return ADDRESS_NYBBLES
-    varies = (matrix != matrix[0]).any(axis=0)
-    differing = np.nonzero(varies)[0]
-    if differing.size == 0:
-        return int(matrix.shape[1])
-    return int(differing[0])
-
-
-def first_seen_values(column):
-    """Distinct values of a column in first-occurrence (row) order.
-
-    The numpy replacement for ``Counter(...)`` insertion order: entropy
-    scorers sum float terms in first-seen order, and preserving that
-    order keeps the (non-associative) summation bit-identical to the
-    scalar formulation.
-    """
-    _, first_index = np.unique(column, return_index=True)
-    return column[np.sort(first_index)]

@@ -1,15 +1,10 @@
-"""The vectorized-core seam and packed address representation.
+"""Packed address batches for the numpy core.
 
-The simulation hot paths (probing, IID generation, nybble histograms)
-have two implementations: the scalar reference (plain Python integers,
-one address at a time) and a numpy batch core operating on packed
-arrays.  Both are bit-identical by contract — every kernel in
-:mod:`repro.addr.rand` and :mod:`repro.addr.nybbles` reproduces the
-scalar functions element for element.  The batch core is always on;
-the scalar reference still serves batches too small to pay for packing
-and the grouped probe path of resident-capped worlds.
-:func:`use_vectorized` is the seam the parity suite and the probe
-throughput benchmark use to run the scalar reference on any batch.
+The simulation hot paths (probing, IID generation, TGA preparation) run
+on numpy batch kernels that are bit-identical to their scalar
+definitions: every kernel in :mod:`repro.addr.rand` reproduces the
+scalar function element for element, and the parity suite checks each
+one against a scalar oracle.
 
 A 128-bit IPv6 address does not fit a single uint64 lane, so the batch
 core's currency is a :class:`PackedAddresses` pair of uint64 columns —
@@ -22,37 +17,12 @@ once per batch via :meth:`PackedAddresses.from_addresses`.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
-from contextlib import contextmanager
 
 import numpy as np
 
-__all__ = [
-    "vector_enabled",
-    "use_vectorized",
-    "PackedAddresses",
-]
+__all__ = ["PackedAddresses"]
 
 _MASK64 = 0xFFFF_FFFF_FFFF_FFFF
-
-#: False only inside ``use_vectorized(False)``.
-_ENABLED = True
-
-
-def vector_enabled() -> bool:
-    """Whether batch kernels should run."""
-    return _ENABLED
-
-
-@contextmanager
-def use_vectorized(enabled: bool):
-    """Run the enclosed block on the batch core or the scalar reference."""
-    global _ENABLED
-    previous = _ENABLED
-    _ENABLED = enabled
-    try:
-        yield
-    finally:
-        _ENABLED = previous
 
 
 class PackedAddresses:

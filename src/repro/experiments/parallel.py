@@ -156,14 +156,15 @@ class WorkerSpec:
         cls,
         study: Study,
         telemetry: bool = False,
-        model_cache: bool | None = None,
         fault_plan: FaultPlan | None = None,
         resources: ResourceSpec | None = None,
         model_store: str | None = None,
     ) -> "WorkerSpec":
-        """Capture a study's world-defining parameters."""
-        if model_cache is None:
-            model_cache = get_model_cache().enabled
+        """Capture a study's world-defining parameters.
+
+        The worker's model cache mirrors the parent's
+        :func:`repro.tga.get_model_cache` setting.
+        """
         return cls(
             config=study.internet.config,
             budget=study.budget,
@@ -175,7 +176,7 @@ class WorkerSpec:
             ),
             packets_per_second=study.packets_per_second,
             telemetry=telemetry,
-            model_cache=model_cache,
+            model_cache=get_model_cache().enabled,
             fault_plan=fault_plan,
             resources=resources,
             model_store=model_store,
@@ -412,7 +413,6 @@ class ParallelExecutor:
         return WorkerSpec.from_study(
             self.study,
             telemetry=get_telemetry().enabled,
-            model_cache=self.policy.model_cache,
             fault_plan=self.policy.fault_plan,
             resources=resources,
             model_store=str(active_store.root) if active_store is not None else None,

@@ -34,9 +34,6 @@ class ExecutionPolicy:
 
     #: Worker processes: ``None``/1 = serial, ``"auto"`` = min(CPUs, cells).
     workers: int | str | None = None
-    #: Prepared-model cache in workers (``None`` = inherit the global
-    #: :func:`repro.tga.get_model_cache` setting).
-    model_cache: bool | None = None
     #: Registry to activate for the duration of the run (``None`` =
     #: whatever is already active).
     telemetry: Telemetry | None = None

@@ -13,12 +13,12 @@ harness:
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from functools import cached_property
 
 from ..addr import Prefix
 from ..addr.rand import coin, coin_batch, hash64, hash64_batch
-from ..addr.vector import PackedAddresses, np, vector_enabled
+from ..addr.vector import np
 from ..asdb import OrgType
 from .config import InternetConfig
 from .ports import ALL_PORTS, Port
@@ -35,14 +35,9 @@ __all__ = ["SimulatedInternet"]
 
 _SALT_PUBLISHED = 0x55
 
-#: Batch sizes below this stay on the scalar per-region path: packing
-#: columns and running the array kernels has a fixed cost that only pays
-#: for itself once a batch holds a few cache lines of addresses.
-VECTOR_MIN_BATCH = 64
-
 
 class _ProbeTables:
-    """Columnar views of the region table for the vectorized probe path.
+    """Columnar views of the region table for the packed probe path.
 
     Region attributes become arrays aligned to the sorted ``net64``
     order, so the per-address region lookup is one ``searchsorted``
@@ -55,7 +50,7 @@ class _ProbeTables:
     present; candidates (≈ the true hit count) are then verified
     exactly against the owning region's IID set, so 64-bit key
     collisions can never flip an answer — results are bit-identical to
-    the scalar chain.
+    :meth:`Region.responds` per address.
     """
 
     __slots__ = (
@@ -225,7 +220,7 @@ class SimulatedInternet:
         self.topology = LazyTopology(self.config)
         self._probe_tables: _ProbeTables | None = None
 
-    # -- probe tables (vectorized path) ---------------------------------
+    # -- probe tables (packed path) --------------------------------------
 
     @property
     def vector_tables_allowed(self) -> bool:
@@ -239,7 +234,7 @@ class SimulatedInternet:
         return self.config.max_resident_ases is None
 
     def probe_tables(self) -> _ProbeTables:
-        """Columnar region views for the vectorized probe path (lazy)."""
+        """Columnar region views for the packed probe path (lazy)."""
         if self._probe_tables is None:
             if not self.vector_tables_allowed:
                 raise RuntimeError(
@@ -303,55 +298,6 @@ class SimulatedInternet:
         if region is None:
             return False
         return region.responds(address, port, epoch, attempt)
-
-    def probe_batch(
-        self, addresses: Iterable[int], port: Port, epoch: int = SCAN_EPOCH
-    ) -> set[int]:
-        """Batched ground-truth probing: the responsive subset of ``addresses``.
-
-        Groups targets by /64 so the region-level checks (firewall,
-        retirement, alias profile, responsive-IID set) are done once per
-        group rather than once per address, and resolves every group's
-        region in one batch that derives each owning AS at most once.
-        Results are identical to calling :meth:`probe` per address.
-
-        On a world without a resident-AS cap, large batches (and any
-        :class:`~repro.addr.vector.PackedAddresses` input) run through
-        the columnar probe tables instead; outputs are bit-identical.
-        """
-        if vector_enabled() and self.vector_tables_allowed:
-            packed = addresses if isinstance(addresses, PackedAddresses) else None
-            if packed is None:
-                if not isinstance(addresses, (list, tuple)):
-                    addresses = list(addresses)
-                if len(addresses) >= VECTOR_MIN_BATCH:
-                    packed = PackedAddresses.from_addresses(addresses)
-            if packed is not None:
-                mask, _, _ = self.probe_tables().hit_mask(
-                    packed.prefix64, packed.iid64, port, epoch
-                )
-                rows = np.nonzero(mask)[0]
-                return {
-                    (prefix << 64) | iid
-                    for prefix, iid in zip(
-                        packed.prefix64[rows].tolist(), packed.iid64[rows].tolist()
-                    )
-                }
-        groups: dict[int, list[int]] = {}
-        for address in addresses:
-            net64 = address >> 64
-            group = groups.get(net64)
-            if group is None:
-                groups[net64] = [address]
-            else:
-                group.append(address)
-        hits: set[int] = set()
-        regions = self.topology.regions_for_net64s(groups)
-        for net64, group in groups.items():
-            region = regions[net64]
-            if region is not None:
-                hits |= region.respond_batch(group, port, epoch)
-        return hits
 
     def target_exists(self, address: int) -> bool:
         """Whether ``address`` falls in allocated (region-backed) space."""

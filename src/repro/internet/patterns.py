@@ -31,7 +31,7 @@ from enum import Enum
 from functools import lru_cache
 
 from ..addr.rand import hash64, hash64_batch
-from ..addr.vector import np, vector_enabled
+from ..addr.vector import np
 
 __all__ = ["PatternKind", "generate_iids", "IID_VOCABULARY", "COMMON_OUIS"]
 
@@ -67,15 +67,6 @@ _SALT_EUI = 0x12
 _SALT_RANDOM = 0x13
 
 
-def _eui64_iid(oui: int, low24: int) -> int:
-    """Assemble a modified-EUI-64 IID from an OUI and a 24-bit NIC part.
-
-    Layout: OUI (with the universal/local bit flipped), ``0xFFFE``, NIC.
-    """
-    flipped = oui ^ 0x020000
-    return (flipped << 40) | (0xFF_FE << 24) | (low24 & 0xFF_FFFF)
-
-
 @lru_cache(maxsize=8192)
 def generate_iids(kind: PatternKind, count: int, region_salt: int) -> frozenset[int]:
     """The deterministic active-IID set for a region.
@@ -87,19 +78,8 @@ def generate_iids(kind: PatternKind, count: int, region_salt: int) -> frozenset[
     Results are memoised: rebuilding the same world (worker processes,
     serial/parallel equality checks, repeated benchmark studies) reuses
     the already-materialised frozensets instead of regenerating them.
-    The EUI-64 and RANDOM families run on the batch hash kernels when
-    the vectorized core is enabled; outputs are identical either way.
-    """
-    return _build_iids(kind, count, region_salt, vector_enabled())
-
-
-def _build_iids(
-    kind: PatternKind, count: int, region_salt: int, vectorized: bool
-) -> frozenset[int]:
-    """Uncached :func:`generate_iids` with an explicit path selector.
-
-    Exposed (privately) so parity tests can pin either implementation
-    without fighting the memo.
+    The EUI-64 and RANDOM families draw all ``count`` hashes in one
+    :func:`~repro.addr.rand.hash64_batch` call.
     """
     if count <= 0:
         return frozenset()
@@ -121,29 +101,21 @@ def _build_iids(
                 break
         return frozenset(picked)
     if kind is PatternKind.EUI64:
+        # Modified EUI-64: the OUI with its universal/local bit flipped,
+        # then 0xFFFE, then a 24-bit NIC part.  NIC parts cluster in a
+        # narrow band, as sequentially provisioned hardware tends to:
+        # base + small deterministic jitter.
         oui = COMMON_OUIS[hash64(region_salt, _SALT_EUI) % len(COMMON_OUIS)]
-        # NIC parts clustered in a narrow band, as sequentially provisioned
-        # hardware tends to be: base + small deterministic jitter.
         base = hash64(region_salt, _SALT_EUI, 1) & 0xFF_F000
-        if vectorized:
-            draws = hash64_batch(
-                region_salt, _SALT_EUI, 2, np.arange(count, dtype=np.uint64)
-            )
-            flipped = np.uint64((oui ^ 0x020000) << 40) | np.uint64(0xFF_FE << 24)
-            low24 = (np.uint64(base) + (draws & np.uint64(0xFFF))) & np.uint64(0xFF_FFFF)
-            return frozenset((flipped | low24).tolist())
-        return frozenset(
-            _eui64_iid(oui, base + (hash64(region_salt, _SALT_EUI, 2, i) & 0xFFF))
-            for i in range(count)
+        draws = hash64_batch(
+            region_salt, _SALT_EUI, 2, np.arange(count, dtype=np.uint64)
         )
+        flipped = np.uint64((oui ^ 0x020000) << 40) | np.uint64(0xFF_FE << 24)
+        low24 = (np.uint64(base) + (draws & np.uint64(0xFFF))) & np.uint64(0xFF_FFFF)
+        return frozenset((flipped | low24).tolist())
     if kind is PatternKind.RANDOM:
-        if vectorized:
-            draws = hash64_batch(
-                region_salt, _SALT_RANDOM, np.arange(count, dtype=np.uint64)
-            )
-            return frozenset(draws.tolist())
-        return frozenset(
-            hash64(region_salt, _SALT_RANDOM, i) & 0xFFFF_FFFF_FFFF_FFFF
-            for i in range(count)
+        draws = hash64_batch(
+            region_salt, _SALT_RANDOM, np.arange(count, dtype=np.uint64)
         )
+        return frozenset(draws.tolist())
     raise ValueError(f"unknown pattern kind: {kind!r}")

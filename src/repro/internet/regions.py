@@ -17,7 +17,7 @@ from enum import Enum
 
 from ..addr import Prefix
 from ..addr.rand import DeterministicStream, coin, coin_batch, hash64
-from ..addr.vector import np, vector_enabled
+from ..addr.vector import np
 from .patterns import PatternKind, generate_iids
 from .ports import ALL_PORTS, Port, PortProfile
 
@@ -131,7 +131,9 @@ class Region:
             return cached
         probability = self.profile.probability(port)
         active = self.active_iids()
-        if vector_enabled() and len(active) >= 8:
+        # Below 8 IIDs the array setup costs more than it saves, so
+        # small sets draw their coins one IID at a time.
+        if len(active) >= 8:
             iids = np.fromiter(active, dtype=np.uint64, count=len(active))
             alive = ~self._churned_mask(iids, epoch)
             alive &= coin_batch(probability, self.salt, _SALT_PORT, port.index, iids)
@@ -201,10 +203,11 @@ class Region:
 
         Region-level checks (firewall, retirement, alias profile, the
         responsive-IID lookup) run once per call instead of once per
-        address; per-address work reduces to a set-membership test.
-        Results are identical to calling :meth:`responds` per address.
+        address; per-address work reduces to a set-membership test, or,
+        from 64 addresses on, to :meth:`respond_batch_array`.  Results
+        are identical to calling :meth:`responds` per address.
         """
-        if vector_enabled() and len(addresses) >= 64:
+        if len(addresses) >= 64:
             iids = np.fromiter(
                 (address & 0xFFFF_FFFF_FFFF_FFFF for address in addresses),
                 dtype=np.uint64,

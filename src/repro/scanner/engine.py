@@ -16,12 +16,11 @@ Differences from naive scanners that the paper calls out, reproduced here:
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 
-from ..addr.vector import PackedAddresses, np, vector_enabled
+from ..addr.vector import PackedAddresses, np
 from ..internet import SCAN_EPOCH, Port, SimulatedInternet
-from ..internet.model import VECTOR_MIN_BATCH
 from ..telemetry import get_telemetry
 from .blocklist import Blocklist
 from .ratelimit import RateLimiter
@@ -29,6 +28,12 @@ from .responses import ResponseType, affirmative_response, negative_response
 from .stats import ScanStats
 
 __all__ = ["Scanner", "ScanResult"]
+
+#: Batches smaller than this take the /64-grouped path even on a world
+#: with packed probe tables: packing columns and running the array
+#: kernels has a fixed cost that only pays for itself once a batch holds
+#: a few cache lines of addresses.
+VECTOR_MIN_BATCH = 64
 
 # Cheap deterministic "noise" draw for alive-but-closed responses.  These
 # responses feed only the response-type statistics (never the hit or AS
@@ -39,6 +44,12 @@ _NOISE_MULT = 0x9E3779B97F4A7C15
 def _negative_noise(address: int, port_index: int) -> bool:
     value = ((address ^ port_index) * _NOISE_MULT) & 0xFFFFFFFFFFFFFFFF
     return value < 0x4000000000000000  # ~25% of misses in allocated space
+
+
+def _first_seen_group_sizes(prefix64) -> list[int]:
+    """Sizes of the /64 groups of a prefix column, in first-seen order."""
+    _, first_index, counts = np.unique(prefix64, return_index=True, return_counts=True)
+    return counts[np.argsort(first_index, kind="stable")].tolist()
 
 
 @dataclass(slots=True)
@@ -117,18 +128,17 @@ class Scanner:
         Input order does not affect results (responses are deterministic
         per address), matching the paper's randomised scan order.
 
-        Targets are grouped by /64 so the firewall and retirement checks
-        and the port-profile dispatch happen once per group rather than
-        once per address, and every group's region is resolved in one
-        batch that derives each owning AS at most once per scan;
-        outcomes are identical to probing each address individually.
-
-        On a world without a resident-AS cap, large batches (and any
-        :class:`~repro.addr.vector.PackedAddresses` input) run the
-        columnar probe path instead — hits, stats and telemetry are
-        bit-identical to the scalar formulation.
+        The formulation follows from what the scanner can observe.  On a
+        world without a resident-AS cap, batches of at least
+        :data:`VECTOR_MIN_BATCH` addresses (and any
+        :class:`~repro.addr.vector.PackedAddresses` input) run through the
+        world's packed probe tables.  Everything else is grouped by /64,
+        so the region checks run once per group and every group's region
+        is resolved in one batch that derives each owning AS at most
+        once.  Hits, stats and telemetry are identical either way, and
+        identical to probing each address individually.
         """
-        if vector_enabled() and self.internet.vector_tables_allowed:
+        if self.internet.vector_tables_allowed:
             packed = addresses if isinstance(addresses, PackedAddresses) else None
             if packed is None:
                 if not isinstance(addresses, (list, tuple)):
@@ -137,9 +147,11 @@ class Scanner:
                     packed = PackedAddresses.from_addresses(addresses)
             if packed is not None:
                 return self._scan_packed(packed, port)
+        return self._scan_grouped(addresses, port)
+
+    def _scan_grouped(self, addresses: Iterable[int], port: Port) -> ScanResult:
+        """:meth:`scan` over /64 groups, one ``respond_batch`` per region."""
         result = ScanResult(port=port)
-        stats = result.stats
-        start_time = self.rate_limiter.virtual_time
         epoch = self.epoch
         classify_negative = self.classify_negative
         port_index = port.index
@@ -157,8 +169,6 @@ class Scanner:
                 groups[net64] = [address]
             else:
                 group.append(address)
-        if blocked_count:
-            stats.targets_blocked += blocked_count
         sent = 0
         neg = 0
         timeouts = 0
@@ -186,37 +196,19 @@ class Scanner:
                         timeouts += 1
             else:
                 timeouts += len(misses)
-        self.rate_limiter.account(sent)
-        stats.probes_sent += sent
-        if result.hits:
-            hit_type = affirmative_response(port)
-            stats.responses[hit_type] = stats.responses.get(hit_type, 0) + len(result.hits)
-        if neg:
-            neg_type = negative_response(port)
-            stats.responses[neg_type] = stats.responses.get(neg_type, 0) + neg
-        if timeouts:
-            stats.responses[ResponseType.TIMEOUT] = (
-                stats.responses.get(ResponseType.TIMEOUT, 0) + timeouts
-            )
-        stats.virtual_duration = self.rate_limiter.virtual_time - start_time
-        self.lifetime_stats.merge(stats)
-        tel = get_telemetry()
-        if tel.enabled:
-            tel.count("scan.calls")
-            tel.count("scan.probes", sent)
-            tel.count("scan.batches", len(groups))
-            if blocked_count:
-                tel.count("scan.blocked", blocked_count)
-            if result.hits:
-                tel.count(f"scan.hits.{port.value}", len(result.hits))
-            for group in groups.values():
-                tel.observe("scan.batch_addresses", len(group))
-        return result
+        return self._account(
+            result,
+            sent,
+            neg,
+            timeouts,
+            blocked_count,
+            lambda: [len(group) for group in groups.values()],
+        )
 
     def _scan_packed(self, packed: PackedAddresses, port: Port) -> ScanResult:
-        """Columnar :meth:`scan`: array kernels end to end.
+        """:meth:`scan` on the packed probe tables: array kernels end to end.
 
-        Reproduces the scalar path's hits, stats and telemetry exactly:
+        Reproduces the grouped path's hits, stats and telemetry exactly:
         the blocklist becomes a broadcast mask, the region lookup one
         ``searchsorted`` against the probe tables, negative-response
         noise a vectorized multiply-compare on the IID column, and the
@@ -224,8 +216,6 @@ class Scanner:
         order so golden traces stay byte-identical.
         """
         result = ScanResult(port=port)
-        stats = result.stats
-        start_time = self.rate_limiter.virtual_time
         prefix64 = packed.prefix64
         iid64 = packed.iid64
         blocked_count = 0
@@ -236,12 +226,10 @@ class Scanner:
                 keep = ~blocked
                 prefix64 = prefix64[keep]
                 iid64 = iid64[keep]
-                stats.targets_blocked += blocked_count
         sent = int(prefix64.shape[0])
         tables = self.internet.probe_tables()
         hit_mask, slots, exists = tables.hit_mask(prefix64, iid64, port, self.epoch)
         hit_rows = np.nonzero(hit_mask)[0]
-        hits = result.hits
         if hit_rows.shape[0]:
             hit_prefix = prefix64[hit_rows]
             hit_iid = iid64[hit_rows]
@@ -257,7 +245,7 @@ class Scanner:
                 keep[1:] |= hit_iid[1:] != hit_iid[:-1]
                 hit_prefix = hit_prefix[keep]
                 hit_iid = hit_iid[keep]
-            hits.update(
+            result.hits.update(
                 (prefix << 64) | iid
                 for prefix, iid in zip(hit_prefix.tolist(), hit_iid.tolist())
             )
@@ -271,36 +259,57 @@ class Scanner:
                 ) < np.uint64(0x4000000000000000)
                 neg = int((eligible & noise).sum())
         timeouts = sent - int(hit_rows.shape[0]) - neg
+        return self._account(
+            result,
+            sent,
+            neg,
+            timeouts,
+            blocked_count,
+            lambda: _first_seen_group_sizes(prefix64),
+        )
+
+    def _account(
+        self,
+        result: ScanResult,
+        sent: int,
+        neg: int,
+        timeouts: int,
+        blocked_count: int,
+        batch_sizes: Callable[[], list[int]],
+    ) -> ScanResult:
+        """Charge one finished batch scan to the rate limiter, its
+        :class:`ScanStats`, the lifetime stats and ``scan.*`` telemetry.
+
+        ``batch_sizes`` yields the per-/64 group sizes in first-seen
+        order; it runs only while telemetry is recording.
+        """
+        port = result.port
+        hits = len(result.hits)
+        stats = result.stats
+        stats.targets_blocked += blocked_count
+        start_time = self.rate_limiter.virtual_time
         self.rate_limiter.account(sent)
         stats.probes_sent += sent
-        if hits:
-            hit_type = affirmative_response(port)
-            stats.responses[hit_type] = stats.responses.get(hit_type, 0) + len(hits)
-        if neg:
-            neg_type = negative_response(port)
-            stats.responses[neg_type] = stats.responses.get(neg_type, 0) + neg
-        if timeouts:
-            stats.responses[ResponseType.TIMEOUT] = (
-                stats.responses.get(ResponseType.TIMEOUT, 0) + timeouts
-            )
+        for response, count in (
+            (affirmative_response(port), hits),
+            (negative_response(port), neg),
+            (ResponseType.TIMEOUT, timeouts),
+        ):
+            if count:
+                stats.responses[response] = stats.responses.get(response, 0) + count
         stats.virtual_duration = self.rate_limiter.virtual_time - start_time
         self.lifetime_stats.merge(stats)
         tel = get_telemetry()
         if tel.enabled:
+            sizes = batch_sizes()
             tel.count("scan.calls")
             tel.count("scan.probes", sent)
-            # Rebuild the scalar path's per-/64 groups in first-seen
-            # order; only paid when telemetry is recording.
-            _, first_index, counts = np.unique(
-                prefix64, return_index=True, return_counts=True
-            )
-            order = np.argsort(first_index, kind="stable")
-            tel.count("scan.batches", int(first_index.shape[0]))
+            tel.count("scan.batches", len(sizes))
             if blocked_count:
                 tel.count("scan.blocked", blocked_count)
             if hits:
-                tel.count(f"scan.hits.{port.value}", len(hits))
-            for size in counts[order].tolist():
+                tel.count(f"scan.hits.{port.value}", hits)
+            for size in sizes:
                 tel.observe("scan.batch_addresses", size)
         return result
 

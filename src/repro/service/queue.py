@@ -14,7 +14,9 @@ submission:
    run through :func:`~repro.experiments.run_grid` under the service's
    :class:`~repro.experiments.ExecutionPolicy`.  Completed cells stream
    into the per-digest RunStore as they finish, so a partial store
-   primes (rather than restarts) the next identical submission.
+   primes (rather than restarts) the next identical submission.  A grid
+   that gives up on some cells fails the job with the structured error
+   code ``partial_results``, listing each failed cell.
 
 Workers are threads: the simulation releases the GIL in its numpy core
 and studies for *different* worlds run concurrently; per-run telemetry
@@ -334,6 +336,8 @@ class StudyQueue:
             study = spec.build_study()
             grid = spec.grid_spec(study)
 
+            store = self._open_store(job, study)
+
             def progress(done: int, total: int, run) -> None:
                 job.events.append(
                     {
@@ -345,8 +349,11 @@ class StudyQueue:
                         "hits": run.metrics.hits,
                     }
                 )
+                if store is not None:
+                    key = (run.tga_name, run.dataset_name, run.port, run.budget)
+                    if key not in store:
+                        store.append(key, run)
 
-            store = self._open_store(job, study)
             try:
                 if store is not None:
                     # Partial checkpoint: prime the run cache so only
@@ -355,19 +362,24 @@ class StudyQueue:
                         study._run_cache[key] = result
                 with use_telemetry(telemetry):
                     results = run_grid(study, grid, progress, policy=self.policy)
-                keys = self._grid_keys(spec)
-                rows = []
-                for key in keys:
-                    run = results.runs[key[:3]]
-                    rows.append(result_to_dict(run))
-                    if store is not None and key not in store:
-                        store.append(
-                            key, run, wall_s=results.wall_seconds.get(key[:3])
-                        )
-                job.rows = rows
             finally:
                 if store is not None:
                     store.close()
+            if results.failed_cells:
+                raise ReproError(
+                    f"{len(results.failed_cells)} of {spec.size} cells failed; "
+                    "the completed cells are saved for the next submission",
+                    code="partial_results",
+                    detail={
+                        "failed": [
+                            failure.describe() for failure in results.failed_cells
+                        ]
+                    },
+                )
+            job.rows = [
+                result_to_dict(results.runs[key[:3]])
+                for key in self._grid_keys(spec)
+            ]
             job.state = "done"
             job.events.append(
                 {"type": "study", "id": job.id, "state": "done",

@@ -2,11 +2,12 @@
 
 Usage::
 
+    from repro.experiments import ExecutionPolicy, run_grid
     from repro.telemetry import Telemetry, JsonlSink, use_telemetry
 
     tel = Telemetry(sinks=[JsonlSink("trace.jsonl")])
     with use_telemetry(tel):
-        run_grid(study, spec, workers=2)
+        run_grid(study, spec, policy=ExecutionPolicy(workers=2))
     tel.close()
 
 Everything the subsystem records — counters, histograms, span virtual

@@ -24,9 +24,11 @@ from repro.api import (
 )
 from repro.errors import InvalidSpecError, NotFoundError
 from repro.scanner.ratelimit import TokenBucket
+from repro.experiments import ExecutionPolicy, FaultPlan, FaultRule, RunStore
 from repro.service import (
     ObservatoryService,
     ServiceConfig,
+    StudyQueue,
     TenantPolicy,
     TenantRegistry,
 )
@@ -184,6 +186,37 @@ class TestEndToEnd:
         )
         with pytest.raises(ShuttingDownError):
             harness.service.queue.submit(small_spec(budget=301), "anyone")
+
+
+class TestPartialGrid:
+    def test_failed_cell_fails_the_job_and_keeps_completed_cells(self, tmp_path):
+        """A grid that gives up on a cell fails with a structured code,
+        and every cell that did complete is already in the store."""
+        state_dir = tmp_path / "state"
+        queue = StudyQueue(
+            state_dir=state_dir,
+            workers=1,
+            policy=ExecutionPolicy(
+                fault_plan=FaultPlan(rules=(FaultRule("exception", tga="6gen"),)),
+                max_retries=0,
+            ),
+        )
+        spec = StudySpec(
+            scale="tiny", budget=300, tgas=("6tree", "6gen", "eip"), ports=("icmp",)
+        )
+        try:
+            job, created = queue.submit(spec, "anyone")
+        finally:
+            queue.shutdown(wait=True)
+        assert created
+        assert job.state == "failed"
+        error = job.error["error"]
+        assert error["code"] == "partial_results"
+        assert len(error["detail"]["failed"]) == 1
+        assert error["detail"]["failed"][0].startswith("6gen × all-active × icmp")
+        store = RunStore(state_dir / (spec.digest.split(":", 1)[1] + ".jsonl"))
+        store.load()
+        assert sorted(tga for tga, _, _, _ in store.keys()) == ["6tree", "eip"]
 
 
 class TestRejections:

@@ -16,7 +16,6 @@ from dataclasses import replace
 import pytest
 
 from repro.addr.rand import hash64
-from repro.addr.vector import use_vectorized
 from repro.internet import InternetConfig, SimulatedInternet, topology
 from repro.internet.ports import ALL_PORTS, Port
 from repro.internet.regions import COLLECTION_EPOCH, SCAN_EPOCH
@@ -391,7 +390,6 @@ class TestBatchResolution:
             assert got.stats.responses == want.stats.responses
             materialized = squeezed.lazy_stats()["materialized_ases"] - before
             assert materialized == len(ranks - resident)
-            assert squeezed.probe_batch(targets, Port.ICMP) == want.hits
 
     @pytest.mark.parametrize("seed", SWEEP_SEEDS)
     def test_batch_attribution_matches_per_address(self, seed, monkeypatch):
@@ -454,24 +452,26 @@ class TestProbeEquivalence:
             targets.extend(group)
             expected |= region.respond_batch(group, Port.ICMP, epoch)
         targets.extend(rng.getrandbits(128) for _ in range(64))  # unallocated
-        assert internet.probe_batch(targets, Port.ICMP, epoch) == expected
+        assert Scanner(internet, epoch=epoch).scan(targets, Port.ICMP).hits == expected
 
     def test_vector_and_scalar_paths_agree_on_lazy_world(self):
+        """The packed tables and the grouped path of a capped twin agree."""
         config = micro_config(3)
         rng = random.Random(3)
-        vec = SimulatedInternet(config)
+        packed = SimulatedInternet(config)
         targets = [
             region.address_of(rng.getrandbits(12))
-            for region in vec.iter_regions()
+            for region in packed.iter_regions()
             for _ in range(3)
         ]
-        with use_vectorized(False):
-            scalar = SimulatedInternet(config)
-            scalar_hits = {
-                port: scalar.probe_batch(targets, port) for port in ALL_PORTS
-            }
+        capped = replace(config, max_resident_ases=config.num_ases + 1)
+        grouped = SimulatedInternet(capped)
         for port in ALL_PORTS:
-            assert vec.probe_batch(targets, port) == scalar_hits[port]
+            want = {address for address in targets if packed.probe(address, port)}
+            assert Scanner(packed).scan(targets, port).hits == want
+            assert Scanner(grouped).scan(targets, port).hits == want
+        assert packed._probe_tables is not None
+        assert grouped._probe_tables is None
 
     def test_eviction_pressure_does_not_change_probes(self):
         """Grouped probing under a 2-AS LRU ≡ probing the pinned world.
@@ -494,9 +494,9 @@ class TestProbeEquivalence:
         shuffled = targets[:]
         rng.shuffle(shuffled)
         for port in (Port.ICMP, Port.TCP443):
-            want = pinned.probe_batch(targets, port)
-            assert squeezed.probe_batch(shuffled, port) == want
-            assert squeezed.probe_batch(targets, port) == want
+            want = Scanner(pinned).scan(targets, port).hits
+            assert Scanner(squeezed).scan(shuffled, port).hits == want
+            assert Scanner(squeezed).scan(targets, port).hits == want
         assert squeezed.topology.evicted_ases > 0
 
 
@@ -523,10 +523,6 @@ class TestResidencyCap:
         got = Scanner(capped).scan(targets, Port.ICMP)
         assert got.hits == want.hits
         assert got.stats.responses == want.stats.responses
-        assert not capped.topology.pinned
-        assert capped.topology.resident_ases <= 4
-
-        assert capped.probe_batch(targets, Port.ICMP) == want.hits
         assert not capped.topology.pinned
         assert capped.topology.resident_ases <= 4
 
@@ -603,7 +599,7 @@ class TestMemoryBudget:
         for rank in rng.sample(range(config.num_ases), 64):
             net64 = slash32_for_rank(config, rank) >> 64
             targets.extend((net64 << 64) | rng.getrandbits(16) for _ in range(4))
-        hits = internet.probe_batch(targets, Port.ICMP)
+        hits = Scanner(internet).scan(targets, Port.ICMP).hits
         assert hits <= set(targets)
         assert not internet.topology.pinned
         assert internet.lazy_stats()["resident_ases"] <= config.max_resident_ases

@@ -1,11 +1,17 @@
-"""Scalar ≡ vectorized bit-identity contract.
+"""Bit-identity of every probe formulation and batch kernel.
 
-Every batch kernel in the vectorized core must reproduce its scalar
-reference element for element — not approximately, not statistically:
-the same bits.  These tests sweep the kernels, the probe chain (across
-firewalled / retired / aliased-with-retries / churned regions), the
-IID generators, the TGA histogram paths and a full experiment grid
-with the core forced on and off.
+Every batch kernel must reproduce its scalar definition element for
+element — not approximately, not statistically: the same bits.  The
+scanner picks its formulation from what it observes, so each one is
+pinned here through its input: the packed probe tables on an uncapped
+world, the /64-grouped path on the same world's capped twin (a
+resident-AS cap that evicts nothing), and per-address
+:meth:`SimulatedInternet.probe` as the scalar reference.  The sweep
+covers the kernels, the region respond chain (firewalled / retired /
+aliased-with-retries / churned regions, on both sides of each batch
+threshold), IID generation, scan stats and telemetry, and a full
+experiment grid.  Formulations that no longer exist in the library
+live here as small scalar oracles.
 """
 
 from __future__ import annotations
@@ -13,6 +19,7 @@ from __future__ import annotations
 import math
 import random
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,34 +30,50 @@ from repro.addr import (
     Prefix,
     coin,
     coin_batch,
-    common_prefix_len,
-    common_prefix_len_matrix,
-    first_seen_values,
     get_nybble,
     hash64,
     hash64_batch,
     mix64,
     mix64_batch,
-    nybble_counts,
-    nybble_counts_matrix,
-    to_nybble_matrix,
     to_nybbles,
     uniform,
     uniform_batch,
-    use_vectorized,
-    vector_enabled,
 )
+from repro.addr.nybbles import nybble_matrix_from_bytes
 from repro.internet import ALL_PORTS, InternetConfig, Port, SimulatedInternet
-from repro.internet.patterns import PatternKind, _build_iids
+from repro.internet.patterns import (
+    _SALT_EUI,
+    _SALT_LOW,
+    _SALT_RANDOM,
+    _SALT_WORDY,
+    COMMON_OUIS,
+    IID_VOCABULARY,
+    PatternKind,
+    generate_iids,
+)
 from repro.internet.ports import PortProfile
-from repro.internet.regions import Region, RegionRole
+from repro.internet.regions import (
+    _SALT_CHURN,
+    _SALT_PORT,
+    SCAN_EPOCH,
+    Region,
+    RegionRole,
+)
 from repro.scanner import Blocklist, Scanner
+from repro.tga.spacetree import seed_bytes
 
 _MASK64 = 0xFFFF_FFFF_FFFF_FFFF
 
 
 def _rng(salt: int = 0) -> random.Random:
     return random.Random(0xC0FFEE ^ salt)
+
+
+def _capped_twin(config: InternetConfig) -> InternetConfig:
+    """``config`` with a resident-AS cap that holds every AS (the mega
+    ISP included): nothing is evicted, but the world never builds the
+    packed probe tables, so every scan takes the /64-grouped path."""
+    return replace(config, max_resident_ases=config.num_ases + 1)
 
 
 # -- randomness kernels ------------------------------------------------------
@@ -130,43 +153,11 @@ class TestNybbleKernels:
 
     def test_to_nybble_matrix_row_for_row(self):
         addresses = self._addresses()
-        packed = PackedAddresses.from_addresses(addresses)
-        matrix = to_nybble_matrix(packed.prefix64, packed.iid64)
+        data = np.frombuffer(seed_bytes(addresses), dtype=np.uint8)
+        matrix = nybble_matrix_from_bytes(data.reshape(-1, 16))
         assert matrix.shape == (len(addresses), ADDRESS_NYBBLES)
         for row, address in zip(matrix.tolist(), addresses):
             assert row == to_nybbles(address)
-
-    def test_nybble_counts_matrix_matches_scalar(self):
-        addresses = self._addresses()
-        packed = PackedAddresses.from_addresses(addresses)
-        counts = nybble_counts_matrix(to_nybble_matrix(packed.prefix64, packed.iid64))
-        for index in range(ADDRESS_NYBBLES):
-            assert counts[index].tolist() == nybble_counts(addresses, index)
-
-    def test_common_prefix_len_matrix(self):
-        a = 0x20010DB8_00000000_00000000_00000001
-        b = 0x20010DB8_00000000_00000000_0000FFFF
-        packed = PackedAddresses.from_addresses([a, b])
-        matrix = to_nybble_matrix(packed.prefix64, packed.iid64)
-        assert common_prefix_len_matrix(matrix) == common_prefix_len(a, b)
-        same = PackedAddresses.from_addresses([a, a, a])
-        assert (
-            common_prefix_len_matrix(to_nybble_matrix(same.prefix64, same.iid64))
-            == ADDRESS_NYBBLES
-        )
-        single = PackedAddresses.from_addresses([a])
-        assert (
-            common_prefix_len_matrix(to_nybble_matrix(single.prefix64, single.iid64))
-            == ADDRESS_NYBBLES
-        )
-
-    def test_first_seen_values_matches_counter_order(self):
-        from collections import Counter
-
-        rng = _rng(9)
-        column = np.array([rng.randrange(16) for _ in range(300)], dtype=np.uint8)
-        expected = list(Counter(column.tolist()).keys())
-        assert first_seen_values(column).tolist() == expected
 
 
 # -- packed addresses --------------------------------------------------------
@@ -181,18 +172,50 @@ class TestPackedAddresses:
         assert packed.to_addresses() == addresses
         assert list(packed) == addresses
 
-    def test_scalar_paths_accept_packed_input(self, internet):
-        # Iteration yields plain ints, so the scalar scan path works.
+    def test_scalar_paths_accept_packed_input(self, internet, tiny_config):
+        # Iteration yields plain ints, so the grouped scan path of a
+        # capped world takes packed input too.
         targets = [region.address_of(1) for region in internet.regions[:80]]
         packed = PackedAddresses.from_addresses(targets)
-        with use_vectorized(False):
-            scanner = Scanner(internet)
-            assert scanner.scan(packed, Port.ICMP).hits == scanner.scan(
-                list(targets), Port.ICMP
-            ).hits
+        scanner = Scanner(SimulatedInternet(_capped_twin(tiny_config)))
+        grouped = scanner.scan(packed, Port.ICMP).hits
+        assert grouped == scanner.scan(list(targets), Port.ICMP).hits
+        assert grouped == Scanner(internet).scan(packed, Port.ICMP).hits
+        assert grouped == {a for a in targets if internet.probe(a, Port.ICMP)}
 
 
 # -- IID generation ----------------------------------------------------------
+
+
+def _scalar_iids(kind: PatternKind, count: int, salt: int) -> frozenset[int]:
+    """Scalar oracle of :func:`generate_iids`: one ``hash64`` per IID."""
+    if count <= 0:
+        return frozenset()
+    if kind is PatternKind.LOW:
+        start = (1, 1, 1, 0x10, 0x100)[hash64(salt, _SALT_LOW) % 5]
+        return frozenset(range(start, start + count))
+    if kind is PatternKind.WORDY:
+        picked: set[int] = set()
+        index = 0
+        while len(picked) < min(count, len(IID_VOCABULARY)):
+            picked.add(
+                IID_VOCABULARY[hash64(salt, _SALT_WORDY, index) % len(IID_VOCABULARY)]
+            )
+            index += 1
+            if index > 16 * len(IID_VOCABULARY):
+                break
+        return frozenset(picked)
+    if kind is PatternKind.EUI64:
+        # OUI with the universal/local bit flipped, 0xFFFE, 24-bit NIC.
+        oui = COMMON_OUIS[hash64(salt, _SALT_EUI) % len(COMMON_OUIS)]
+        base = hash64(salt, _SALT_EUI, 1) & 0xFF_F000
+        return frozenset(
+            ((oui ^ 0x020000) << 40)
+            | (0xFF_FE << 24)
+            | ((base + (hash64(salt, _SALT_EUI, 2, i) & 0xFFF)) & 0xFF_FFFF)
+            for i in range(count)
+        )
+    return frozenset(hash64(salt, _SALT_RANDOM, i) for i in range(count))
 
 
 class TestGenerateIIDsParity:
@@ -200,8 +223,8 @@ class TestGenerateIIDsParity:
     def test_build_iids_identical_across_paths(self, kind):
         for count in (0, 1, 7, 64, 300):
             for salt in (1, 99, 0xDEADBEEF, 2**63 + 17):
-                assert _build_iids(kind, count, salt, False) == _build_iids(
-                    kind, count, salt, True
+                assert generate_iids.__wrapped__(kind, count, salt) == _scalar_iids(
+                    kind, count, salt
                 ), (kind, count, salt)
 
 
@@ -215,6 +238,9 @@ def _region_variants() -> list[Region]:
         dict(firewalled=True),
         dict(retired=True),
         dict(churn_rate=0.4),
+        # Under 8 active IIDs: the responsive set is built one IID at
+        # a time.
+        dict(churn_rate=0.4, density=5),
         dict(aliased=True, alias_response_prob=0.35),
         dict(aliased=True, alias_response_prob=1.0),
         dict(aliased=True, alias_response_prob=0.0),
@@ -225,10 +251,9 @@ def _region_variants() -> list[Region]:
             asn=64500,
             role=RegionRole.SERVER,
             pattern=PatternKind.RANDOM,
-            density=150,
             profile=profile,
             salt=9000 + index,
-            **kwargs,
+            **{"density": 150, **kwargs},
         )
         for index, kwargs in enumerate(variants)
     ]
@@ -252,40 +277,68 @@ def _fresh(region: Region) -> Region:
     return Region(**{name: getattr(region, name) for name in fields})
 
 
+def _scalar_responsive(region: Region, port: Port, epoch: int) -> frozenset[int]:
+    """Scalar oracle of :meth:`Region.responsive_iids`: per-IID churn
+    coins (compounding across epochs) and port-service coins."""
+    if region.firewalled or (region.retired and epoch >= SCAN_EPOCH):
+        return frozenset()
+    probability = region.profile.probability(port)
+    survivors = set()
+    for iid in region.active_iids():
+        if epoch >= SCAN_EPOCH and (
+            coin(region.churn_rate, region.salt, _SALT_CHURN, iid)
+            or any(
+                coin(region.churn_rate, region.salt, _SALT_CHURN, later, iid)
+                for later in range(SCAN_EPOCH + 1, epoch + 1)
+            )
+        ):
+            continue
+        if coin(probability, region.salt, _SALT_PORT, port.index, iid):
+            survivors.add(iid)
+    return frozenset(survivors)
+
+
 class TestRegionRespondParity:
     @pytest.mark.parametrize("epoch", [0, 1, 3])
     @pytest.mark.parametrize("attempt", [0, 2])
     def test_respond_batch_sweep(self, epoch, attempt):
+        """One batch of 64+ addresses (the array kernel) and chunks of
+        fewer (the set-membership loop) both equal per-address
+        :meth:`Region.responds`."""
         rng = _rng(11)
         for region in _region_variants():
             pool = [region.address_of(iid) for iid in sorted(region.active_iids())]
             pool += [region.address_of(rng.getrandbits(64)) for _ in range(150)]
             rng.shuffle(pool)
             for port in (Port.ICMP, Port.TCP80, Port.UDP53):
-                scalar_region = _fresh(region)
-                vector_region = _fresh(region)
-                with use_vectorized(False):
-                    scalar = scalar_region.respond_batch(pool, port, epoch, attempt)
-                    singles = {
-                        address
-                        for address in pool
-                        if scalar_region.responds(address, port, epoch, attempt)
-                    }
-                with use_vectorized(True):
-                    vector = vector_region.respond_batch(pool, port, epoch, attempt)
-                assert scalar == singles
-                assert scalar == vector, (region.net64, port, epoch, attempt)
+                single_region = _fresh(region)
+                singles = {
+                    address
+                    for address in pool
+                    if single_region.responds(address, port, epoch, attempt)
+                }
+                whole = _fresh(region).respond_batch(pool, port, epoch, attempt)
+                chunked_region = _fresh(region)
+                chunked = set().union(
+                    *(
+                        chunked_region.respond_batch(
+                            pool[start : start + 40], port, epoch, attempt
+                        )
+                        for start in range(0, len(pool), 40)
+                    )
+                )
+                assert whole == singles, (region.net64, port, epoch, attempt)
+                assert chunked == singles, (region.net64, port, epoch, attempt)
 
     def test_responsive_iids_vector_build_matches(self):
         for region in _region_variants():
             if region.aliased:
                 continue
             for epoch in (0, 1, 2):
-                with use_vectorized(False):
-                    scalar = _fresh(region).responsive_iids(Port.ICMP, epoch)
-                with use_vectorized(True):
-                    vector = _fresh(region).responsive_iids(Port.ICMP, epoch)
-                assert scalar == vector
+                for port in (Port.ICMP, Port.TCP80, Port.UDP53):
+                    assert _fresh(region).responsive_iids(
+                        port, epoch
+                    ) == _scalar_responsive(region, port, epoch), (region, epoch)
 
 
 # -- blocklist ---------------------------------------------------------------
@@ -314,6 +367,18 @@ class TestBlocklistMask:
 # -- probe chain end to end --------------------------------------------------
 
 
+def _scan_figures(snapshot: dict) -> dict:
+    """The ``scan.*`` counters and histograms of a telemetry snapshot."""
+    return {
+        kind: {
+            name: value
+            for name, value in snapshot[kind].items()
+            if name.startswith("scan.")
+        }
+        for kind in ("counters", "histograms")
+    }
+
+
 class TestProbeChainParity:
     def _pool(self, internet, rng, size=4000):
         pool = []
@@ -332,65 +397,82 @@ class TestProbeChainParity:
 
     def test_probe_batch_matches_scalar_and_probe(self, tiny_config):
         rng = _rng(13)
-        with use_vectorized(False):
-            scalar_net = SimulatedInternet(tiny_config)
-            pool = self._pool(scalar_net, rng)
-            scalar = scalar_net.probe_batch(pool, Port.ICMP)
-            singles = {a for a in pool if scalar_net.probe(a, Port.ICMP)}
-        with use_vectorized(True):
-            vector_net = SimulatedInternet(tiny_config)
-            vector = vector_net.probe_batch(pool, Port.ICMP)
-            packed = vector_net.probe_batch(
-                PackedAddresses.from_addresses(pool), Port.ICMP
-            )
-        assert scalar == singles
-        assert scalar == vector == packed
+        reference = SimulatedInternet(tiny_config)
+        pool = self._pool(reference, rng)
+        singles = {a for a in pool if reference.probe(a, Port.ICMP)}
+        capped = SimulatedInternet(_capped_twin(tiny_config))
+        grouped = Scanner(capped).scan(pool, Port.ICMP).hits
+        scanner = Scanner(SimulatedInternet(tiny_config))
+        packed = scanner.scan(pool, Port.ICMP).hits
+        packed_input = scanner.scan(
+            PackedAddresses.from_addresses(pool), Port.ICMP
+        ).hits
+        assert capped._probe_tables is None
+        assert scanner.internet._probe_tables is not None
+        assert grouped == singles
+        assert packed == packed_input == singles
 
     @pytest.mark.parametrize("classify_negative", [True, False])
     def test_scan_results_and_stats_identical(self, tiny_config, classify_negative):
         rng = _rng(14)
+        reference = SimulatedInternet(tiny_config)
         blocklist = Blocklist()
-        with use_vectorized(False):
-            scalar_net = SimulatedInternet(tiny_config)
-            blocklist.add(scalar_net.regions[3].prefix)
-            blocklist.add(Prefix(scalar_net.regions[11].net64 << 64, 80))
-            pool = self._pool(scalar_net, rng)
-            scalar_scanner = Scanner(
-                scalar_net, blocklist=blocklist, classify_negative=classify_negative
-            )
-            scalar = scalar_scanner.scan(list(pool), Port.ICMP)
-        with use_vectorized(True):
-            vector_net = SimulatedInternet(tiny_config)
-            vector_scanner = Scanner(
-                vector_net, blocklist=blocklist, classify_negative=classify_negative
-            )
-            vector = vector_scanner.scan(list(pool), Port.ICMP)
-            packed = Scanner(
-                vector_net, blocklist=blocklist, classify_negative=classify_negative
-            ).scan(PackedAddresses.from_addresses(pool), Port.ICMP)
-        for other in (vector, packed):
-            assert scalar.hits == other.hits
-            assert scalar.stats.responses == other.stats.responses
-            assert scalar.stats.probes_sent == other.stats.probes_sent
-            assert scalar.stats.targets_blocked == other.stats.targets_blocked
-            assert scalar.stats.virtual_duration == other.stats.virtual_duration
+        blocklist.add(reference.regions[3].prefix)
+        blocklist.add(Prefix(reference.regions[11].net64 << 64, 80))
+        pool = self._pool(reference, rng)
 
-    def test_scan_telemetry_snapshot_identical(self, tiny_config):
+        def scan(config, targets):
+            scanner = Scanner(
+                SimulatedInternet(config),
+                blocklist=blocklist,
+                classify_negative=classify_negative,
+            )
+            return scanner.scan(targets, Port.ICMP)
+
+        grouped = scan(_capped_twin(tiny_config), list(pool))
+        packed = scan(tiny_config, list(pool))
+        packed_input = scan(tiny_config, PackedAddresses.from_addresses(pool))
+        assert grouped.stats.targets_blocked > 0
+        for other in (packed, packed_input):
+            assert grouped.hits == other.hits
+            assert grouped.stats.responses == other.stats.responses
+            assert grouped.stats.probes_sent == other.stats.probes_sent
+            assert grouped.stats.targets_blocked == other.stats.targets_blocked
+            assert grouped.stats.virtual_duration == other.stats.virtual_duration
+
+    @staticmethod
+    def _traced_scans(config, pool, ports):
         from repro.telemetry import MemorySink, Telemetry, use_telemetry
 
-        rng = _rng(15)
+        telemetry = Telemetry([MemorySink()])
+        with use_telemetry(telemetry):
+            scanner = Scanner(SimulatedInternet(config))
+            results = [scanner.scan(list(pool), port) for port in ports]
+        return results, _scan_figures(telemetry.snapshot())
 
-        def run(vectorized: bool):
-            telemetry = Telemetry([MemorySink()])
-            with use_vectorized(vectorized), use_telemetry(telemetry):
-                net = SimulatedInternet(tiny_config)
-                scanner = Scanner(net)
-                pool = self._pool(net, rng=_rng(15))
-                for port in ALL_PORTS:
-                    scanner.scan(list(pool), port)
-                return telemetry.snapshot()
+    def test_scan_telemetry_snapshot_identical(self, tiny_config):
+        pool = self._pool(SimulatedInternet(tiny_config), _rng(15))
+        _, grouped = self._traced_scans(_capped_twin(tiny_config), pool, ALL_PORTS)
+        _, packed = self._traced_scans(tiny_config, pool, ALL_PORTS)
+        assert grouped["counters"]["scan.calls"] == len(ALL_PORTS)
+        assert grouped == packed
 
-        assert run(False) == run(True)
+    def test_hit_heavy_batch_matches_grouped(self, tiny_config):
+        """Over 65,536 hit rows: the packed path dedupes hits in numpy."""
+        rng = _rng(17)
+        responsive = list(SimulatedInternet(tiny_config).iter_responsive(Port.ICMP))
+        pool = [responsive[rng.randrange(len(responsive))] for _ in range(70_000)]
+        pool += [rng.getrandbits(128) for _ in range(2_000)]
+        rng.shuffle(pool)
+        (grouped,), grouped_tel = self._traced_scans(
+            _capped_twin(tiny_config), pool, [Port.ICMP]
+        )
+        (packed,), packed_tel = self._traced_scans(tiny_config, pool, [Port.ICMP])
+        assert sum(1 for address in pool if address in packed.hits) > 65_536
+        assert packed.hits == grouped.hits
+        assert packed.stats.responses == grouped.stats.responses
+        assert packed.stats.probes_sent == grouped.stats.probes_sent
+        assert packed_tel == grouped_tel
 
 
 # -- full grid ---------------------------------------------------------------
@@ -398,42 +480,34 @@ class TestProbeChainParity:
 
 class TestGridParity:
     def test_small_grid_identical_vector_on_off(self, tiny_config):
-        from repro.experiments import ExecutionPolicy, GridSpec, Study, run_grid
+        """The grid on the capped twin (every scan grouped) equals the
+        grid on the uncapped world (large scans on the packed tables)."""
+        from repro.experiments import GridSpec, Study, run_grid
 
-        def run(vectorized: bool):
-            with use_vectorized(vectorized):
-                study = Study(
-                    internet=SimulatedInternet(tiny_config),
-                    budget=600,
-                    round_size=200,
-                )
-                spec = GridSpec(
-                    datasets=(study.constructions.all_active,),
-                    tga_names=("det", "eip"),
-                    ports=(Port.ICMP,),
-                )
-                return run_grid(study, spec)
+        def run(config):
+            study = Study(
+                internet=SimulatedInternet(config),
+                budget=600,
+                round_size=200,
+            )
+            spec = GridSpec(
+                datasets=(study.constructions.all_active,),
+                tga_names=("det", "eip"),
+                ports=(Port.ICMP,),
+            )
+            return run_grid(study, spec)
 
-        scalar = run(False)
-        vector = run(True)
-        assert scalar.runs.keys() == vector.runs.keys()
-        for key in scalar.runs:
-            a, b = scalar.runs[key], vector.runs[key]
+        grouped = run(_capped_twin(tiny_config))
+        packed = run(tiny_config)
+        assert grouped.runs.keys() == packed.runs.keys()
+        for key in grouped.runs:
+            a, b = grouped.runs[key], packed.runs[key]
             assert a.clean_hits == b.clean_hits, key
             assert a.aliased_hits == b.aliased_hits, key
             assert a.generated == b.generated, key
             assert a.probes_sent == b.probes_sent, key
             assert a.metrics == b.metrics, key
             assert a.round_history == b.round_history, key
-
-    def test_vector_enabled_reflects_policy_scope(self):
-        baseline = vector_enabled()
-        with use_vectorized(False):
-            assert not vector_enabled()
-            with use_vectorized(True):
-                assert vector_enabled()
-            assert not vector_enabled()
-        assert vector_enabled() == baseline
 
 
 # -- TGA histogram routing ---------------------------------------------------
@@ -475,16 +549,3 @@ class TestTgaParity:
         seeds = self._seeds()
         expected = [_nybble_entropy(seeds, dim) for dim in range(ADDRESS_NYBBLES)]
         assert _entropy_profile(seeds) == expected
-
-    @pytest.mark.parametrize("strategy", ["leftmost", "entropy"])
-    def test_space_tree_structurally_identical(self, strategy):
-        from repro.tga.spacetree import SpaceTree
-
-        seeds = self._seeds()
-        with use_vectorized(False):
-            scalar_tree = SpaceTree(list(seeds), strategy=strategy)
-        with use_vectorized(True):
-            vector_tree = SpaceTree(list(seeds), strategy=strategy)
-        assert len(scalar_tree.leaves) == len(vector_tree.leaves)
-        for a, b in zip(scalar_tree.leaves, vector_tree.leaves):
-            assert a.__dict__ == b.__dict__
