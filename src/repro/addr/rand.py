@@ -197,7 +197,8 @@ class DeterministicStream:
 
     Draw ``k`` is ``mix64(s0 + k * GOLDEN)`` for the seeded state ``s0``
     (a splitmix64 sequence); the stream computes them ``_BLOCK`` at a time
-    with :func:`mix64_batch` and hands them out one by one.
+    with :func:`mix64_batch` and hands them out one by one, or as an
+    array through :meth:`take`.
     """
 
     __slots__ = ("_state", "_block", "_pos")
@@ -219,6 +220,29 @@ class DeterministicStream:
             pos = 0
         self._pos = pos + 1
         return block[pos]
+
+    def take(self, n: int):
+        """The next ``n`` draws as a uint64 array.
+
+        Same values as ``n`` calls to :meth:`next64`, and the stream is
+        left where those calls would leave it: the rest of the current
+        block first, then whole new blocks, whose unused tail becomes
+        the current block.
+        """
+        pos = self._pos
+        head = self._block[pos : pos + n]
+        self._pos = pos + len(head)
+        rest = n - len(head)
+        if not rest:
+            return np.array(head, dtype=np.uint64)
+        blocks = -(-rest // _BLOCK)
+        steps = np.arange(1, blocks * _BLOCK + 1, dtype=np.uint64) * _GOLDEN_U64
+        draws = mix64_batch(steps + np.uint64(self._state))
+        self._state = (self._state + blocks * _BLOCK * _GOLDEN) & _MASK64
+        last = (blocks - 1) * _BLOCK
+        self._block = draws[last:].tolist()
+        self._pos = rest - last
+        return np.concatenate((np.array(head, dtype=np.uint64), draws[:rest]))
 
     def next_uniform(self) -> float:
         """Next uniform float in [0, 1)."""

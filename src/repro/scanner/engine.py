@@ -170,6 +170,7 @@ class Scanner:
             else:
                 group.append(address)
         sent = 0
+        affirmative = 0
         neg = 0
         timeouts = 0
         hits = result.hits
@@ -184,6 +185,7 @@ class Scanner:
             if responders:
                 hits |= responders
                 misses = [a for a in group if a not in responders]
+                affirmative += len(group) - len(misses)
             else:
                 misses = group
             if not misses:
@@ -199,6 +201,7 @@ class Scanner:
         return self._account(
             result,
             sent,
+            affirmative,
             neg,
             timeouts,
             blocked_count,
@@ -258,10 +261,12 @@ class Scanner:
                     (iid64 ^ np.uint64(port.index)) * np.uint64(_NOISE_MULT)
                 ) < np.uint64(0x4000000000000000)
                 neg = int((eligible & noise).sum())
-        timeouts = sent - int(hit_rows.shape[0]) - neg
+        affirmative = int(hit_rows.shape[0])
+        timeouts = sent - affirmative - neg
         return self._account(
             result,
             sent,
+            affirmative,
             neg,
             timeouts,
             blocked_count,
@@ -272,6 +277,7 @@ class Scanner:
         self,
         result: ScanResult,
         sent: int,
+        affirmative: int,
         neg: int,
         timeouts: int,
         blocked_count: int,
@@ -280,18 +286,20 @@ class Scanner:
         """Charge one finished batch scan to the rate limiter, its
         :class:`ScanStats`, the lifetime stats and ``scan.*`` telemetry.
 
-        ``batch_sizes`` yields the per-/64 group sizes in first-seen
-        order; it runs only while telemetry is recording.
+        ``affirmative`` counts the probes answered affirmatively, so a
+        responsive address listed twice is charged twice, as two
+        :meth:`probe` calls would be.  ``batch_sizes`` yields the per-/64
+        group sizes in first-seen order; it runs only while telemetry is
+        recording.
         """
         port = result.port
-        hits = len(result.hits)
         stats = result.stats
         stats.targets_blocked += blocked_count
         start_time = self.rate_limiter.virtual_time
         self.rate_limiter.account(sent)
         stats.probes_sent += sent
         for response, count in (
-            (affirmative_response(port), hits),
+            (affirmative_response(port), affirmative),
             (negative_response(port), neg),
             (ResponseType.TIMEOUT, timeouts),
         ):
@@ -307,8 +315,8 @@ class Scanner:
             tel.count("scan.batches", len(sizes))
             if blocked_count:
                 tel.count("scan.blocked", blocked_count)
-            if hits:
-                tel.count(f"scan.hits.{port.value}", hits)
+            if affirmative:
+                tel.count(f"scan.hits.{port.value}", affirmative)
             for size in sizes:
                 tel.observe("scan.batch_addresses", size)
         return result

@@ -15,7 +15,9 @@ faithfully rather than improving it.
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
+from typing import NamedTuple
 
 from ..addr import ADDRESS_NYBBLES
 from ..addr.rand import DeterministicStream
@@ -29,6 +31,10 @@ __all__ = ["EntropyIP"]
 _ENTROPY_STEP = 0.30  # segment boundary when entropy jumps by this much
 _TOP_VALUES = 24       # values kept per segment
 _MAX_ATTEMPT_FACTOR = 24
+#: Attempts sampled per array pass at most: a pass holds one uint64 draw
+#: per attempt and segment, so this bounds its memory for huge rounds.
+_PASS_ATTEMPTS = 1 << 14
+_MASK64 = (1 << 64) - 1
 
 
 def _entropy_profile(seeds: list[int]) -> list[float]:
@@ -51,6 +57,58 @@ def segment_boundaries(entropies: list[float], step: float = _ENTROPY_STEP) -> l
     return boundaries
 
 
+class _SegmentTables(NamedTuple):
+    """One segment's option tables, flattened for array sampling.
+
+    Table 0 is the segment's marginal, table ``k`` its ``k``-th
+    transition table (dict order); their options are concatenated.  A
+    draw ``d`` picks, in table ``t``, the first option whose ``bounds``
+    entry exceeds ``bases[t] + d % totals[t]``: ``bounds`` are the
+    cumulative counts of the concatenation, so each table's own bounds
+    lie in ``(bases[t], bases[t] + totals[t]]``.
+    """
+
+    bounds: np.ndarray  # uint64 per option
+    bases: np.ndarray  # uint64 per table
+    totals: np.ndarray  # uint64 per table
+    hi: np.ndarray  # uint64 per option: high 64 bits of the value in place
+    lo: np.ndarray  # uint64 per option: low 64 bits of the value in place
+    next_table: np.ndarray  # intp per option: the next segment's table
+
+
+def _sampler_tables(segments, marginals, transitions) -> list[_SegmentTables]:
+    """Flatten the frozen chain into per-segment :class:`_SegmentTables`.
+
+    An option's next table is the next segment's transition table keyed
+    by its value, else that segment's marginal (table 0) — the choice the
+    chain walk makes for the next segment.
+    """
+    tables: list[_SegmentTables] = []
+    for index, (start, length) in enumerate(segments):
+        options = [marginals[index], *transitions[index].values()]
+        values, counts = zip(*itertools.chain.from_iterable(options))
+        cumulative = np.cumsum((0, *counts), dtype=np.uint64)
+        offsets = np.cumsum([0] + [len(table) for table in options])
+        bases = cumulative[offsets[:-1]]
+        shift = 4 * (ADDRESS_NYBBLES - start - length)
+        shifted = [value << shift for value in values]
+        following = transitions[index + 1] if index + 1 < len(segments) else {}
+        next_ids = {value: table for table, value in enumerate(following, start=1)}
+        tables.append(
+            _SegmentTables(
+                bounds=cumulative[1:],
+                bases=bases,
+                totals=cumulative[offsets[1:]] - bases,
+                hi=np.array([value >> 64 for value in shifted], dtype=np.uint64),
+                lo=np.array([value & _MASK64 for value in shifted], dtype=np.uint64),
+                next_table=np.array(
+                    [next_ids.get(value, 0) for value in values], dtype=np.intp
+                ),
+            )
+        )
+    return tables
+
+
 @register_tga
 class EntropyIP(TargetGenerator):
     """Entropy/IP: entropy segmentation + Bayesian-chain sampling."""
@@ -61,8 +119,7 @@ class EntropyIP(TargetGenerator):
     def __init__(self, salt: int = 0) -> None:
         super().__init__(salt=salt)
         self._segments: list[tuple[int, int]] = []  # (start_dim, length)
-        self._marginals: list[list[tuple[int, int]]] = []  # per segment: (value, count)
-        self._transitions: list[dict[int, list[tuple[int, int]]]] = []
+        self._tables: list[_SegmentTables] = []
         self._seeds: set[int] = set()
         self._stream: DeterministicStream | None = None
 
@@ -123,50 +180,52 @@ class EntropyIP(TargetGenerator):
         self._seeds = set(seeds)
         segments, marginals, transitions = self._frozen_model(seeds)
         self._segments = list(segments)
-        self._marginals = list(marginals)
-        self._transitions = list(transitions)
+        self._tables = _sampler_tables(segments, marginals, transitions)
         self._stream = DeterministicStream(0xE1B, self.salt)
         self._emitted: set[int] = set()
 
     # -- generation --------------------------------------------------------
 
-    def _sample_from(self, weighted: list[tuple[int, int]]) -> int:
-        assert self._stream is not None
-        total = sum(count for _, count in weighted)
-        draw = self._stream.next_below(total)
-        cumulative = 0
-        for value, count in weighted:
-            cumulative += count
-            if draw < cumulative:
-                return value
-        return weighted[-1][0]
+    def _sample_round(self, attempts: int):
+        """Walk the chain for ``attempts`` addresses at once.
 
-    def _sample_address(self) -> int:
-        address = 0
-        previous = None
-        for index, (start, length) in enumerate(self._segments):
-            options = None
-            if previous is not None:
-                options = self._transitions[index].get(previous)
-            if not options:
-                options = self._marginals[index]
-            value = self._sample_from(options)
-            address = (address << (4 * length)) | value
-            previous = value
-        return address
+        Attempt ``a`` takes draw ``a * segments + i`` at segment ``i``,
+        the draw the per-address walk takes there.  Returns the hi and
+        lo uint64 halves of the sampled addresses.
+        """
+        assert self._stream is not None
+        draws = self._stream.take(attempts * len(self._tables))
+        draws = draws.reshape(attempts, len(self._tables))
+        table = np.zeros(attempts, dtype=np.intp)
+        hi = np.zeros(attempts, dtype=np.uint64)
+        lo = np.zeros(attempts, dtype=np.uint64)
+        for column, segment in zip(draws.T, self._tables):
+            offset = segment.bases[table] + column % segment.totals[table]
+            option = np.searchsorted(segment.bounds, offset, side="right")
+            hi |= segment.hi[option]
+            lo |= segment.lo[option]
+            table = segment.next_table[option]
+        return hi, lo
 
     def propose(self, count: int) -> list[int]:
         self._require_prepared()
         result: list[int] = []
         attempts = 0
         max_attempts = count * _MAX_ATTEMPT_FACTOR
+        seeds = self._seeds
+        emitted = self._emitted
         while len(result) < count and attempts < max_attempts:
-            attempts += 1
-            address = self._sample_address()
-            if address in self._seeds or address in self._emitted:
-                continue
-            self._emitted.add(address)
-            result.append(address)
+            # Each attempt yields at most one address, so every attempt
+            # of the batch is one the one-at-a-time loop would make.
+            batch = min(count - len(result), max_attempts - attempts, _PASS_ATTEMPTS)
+            attempts += batch
+            hi, lo = self._sample_round(batch)
+            for high, low in zip(hi.tolist(), lo.tolist()):
+                address = (high << 64) | low
+                if address in seeds or address in emitted:
+                    continue
+                emitted.add(address)
+                result.append(address)
         return result
 
     @property

@@ -69,17 +69,26 @@ class LeafPool:
 
     # -- drawing -----------------------------------------------------------
 
-    def _pull(self, index: int) -> int | None:
-        iterator = self._iterators[index]
-        if iterator is None:
-            return None
-        for address in iterator:
-            if address in self._emitted or address in self._exclude:
+    def _take(self, index: int, want: int, out: list[tuple[int, int]]) -> int:
+        """Append up to ``want`` fresh (address, ``index``) pairs from one
+        leaf to ``out``; return how many.
+
+        The leaf's iterator is advanced no further than its ``want``-th
+        fresh address, and dropped once it ends.
+        """
+        emitted = self._emitted
+        exclude = self._exclude
+        taken = 0
+        for address in self._iterators[index]:
+            if address in emitted or address in exclude:
                 continue
-            self._emitted.add(address)
-            return address
+            emitted.add(address)
+            out.append((address, index))
+            taken += 1
+            if taken == want:
+                return taken
         self._iterators[index] = None
-        return None
+        return taken
 
     def draw(self, count: int) -> list[tuple[int, int]]:
         """Draw up to ``count`` fresh (address, leaf_index) pairs.
@@ -112,11 +121,7 @@ class LeafPool:
             progressed = False
             for i in live:
                 share = max(1, int(remaining * self.weights[i] / total))
-                for _ in range(min(share, count - len(result))):
-                    address = self._pull(i)
-                    if address is None:
-                        break
-                    result.append((address, i))
+                if self._take(i, min(share, count - len(result)), result):
                     progressed = True
                 if len(result) >= count:
                     break

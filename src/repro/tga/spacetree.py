@@ -298,7 +298,7 @@ def leaf_candidates(leaf: SpaceTreeLeaf, max_level: int = 3) -> Iterator[int]:
     max_level = min(max_level, len(dims))
 
     for level in range(1, max_level + 1):
-        for combo in _combinations(dims, level):
+        for combo in itertools.combinations(dims, level):
             # One clear-mask per combo plus pre-shifted value lists turn
             # the per-candidate work into a mask-and-OR instead of
             # per-dimension set_nybble calls.
@@ -310,35 +310,25 @@ def leaf_candidates(leaf: SpaceTreeLeaf, max_level: int = 3) -> Iterator[int]:
                 shifted_lists.append(
                     [value << shift for value in value_sets[dim]]
                 )
-            if level == 1:
-                shifted = shifted_lists[0]
-                for base in leaf.seeds:
-                    stripped = base & clear_mask
-                    for part in shifted:
-                        address = stripped | part
-                        if address not in emitted:
-                            emitted.add(address)
-                            yield address
-            else:
-                for base in leaf.seeds:
-                    stripped = base & clear_mask
-                    for assignment in _product(shifted_lists):
-                        address = stripped
-                        for part in assignment:
-                            address |= part
-                        if address not in emitted:
-                            emitted.add(address)
-                            yield address
-
-
-def _combinations(items: list[int], k: int) -> Iterator[tuple[int, ...]]:
-    """itertools.combinations, re-exported for patchability in tests."""
-    return itertools.combinations(items, k)
-
-
-def _product(value_lists: list[list[int]]) -> Iterator[tuple[int, ...]]:
-    """itertools.product over the given value lists (patchable)."""
-    return itertools.product(*value_lists)
+            # Seeds that agree outside the combo's dims strip to one
+            # base, whose candidates the first such seed already emitted.
+            expanded: set[int] = set()
+            for base in leaf.seeds:
+                stripped = base & clear_mask
+                if stripped in expanded:
+                    continue
+                expanded.add(stripped)
+                if level == 1:
+                    parts: Iterable[int] = shifted_lists[0]
+                else:
+                    # The shifted values fill disjoint nybbles, so their
+                    # sum is their OR.
+                    parts = map(sum, itertools.product(*shifted_lists))
+                for part in parts:
+                    address = stripped | part
+                    if address not in emitted:
+                        emitted.add(address)
+                        yield address
 
 
 def _concat_ranges(starts, counts, steps=None):

@@ -1,5 +1,6 @@
 """Tests for repro.addr.rand (determinism is the whole point)."""
 
+import numpy as np
 import pytest
 
 from repro.addr import DeterministicStream, choice_index, coin, hash64, mix64, uniform
@@ -201,3 +202,20 @@ class TestBlockDrawnStream:
         want = list(items)
         ScalarStream(12).shuffle(want)
         assert DeterministicStream(12).sample(items, 25) == want[:25]
+
+
+class TestTake:
+    """``take(k)`` ≡ ``k`` single draws, and leaves the stream there."""
+
+    @pytest.mark.parametrize("k", [0, 1, 255, 256, 257, 1000])
+    @pytest.mark.parametrize("lead", [0, 1, 255, 256])
+    def test_take_interleaved_with_single_draws(self, k, lead):
+        stream, oracle = DeterministicStream(21, k), ScalarStream(21, k)
+        for _ in range(lead):
+            assert stream.next64() == oracle.next64()
+        for _ in range(3):
+            block = stream.take(k)
+            assert block.dtype == np.uint64
+            assert block.tolist() == [oracle.next64() for _ in range(k)]
+            assert stream.next64() == oracle.next64()
+            assert stream.next_below(1000) == oracle.next_below(1000)

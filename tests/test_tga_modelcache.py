@@ -262,8 +262,9 @@ def _reference_build(tree: SpaceTree, seeds: list[int], order=None) -> list[dict
     return leaves
 
 
-def _reference_candidates(leaf, limit: int) -> list[int]:
-    """``leaf_candidates`` as written before the mask fast path."""
+def _reference_candidates(leaf, limit: int | None = None) -> list[int]:
+    """``leaf_candidates`` as written before the mask fast path: the
+    first ``limit`` candidates, or the whole stream."""
     import itertools
 
     dims = sorted(leaf.effective_dims, reverse=True)
@@ -281,7 +282,7 @@ def _reference_candidates(leaf, limit: int) -> list[int]:
                     if address not in emitted:
                         emitted.add(address)
                         out.append(address)
-                        if len(out) >= limit:
+                        if limit is not None and len(out) >= limit:
                             return out
     return out
 

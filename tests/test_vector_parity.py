@@ -472,7 +472,27 @@ class TestProbeChainParity:
         assert packed.hits == grouped.hits
         assert packed.stats.responses == grouped.stats.responses
         assert packed.stats.probes_sent == grouped.stats.probes_sent
+        assert packed.stats.probes_sent == sum(packed.stats.responses.values())
         assert packed_tel == grouped_tel
+
+    def test_repeated_hit_counts_every_probe(self, tiny_config):
+        """A batch listing one responsive address 80 times gets 80 echo
+        replies on both paths, as 80 single probes do."""
+        from repro.scanner import ResponseType
+
+        hit = next(SimulatedInternet(tiny_config).iter_responsive(Port.ICMP))
+        single = Scanner(SimulatedInternet(tiny_config))
+        for _ in range(80):
+            single.probe(hit, Port.ICMP)
+        expected = single.lifetime_stats
+        assert expected.count(ResponseType.ECHO_REPLY) == 80
+        for config in (tiny_config, _capped_twin(tiny_config)):
+            scanner = Scanner(SimulatedInternet(config))
+            result = scanner.scan([hit, hit] * 40, Port.ICMP)
+            assert result.hits == {hit}
+            assert result.stats.probes_sent == expected.probes_sent == 80
+            assert result.stats.responses == expected.responses
+            assert scanner.lifetime_stats.responses == expected.responses
 
 
 # -- full grid ---------------------------------------------------------------
