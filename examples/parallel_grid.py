@@ -9,8 +9,8 @@ a downstream pipeline.
 
 The same machinery is available from the shell:
 
-    python -m repro rq1a --workers 4
-    python -m repro rq4  --workers 8 --scale bench
+    python -m repro --workers 4 study rq1a
+    python -m repro --workers 8 --scale bench study rq4
 
 and the scaling numbers for your machine come from:
 

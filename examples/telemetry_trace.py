@@ -13,7 +13,7 @@ then shows the three ways to consume what was recorded:
 
 The same trace is available from the shell on any pipeline command:
 
-    python -m repro rq1a --telemetry trace.jsonl --telemetry-summary
+    python -m repro --telemetry trace.jsonl --telemetry-summary study rq1a
 
 Run:  python examples/telemetry_trace.py
 """

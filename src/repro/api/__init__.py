@@ -163,5 +163,6 @@ def submit_study(
 
 def load_results(path) -> list[RunResult]:
     """Load a RunStore checkpoint (service-side or local) back into
-    :class:`RunResult` objects — format v1/v2/v3, auto-detected."""
+    :class:`RunResult` objects (format 3; raises ``ValueError`` for any
+    other format)."""
     return _load_store_results(path)

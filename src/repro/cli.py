@@ -19,10 +19,6 @@
   (``summary`` / ``attribution`` / ``diff`` / ``check`` / ``timeline``)
 * ``top``             — live per-rank resource table over a trace file
 
-The pre-1.x flat spellings (``repro run``, ``repro grid``, ``repro
-rq1a`` ...) remain as hidden aliases that print a deprecation line on
-stderr and will be removed in the next major release.
-
 Common options: ``--scale {tiny,bench,small,internet}``, ``--seed``,
 ``--budget``, ``--port``, ``--workers``, ``--export file.csv|file.json``.
 ``--scale internet`` is the ~1M-AS streaming world: regions derive
@@ -161,8 +157,7 @@ def _fault_arg(value: str) -> FaultPlan:
         raise argparse.ArgumentTypeError(str(error)) from None
 
 
-# -- shared per-command argument groups (used by both the noun-verb
-# spelling and its hidden legacy alias, so the two stay identical) ------------
+# -- argument groups shared by several verbs ----------------------------------
 
 
 def _add_port_arg(parser: argparse.ArgumentParser, default: str = "icmp") -> None:
@@ -179,12 +174,6 @@ def _add_dataset_arg(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_run_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("tga", type=_tga_arg, choices=ALL_TGA_NAMES)
-    _add_port_arg(parser)
-    _add_dataset_arg(parser)
-
-
 def _add_grid_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--tgas",
@@ -198,35 +187,6 @@ def _add_grid_args(parser: argparse.ArgumentParser) -> None:
         f"({', '.join(port.value for port in ALL_PORTS)})",
     )
     _add_dataset_arg(parser)
-
-
-def _add_rq_args(parser: argparse.ArgumentParser) -> None:
-    _add_port_arg(parser)
-
-
-def _add_rq3_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--sources",
-        default="censys,scamper,hitlist",
-        help="comma-separated source names",
-    )
-
-
-def _add_overlap_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--by", choices=["ip", "as"], default="ip")
-
-
-def _add_convergence_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("tga", type=_tga_arg, choices=ALL_TGA_NAMES)
-    _add_port_arg(parser)
-
-
-def _add_recommend_args(parser: argparse.ArgumentParser) -> None:
-    _add_port_arg(parser, default="tcp443")
-
-
-def _add_report_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--out", default="", help="write to a file instead of stdout")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -347,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = world_sub.add_parser("sources", help="seed source composition (Table 3)")
     p.set_defaults(func=_cmd_sources, command_name="world sources")
     p = world_sub.add_parser("overlap", help="source overlap heatmap (Figure 1)")
-    _add_overlap_args(p)
+    p.add_argument("--by", choices=["ip", "as"], default="ip")
     p.set_defaults(func=_cmd_overlap, command_name="world overlap")
 
     study = sub.add_parser(
@@ -357,7 +317,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     study_sub = study.add_subparsers(dest="verb", required=True, metavar="VERB")
     p = study_sub.add_parser("run", help="run one TGA cell")
-    _add_run_args(p)
+    p.add_argument("tga", type=_tga_arg, choices=ALL_TGA_NAMES)
+    _add_port_arg(p)
+    _add_dataset_arg(p)
     p.set_defaults(func=_cmd_run, command_name="study run")
     p = study_sub.add_parser(
         "grid", help="run a TGA × port grid (checkpointable and resumable)"
@@ -376,28 +338,33 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_grid_args(p)
     p.set_defaults(func=_cmd_study_resume, command_name="study resume")
-    for name, help_text in (
-        ("rq1a", "dealiasing treatments (Table 4 / Figure 3)"),
-        ("rq1b", "active-only seeds (Figure 4)"),
-        ("rq2", "port-specific seeds (Figure 5)"),
-        ("rq4", "generator ensemble overlap (Figure 6)"),
+    for name, func, help_text in (
+        ("rq1a", _cmd_rq1a, "dealiasing treatments (Table 4 / Figure 3)"),
+        ("rq1b", _cmd_rq1b, "active-only seeds (Figure 4)"),
+        ("rq2", _cmd_rq2, "port-specific seeds (Figure 5)"),
+        ("rq4", _cmd_rq4, "generator ensemble overlap (Figure 6)"),
     ):
         p = study_sub.add_parser(name, help=help_text)
-        _add_rq_args(p)
-        p.set_defaults(func=_RQ_COMMANDS[name], command_name=f"study {name}")
+        _add_port_arg(p)
+        p.set_defaults(func=func, command_name=f"study {name}")
     p = study_sub.add_parser("rq3", help="source-specific seeds (Table 5)")
-    _add_rq3_args(p)
+    p.add_argument(
+        "--sources",
+        default="censys,scamper,hitlist",
+        help="comma-separated source names",
+    )
     p.set_defaults(func=_cmd_rq3, command_name="study rq3")
     p = study_sub.add_parser(
         "convergence", help="discovery-curve summary for one TGA"
     )
-    _add_convergence_args(p)
+    p.add_argument("tga", type=_tga_arg, choices=ALL_TGA_NAMES)
+    _add_port_arg(p)
     p.set_defaults(func=_cmd_convergence, command_name="study convergence")
     p = study_sub.add_parser("recommend", help="RQ5 best-practice pipeline")
-    _add_recommend_args(p)
+    _add_port_arg(p, default="tcp443")
     p.set_defaults(func=_cmd_recommend, command_name="study recommend")
     p = study_sub.add_parser("report", help="full markdown study report")
-    _add_report_args(p)
+    p.add_argument("--out", default="", help="write to a file instead of stdout")
     p.set_defaults(func=_cmd_report, command_name="study report")
 
     serve_parser = sub.add_parser(
@@ -567,28 +534,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     top_parser.set_defaults(func=_cmd_top, command_name="top")
 
-    # Hidden aliases for the pre-1.x flat spellings.  No ``help=`` keeps
-    # them out of ``--help`` (the subparser metavar hides the choice
-    # list); :func:`main` prints a deprecation line when one is used.
-    for old, new, func, add_args in (
-        ("describe", "world describe", _cmd_describe, None),
-        ("sources", "world sources", _cmd_sources, None),
-        ("overlap", "world overlap", _cmd_overlap, _add_overlap_args),
-        ("run", "study run", _cmd_run, _add_run_args),
-        ("grid", "study grid", _cmd_grid, _add_grid_args),
-        ("rq1a", "study rq1a", _cmd_rq1a, _add_rq_args),
-        ("rq1b", "study rq1b", _cmd_rq1b, _add_rq_args),
-        ("rq2", "study rq2", _cmd_rq2, _add_rq_args),
-        ("rq3", "study rq3", _cmd_rq3, _add_rq3_args),
-        ("rq4", "study rq4", _cmd_rq4, _add_rq_args),
-        ("convergence", "study convergence", _cmd_convergence, _add_convergence_args),
-        ("recommend", "study recommend", _cmd_recommend, _add_recommend_args),
-        ("report", "study report", _cmd_report, _add_report_args),
-    ):
-        alias = sub.add_parser(old)
-        if add_args is not None:
-            add_args(alias)
-        alias.set_defaults(func=func, command_name=old, deprecated_alias=new)
     return parser
 
 
@@ -1302,15 +1247,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return _serve(config)
 
 
-#: Shared by the ``study rqN`` builders and their legacy aliases.
-_RQ_COMMANDS = {
-    "rq1a": _cmd_rq1a,
-    "rq1b": _cmd_rq1b,
-    "rq2": _cmd_rq2,
-    "rq4": _cmd_rq4,
-}
-
-
 def _make_telemetry(args: argparse.Namespace) -> Telemetry | None:
     """The registry requested by --telemetry/--telemetry-summary/--progress."""
     sinks: list = []
@@ -1328,14 +1264,6 @@ def _make_telemetry(args: argparse.Namespace) -> Telemetry | None:
 def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point."""
     args = build_parser().parse_args(argv)
-    alias_of = getattr(args, "deprecated_alias", None)
-    if alias_of:
-        print(
-            f"warning: 'repro {args.command}' is deprecated; use "
-            f"'repro {alias_of}' (the flat spelling will be removed in "
-            "the next major release)",
-            file=sys.stderr,
-        )
     if args.no_model_cache:
         # Reaches worker processes too: WorkerSpec captures the setting.
         get_model_cache().enabled = False

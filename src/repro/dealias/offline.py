@@ -8,6 +8,7 @@ found), which is exactly the limitation the paper's RQ1.a quantifies.
 
 from __future__ import annotations
 
+import weakref
 from collections.abc import Iterable
 
 from ..addr import Prefix
@@ -16,6 +17,10 @@ from ..telemetry import get_telemetry
 from .prefixset import AliasPrefixSet
 
 __all__ = ["OfflineDealiaser"]
+
+#: The dealiaser :meth:`OfflineDealiaser.from_internet` built for each
+#: live world, so the published-list trie is built once per world.
+_BY_WORLD: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 class OfflineDealiaser:
@@ -26,8 +31,16 @@ class OfflineDealiaser:
 
     @classmethod
     def from_internet(cls, internet: SimulatedInternet) -> "OfflineDealiaser":
-        """The published list the simulated community has accumulated."""
-        return cls(internet.published_alias_prefixes)
+        """The published list the simulated community has accumulated.
+
+        The list depends only on the world and a dealiaser is read-only
+        once built, so every call for one world returns the same
+        instance: seed preprocessing and every grid cell share its trie.
+        """
+        dealiaser = _BY_WORLD.get(internet)
+        if dealiaser is None:
+            dealiaser = _BY_WORLD[internet] = cls(internet.published_alias_prefixes)
+        return dealiaser
 
     def is_aliased(self, address: int) -> bool:
         """Whether the address is covered by the published list."""

@@ -29,7 +29,7 @@ from ..tga import (
     use_model_store,
 )
 from .harness import Study
-from .policy import ExecutionPolicy, coalesce_policy
+from .policy import ExecutionPolicy
 from .results import RunResult
 
 __all__ = ["GridSpec", "GridResults", "run_grid"]
@@ -173,15 +173,12 @@ def run_grid(
     progress: Callable[[int, int, RunResult], None] | None = None,
     *,
     policy: ExecutionPolicy | None = None,
-    **_removed,
 ) -> GridResults:
     """Execute every cell of a grid through the study's memoised runner.
 
     ``policy`` governs execution mechanics — worker processes,
     checkpoint/resume, per-cell timeout, retry budget and fault
-    injection; see :class:`~repro.experiments.ExecutionPolicy`.  The
-    legacy ``workers``/``telemetry`` keyword arguments were removed and
-    raise ``TypeError``.
+    injection; see :class:`~repro.experiments.ExecutionPolicy`.
 
     ``progress(done, total, last_result)`` is invoked after each cell —
     in cell order when running serially, in completion order when
@@ -199,11 +196,12 @@ def run_grid(
     """
     from .parallel import ParallelExecutor, resolve_workers
 
-    policy = coalesce_policy(policy, "run_grid", progress=progress, **_removed)
+    policy = policy or ExecutionPolicy()
+    if progress is None:
+        progress = policy.progress
     with use_telemetry(policy.telemetry):
         results = GridResults(spec=spec)
         total = spec.size
-        progress = policy.progress
         workers_n = resolve_workers(policy.workers, total)
         tel = get_telemetry()
         if tel.enabled:

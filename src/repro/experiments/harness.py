@@ -16,6 +16,7 @@ from ..preprocess import DatasetConstructions
 from ..scanner import Blocklist, Scanner
 from ..telemetry import get_telemetry, use_telemetry
 from ..tga import ALL_TGA_NAMES, canonical_tga_name
+from .policy import ExecutionPolicy
 from .results import RunResult
 from .runner import run_generation
 
@@ -123,8 +124,7 @@ class Study:
         self,
         cells: list[tuple[str, SeedDataset, Port, int | None]],
         *,
-        policy: "ExecutionPolicy | None" = None,
-        **_removed,
+        policy: ExecutionPolicy | None = None,
     ) -> int:
         """Fill the run cache for ``cells`` under an execution policy.
 
@@ -136,13 +136,11 @@ class Study:
         missing from the cache when called.  Parallel results are
         bit-identical to serial ones (every stochastic draw is keyed on
         the master seed), so downstream consumers cannot tell the
-        difference.  The legacy ``workers`` kwarg was removed and raises
-        ``TypeError``.
+        difference.
         """
         from .parallel import ParallelExecutor, resolve_workers
-        from .policy import coalesce_policy
 
-        policy = coalesce_policy(policy, "Study.precompute", **_removed)
+        policy = policy or ExecutionPolicy()
         workers_n = resolve_workers(policy.workers, len(cells))
         missing = sum(
             1
@@ -170,20 +168,16 @@ class Study:
         tga_names: tuple[str, ...] | None = None,
         budget: int | None = None,
         *,
-        policy: "ExecutionPolicy | None" = None,
-        **_removed,
+        policy: ExecutionPolicy | None = None,
     ) -> dict[tuple[str, str, Port], RunResult]:
         """Run the full TGA × dataset × port grid.
 
         ``policy`` governs execution mechanics (workers, checkpointing,
         retries, fault injection); results and the populated run cache
         are identical to a serial run (worker-process telemetry is
-        merged back deterministically).  The legacy ``parallel``/
-        ``telemetry`` kwargs were removed and raise ``TypeError``.
+        merged back deterministically).
         """
-        from .policy import coalesce_policy
-
-        policy = coalesce_policy(policy, "Study.run_matrix", **_removed)
+        policy = policy or ExecutionPolicy()
         tga_names = tga_names or self.tga_names
         cells = [
             (tga_name, dataset, port, budget)

@@ -466,16 +466,11 @@ class ParallelExecutor:
         return store
 
     def _checkpoint(
-        self,
-        store: RunStore | None,
-        key: RunKey,
-        run: RunResult,
-        tel,
-        wall_s: float | None = None,
+        self, store: RunStore | None, key: RunKey, run: RunResult, tel
     ) -> None:
         if store is None or key in store:
             return
-        store.append(key, run, wall_s)
+        store.append(key, run)
         if tel.enabled:
             tel.count("checkpoint.cells_written")
 
@@ -660,7 +655,7 @@ class ParallelExecutor:
                 continue
             results[key] = run
             self._observe_cell(key, wall, tel)
-            self._checkpoint(store, key, run, tel, wall)
+            self._checkpoint(store, key, run, tel)
             done += 1
             if progress is not None:
                 progress(done, total, run)
@@ -778,7 +773,7 @@ class ParallelExecutor:
                 # First writer wins, matching serial memoisation.
                 cached = self.study._run_cache.setdefault(key, run)
                 results[key] = cached
-                self._checkpoint(store, key, cached, tel, wall)
+                self._checkpoint(store, key, cached, tel)
                 done += 1
                 if progress is not None:
                     progress(done, total, cached)
@@ -926,12 +921,13 @@ class ParallelExecutor:
                             else:
                                 suspects.append(index)
                         except Exception as error:  # noqa: BLE001 — worker-side failure
+                            # Workers fire faults with ``allow_exit``,
+                            # where a stall sleeps instead of raising: a
+                            # stall is charged by the deadline or the
+                            # heartbeat monitor, never here.
                             charge(
                                 index,
-                                "stall"
-                                if isinstance(error, FaultInjected)
-                                and error.kind == "stall"
-                                else "exception",
+                                "exception",
                                 f"{type(error).__name__}: {error}",
                             )
                         else:

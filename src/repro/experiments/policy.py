@@ -1,26 +1,23 @@
 """The unified execution-control surface for experiment pipelines.
 
-Grid execution grew knobs one at a time — ``workers=``, ``parallel=``,
-``telemetry=`` — scattered across ``run_grid``,
+Every entry point that runs cells — ``run_grid``,
 :meth:`Study.run_matrix`, :meth:`Study.precompute` and the RQ1–RQ4
-pipelines.  Fault tolerance (checkpointing, retries, timeouts, fault
-injection) would have doubled that sprawl, so every entry point takes
-one frozen :class:`ExecutionPolicy` instead.  The legacy kwargs went
-through a deprecation cycle and now **hard-error**:
-:func:`coalesce_policy` raises ``TypeError`` naming the offending
-argument and the ``policy=`` replacement.
+pipelines — takes one frozen :class:`ExecutionPolicy` as ``policy=``
+(``None`` means the default policy): workers, telemetry, progress,
+checkpointing, retries, timeouts and fault injection all live there,
+never in per-function keyword arguments.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 from ..telemetry import Telemetry
 from .faults import FaultPlan
 
-__all__ = ["ExecutionPolicy", "coalesce_policy"]
+__all__ = ["ExecutionPolicy"]
 
 
 @dataclass(frozen=True)
@@ -39,9 +36,8 @@ class ExecutionPolicy:
     telemetry: Telemetry | None = None
     #: ``progress(done, total, result)`` callback, fired per cell.
     progress: Callable | None = None
-    #: Checkpoint path (:class:`~repro.experiments.RunStore`, format v3):
-    #: every completed cell is appended as it finishes, with its
-    #: measured wall seconds.
+    #: Checkpoint path (:class:`~repro.experiments.RunStore`, format 3):
+    #: every completed cell is appended as it finishes.
     checkpoint: str | Path | None = None
     #: Load the checkpoint first and skip every cell it already holds
     #: (the store's config digest must match the study).
@@ -94,57 +90,11 @@ class ExecutionPolicy:
 
         Checkpointing, fault injection and timeouts all require routing
         through :class:`~repro.experiments.ParallelExecutor` even when
-        the run is serial; a plain policy keeps the legacy fast path.
+        the run is serial; a plain serial policy runs cells in-process
+        through :meth:`Study.run`.
         """
         return (
             self.checkpoint is not None
             or self.fault_plan is not None
             or self.cell_timeout is not None
         )
-
-
-#: Legacy kwarg → the policy field that replaced it (``parallel`` was
-#: run_matrix's spelling).  Kept so the hard error can name the exact
-#: migration instead of a generic "unexpected keyword argument".
-_LEGACY_FIELDS = {
-    "workers": "workers",
-    "parallel": "workers",
-    "telemetry": "telemetry",
-}
-
-
-def coalesce_policy(
-    policy: ExecutionPolicy | None,
-    api: str,
-    progress: Callable | None = None,
-    **legacy,
-) -> ExecutionPolicy:
-    """Resolve the effective :class:`ExecutionPolicy` for an entry point.
-
-    The deprecation cycle for the scattered execution kwargs is over:
-    passing any of the removed names (``workers``/``parallel``/
-    ``telemetry``) — or anything else unexpected — raises
-    ``TypeError`` with the ``policy=`` migration spelled out.
-    ``progress`` still folds silently (it is a per-call callback, not
-    configuration).
-    """
-    if legacy:
-        removed = sorted(name for name in legacy if name in _LEGACY_FIELDS)
-        unknown = sorted(name for name in legacy if name not in _LEGACY_FIELDS)
-        parts = []
-        if removed:
-            hint = ", ".join(
-                f"{name}= → ExecutionPolicy({_LEGACY_FIELDS[name]}=...)"
-                for name in removed
-            )
-            parts.append(
-                f"the {', '.join(removed)} argument(s) were removed; "
-                f"pass policy=ExecutionPolicy(...) instead ({hint})"
-            )
-        if unknown:
-            parts.append(f"unexpected arguments {unknown}")
-        raise TypeError(f"{api}: " + "; ".join(parts))
-    merged = policy if policy is not None else ExecutionPolicy()
-    if progress is not None:
-        merged = replace(merged, progress=progress)
-    return merged

@@ -16,7 +16,7 @@ from ..internet import ALL_PORTS, Port
 from ..metrics import metric_ratios
 from ..telemetry import use_telemetry
 from .harness import Study
-from .policy import ExecutionPolicy, coalesce_policy
+from .policy import ExecutionPolicy
 from .results import RunResult
 
 __all__ = ["RQ1aResult", "RQ1bResult", "run_rq1a", "run_rq1b"]
@@ -93,15 +93,13 @@ def run_rq1a(
     budget: int | None = None,
     *,
     policy: ExecutionPolicy | None = None,
-    **_removed,
 ) -> RQ1aResult:
     """Run the RQ1.a grid: every TGA on every dealias treatment and port.
 
     ``policy`` governs execution mechanics (workers, checkpointing,
-    retries); results are bit-identical to a serial run.  The legacy
-    ``workers``/``telemetry`` kwargs were removed and raise ``TypeError``.
+    retries); results are bit-identical to a serial run.
     """
-    policy = coalesce_policy(policy, "run_rq1a", **_removed)
+    policy = policy or ExecutionPolicy()
     with use_telemetry(policy.telemetry) as tel, tel.span("rq1a"):
         datasets = {mode: study.constructions.dealias_variant(mode) for mode in modes}
         study.precompute(
@@ -128,10 +126,9 @@ def run_rq1b(
     budget: int | None = None,
     *,
     policy: ExecutionPolicy | None = None,
-    **_removed,
 ) -> RQ1bResult:
     """Run the RQ1.b comparison: joint-dealiased vs active-only seeds."""
-    policy = coalesce_policy(policy, "run_rq1b", **_removed)
+    policy = policy or ExecutionPolicy()
     with use_telemetry(policy.telemetry) as tel, tel.span("rq1b"):
         dealiased = study.constructions.joint_dealiased
         active = study.constructions.all_active

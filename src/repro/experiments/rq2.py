@@ -13,7 +13,7 @@ from ..internet import ALL_PORTS, Port
 from ..metrics import metric_ratios
 from ..telemetry import use_telemetry
 from .harness import Study
-from .policy import ExecutionPolicy, coalesce_policy
+from .policy import ExecutionPolicy
 from .results import RunResult
 
 __all__ = ["RQ2Result", "CrossPortResult", "run_rq2", "run_cross_port"]
@@ -64,10 +64,9 @@ def run_rq2(
     budget: int | None = None,
     *,
     policy: ExecutionPolicy | None = None,
-    **_removed,
 ) -> RQ2Result:
     """Run the RQ2 grid: each port scanned from its port-specific seeds."""
-    policy = coalesce_policy(policy, "run_rq2", **_removed)
+    policy = policy or ExecutionPolicy()
     with use_telemetry(policy.telemetry) as tel, tel.span("rq2"):
         all_active = study.constructions.all_active
         study.precompute(
@@ -102,14 +101,13 @@ def run_cross_port(
     budget: int | None = None,
     *,
     policy: ExecutionPolicy | None = None,
-    **_removed,
 ) -> CrossPortResult:
     """Run the Figure 7 grid: every input dataset scanned on every target.
 
     Inputs are the four port-specific datasets plus All Active; each is
     used to generate and scan on all four targets.
     """
-    policy = coalesce_policy(policy, "run_cross_port", **_removed)
+    policy = policy or ExecutionPolicy()
     with use_telemetry(policy.telemetry) as tel, tel.span("cross_port"):
         inputs = [study.constructions.port_specific(port) for port in ports]
         inputs.append(study.constructions.all_active)

@@ -14,7 +14,7 @@ from ..internet import ALL_PORTS, Port
 from ..metrics import ASCharacterization, characterize_ases
 from ..telemetry import use_telemetry
 from .harness import Study
-from .policy import ExecutionPolicy, coalesce_policy
+from .policy import ExecutionPolicy
 from .results import RunResult
 
 __all__ = ["RQ3Result", "run_rq3", "Table5Row", "table5", "table6"]
@@ -76,7 +76,6 @@ def run_rq3(
     pooled_ports: tuple[Port, ...] = (Port.ICMP,),
     *,
     policy: ExecutionPolicy | None = None,
-    **_removed,
 ) -> RQ3Result:
     """Run the RQ3 grid plus the pooled-budget comparison.
 
@@ -84,7 +83,7 @@ def run_rq3(
     dataset with ``len(sources) ×`` the per-source budget; the paper
     reports it for ICMP, so that is the default.
     """
-    policy = coalesce_policy(policy, "run_rq3", **_removed)
+    policy = policy or ExecutionPolicy()
     with use_telemetry(policy.telemetry) as tel, tel.span("rq3"):
         per_source_budget = budget or study.budget
         source_datasets = {

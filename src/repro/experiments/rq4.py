@@ -15,7 +15,7 @@ from ..internet import ALL_PORTS, Port
 from ..metrics import ContributionStep, cumulative_contributions, pairwise_jaccard
 from ..telemetry import use_telemetry
 from .harness import Study
-from .policy import ExecutionPolicy, coalesce_policy
+from .policy import ExecutionPolicy
 from .results import RunResult
 
 __all__ = ["RQ4Result", "run_rq4"]
@@ -67,10 +67,9 @@ def run_rq4(
     budget: int | None = None,
     *,
     policy: ExecutionPolicy | None = None,
-    **_removed,
 ) -> RQ4Result:
     """Run every generator on the All Active dataset for each port."""
-    policy = coalesce_policy(policy, "run_rq4", **_removed)
+    policy = policy or ExecutionPolicy()
     with use_telemetry(policy.telemetry) as tel, tel.span("rq4"):
         all_active = study.constructions.all_active
         study.precompute(

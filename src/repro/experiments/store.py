@@ -5,26 +5,15 @@ Long experiment grids are expensive; this module persists
 checkpointed, resumed after a crash, shared and re-analysed without
 recomputation.
 
-Three on-disk formats exist:
-
-* **Format v3** (current, written by :class:`RunStore`): JSON Lines.
-  The first line is a header carrying the format number and a sha256
-  digest of the world configuration the results were computed against;
-  every subsequent line is one ``(RunKey, RunResult)`` record, plus an
-  optional ``wall_s`` field — the measured wall-clock seconds of the
-  cell, recorded for post-hoc straggler analysis.  ``wall_s`` is
-  observation, not result: it never participates in digests or
-  identity checks.
-  Records are appended (and flushed) as cells complete, so a
-  checkpoint is crash-safe by construction: whatever survives an
-  interruption is a valid prefix, and a torn final line is detected
-  and dropped on load.
-* **Format v2** (read/append-compatible): identical line format
-  without ``wall_s``.  v2 stores load transparently, and resuming one
-  appends v3-shaped records under the existing v2 header.
-* **Format v1** (legacy, read-only): a single JSON document
-  ``{"format": 1, "results": [...]}``.  :meth:`RunStore.load` and
-  :func:`load_results` auto-detect it, so old checkpoints round-trip.
+The on-disk format (format 3, the only one :class:`RunStore` reads or
+writes) is JSON Lines.  The first line is a header carrying the format
+number and a sha256 digest of the world configuration the results were
+computed against; every subsequent line is one ``(RunKey, RunResult)``
+record.  Records are appended (and flushed) as cells complete, so a
+checkpoint is crash-safe by construction: whatever survives an
+interruption is a valid prefix, and a torn final line is detected and
+dropped on load.  Keys a record carries beyond ``key`` and ``result``
+(older writers added a per-cell ``wall_s``) are ignored.
 
 Addresses are stored as hex strings to keep files compact and
 diff-friendly; everything round-trips exactly.
@@ -50,10 +39,6 @@ __all__ = [
     "result_to_dict",
     "result_from_dict",
 ]
-
-_FORMAT_V1 = 1
-_FORMAT_V2 = 2
-_FORMAT_V3 = 3
 
 
 def _encode_addresses(addresses: Iterable[int]) -> list[str]:
@@ -150,16 +135,14 @@ class RunStore:
     counts it in :attr:`dropped`; any earlier corruption is an error.
     """
 
-    FORMAT = _FORMAT_V3
+    #: The on-disk format number: the only one :meth:`load` accepts.
+    FORMAT = 3
 
     def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
         self.header: dict | None = None
         self._records: list[tuple[tuple, RunResult]] = []
         self._by_key: dict[tuple, RunResult] = {}
-        #: Measured wall seconds per key, for records that carried one
-        #: (v3 stores).
-        self.wall_seconds: dict[tuple, float] = {}
         self._handle = None
         #: Records read from disk by :meth:`load`.
         self.loaded = 0
@@ -200,28 +183,23 @@ class RunStore:
     # -- loading -----------------------------------------------------------
 
     def load(self) -> int:
-        """Read an existing checkpoint (v2 JSONL, or legacy v1 JSON).
+        """Read an existing format-3 checkpoint.
 
-        Returns the number of records loaded.  Raises ``ValueError`` on
-        unknown formats or mid-file corruption; a torn *final* line is
-        dropped silently (crash mid-append) and counted in
-        :attr:`dropped`.
+        Returns the number of records loaded.  Raises ``ValueError``
+        naming the path for anything that does not open with a format-3
+        header (an older format included) and for mid-file corruption;
+        a torn *final* line is dropped silently (crash mid-append) and
+        counted in :attr:`dropped`.
         """
-        text = self.path.read_text(encoding="utf-8")
-        lines = text.splitlines()
-        header = None
-        if lines:
-            try:
-                first = json.loads(lines[0])
-            except json.JSONDecodeError:
-                first = None
-            if isinstance(first, dict) and first.get("format") in (
-                _FORMAT_V2,
-                _FORMAT_V3,
-            ):
-                header = first
-        if header is None:
-            return self._load_v1(text)
+        lines = self.path.read_text(encoding="utf-8").splitlines()
+        try:
+            header = json.loads(lines[0]) if lines else None
+        except json.JSONDecodeError:
+            header = None
+        if not isinstance(header, dict) or header.get("format") != self.FORMAT:
+            raise ValueError(
+                f"{self.path}: not a format-{self.FORMAT} results checkpoint"
+            )
         self.header = header
         for index, line in enumerate(lines[1:], start=2):
             if not line.strip():
@@ -238,25 +216,6 @@ class RunStore:
             tga, dataset, port_value, budget = record["key"]
             key = (tga, dataset, Port(port_value), budget)
             self._add(key, result_from_dict(record["result"]))
-            wall_s = record.get("wall_s")
-            if wall_s is not None:
-                self.wall_seconds[key] = float(wall_s)
-            self.loaded += 1
-        return self.loaded
-
-    def _load_v1(self, text: str) -> int:
-        """Fall back to the legacy single-document format."""
-        try:
-            payload = json.loads(text)
-        except json.JSONDecodeError:
-            raise ValueError(f"{self.path}: not a results checkpoint") from None
-        version = payload.get("format") if isinstance(payload, dict) else None
-        if version != _FORMAT_V1:
-            raise ValueError(f"unsupported results format: {version!r}")
-        self.header = {"format": _FORMAT_V1}
-        for record in payload["results"]:
-            result = result_from_dict(record)
-            self._add(_result_key(result), result)
             self.loaded += 1
         return self.loaded
 
@@ -268,10 +227,10 @@ class RunStore:
         """Refuse to resume against a different world.
 
         ``digest`` is the current study's :func:`study_digest`; it must
-        equal the digest recorded in the checkpoint header.  Legacy v1
-        checkpoints (and stores written without a digest) cannot be
-        verified and are rejected here — load them explicitly with
-        :func:`load_results` if the mismatch is intentional.
+        equal the digest recorded in the checkpoint header.  Stores
+        written without a digest (such as :func:`dump_results` output)
+        cannot be verified and are rejected here — load them explicitly
+        with :func:`load_results` if the mismatch is intentional.
         """
         recorded = self.config
         if recorded is None:
@@ -291,42 +250,28 @@ class RunStore:
     def begin(self, config: str | None = None, **meta) -> None:
         """Open the store for appending, writing the header if new.
 
-        On an existing (loaded) v2 store this is idempotent; a legacy v1
-        store cannot be appended to.
+        On an existing (loaded) store this is idempotent: records are
+        appended under the header already on disk.
         """
-        if self.header is not None and self.header.get("format") == _FORMAT_V1:
-            raise ValueError(
-                f"{self.path}: legacy v1 checkpoints are read-only; "
-                "write a new v2 store instead"
-            )
         if self._handle is not None:
             return
         fresh = self.header is None
         self._handle = open(self.path, "a", encoding="utf-8")
         if fresh and self._handle.tell() == 0:
-            self.header = {"format": _FORMAT_V3, "config": config, **meta}
+            self.header = {"format": self.FORMAT, "config": config, **meta}
             self._write_line(self.header)
 
-    def append(
-        self, key: tuple, result: RunResult, wall_s: float | None = None
-    ) -> None:
-        """Persist one completed cell (appends and flushes immediately).
-
-        ``wall_s`` is the measured wall-clock seconds of the cell, when
-        the caller has one — recorded alongside the result, never part
-        of its identity.
-        """
+    def append(self, key: tuple, result: RunResult) -> None:
+        """Persist one completed cell (appends and flushes immediately)."""
         if self._handle is None:
             self.begin()
         tga, dataset, port, budget = key
-        record: dict = {
-            "key": [tga, dataset, port.value, budget],
-            "result": result_to_dict(result),
-        }
-        if wall_s is not None:
-            record["wall_s"] = round(float(wall_s), 6)
-            self.wall_seconds[key] = float(wall_s)
-        self._write_line(record)
+        self._write_line(
+            {
+                "key": [tga, dataset, port.value, budget],
+                "result": result_to_dict(result),
+            }
+        )
         self._add(key, result)
         self.appended += 1
 
@@ -341,7 +286,6 @@ class RunStore:
         self.header = None
         self._records.clear()
         self._by_key.clear()
-        self.wall_seconds.clear()
         self.loaded = self.appended = self.dropped = 0
 
     def close(self) -> None:
@@ -360,7 +304,7 @@ class RunStore:
 
 
 def dump_results(path: str | Path, results: Iterable[RunResult]) -> int:
-    """Write results to a fresh format-v2 checkpoint; returns the count.
+    """Write results to a fresh format-3 checkpoint; returns the count.
 
     Thin wrapper over :class:`RunStore` (kept for compatibility; new
     code that checkpoints incrementally should use the store directly).
@@ -376,7 +320,7 @@ def dump_results(path: str | Path, results: Iterable[RunResult]) -> int:
 
 def load_results(path: str | Path) -> list[RunResult]:
     """Load a checkpoint written by :func:`dump_results` or
-    :class:`RunStore` — format v2 or legacy v1, auto-detected."""
+    :class:`RunStore` (format 3; raises ``ValueError`` otherwise)."""
     store = RunStore(path)
     store.load()
     return store.results()

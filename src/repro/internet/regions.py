@@ -32,6 +32,11 @@ _SALT_PORT = 0x20
 _SALT_CHURN = 0x21
 _SALT_ALIAS_RATE = 0x22
 
+#: Batch size from which :meth:`Region.respond_batch` draws a
+#: rate-limited aliased region's coins with one ``coin_batch`` call;
+#: below it the per-address scalar ``coin`` is faster.
+_ALIAS_COIN_BATCH_MIN = 8
+
 
 class RegionRole(str, Enum):
     """Functional role of a region, used by dataset collectors."""
@@ -203,19 +208,13 @@ class Region:
 
         Region-level checks (firewall, retirement, alias profile, the
         responsive-IID lookup) run once per call instead of once per
-        address; per-address work reduces to a set-membership test, or,
-        from 64 addresses on, to :meth:`respond_batch_array`.  Results
-        are identical to calling :meth:`responds` per address.
+        address.  The formulation follows the region's kind: an ordinary
+        region tests set membership, and a rate-limited aliased region
+        draws its per-``attempt`` coins with one :func:`coin_batch` call
+        from ``_ALIAS_COIN_BATCH_MIN`` addresses on (the scalar
+        :func:`coin` is cheaper below that).  Results are identical to
+        calling :meth:`responds` per address.
         """
-        if len(addresses) >= 64:
-            iids = np.fromiter(
-                (address & 0xFFFF_FFFF_FFFF_FFFF for address in addresses),
-                dtype=np.uint64,
-                count=len(addresses),
-            )
-            mask = self.respond_batch_array(iids, port, epoch, attempt)
-            hits = np.nonzero(mask)[0]
-            return {addresses[index] for index in hits.tolist()}
         if self.firewalled:
             return set()
         if self.retired and epoch >= SCAN_EPOCH:
@@ -228,6 +227,16 @@ class Region:
             probability = self.alias_response_prob
             salt = self.salt
             port_index = port.index
+            if len(addresses) >= _ALIAS_COIN_BATCH_MIN:
+                iids = np.fromiter(
+                    (address & 0xFFFF_FFFF_FFFF_FFFF for address in addresses),
+                    dtype=np.uint64,
+                    count=len(addresses),
+                )
+                mask = coin_batch(
+                    probability, salt, _SALT_ALIAS_RATE, port_index, iids, attempt
+                )
+                return {addresses[index] for index in np.flatnonzero(mask).tolist()}
             return {
                 address
                 for address in addresses
@@ -248,40 +257,6 @@ class Region:
             for address in addresses
             if address & 0xFFFF_FFFF_FFFF_FFFF in iids
         }
-
-    def respond_batch_array(self, iids, port: Port, epoch: int, attempt: int = 0):
-        """Boolean response mask over a uint64 IID array.
-
-        The array counterpart of :meth:`respond_batch`: alias-rate coins
-        become one :func:`coin_batch` call (with the per-``attempt``
-        lane preserved for rate-limited aliased regions) and the
-        responsive-IID membership test becomes a ``searchsorted``
-        probe against the cached sorted array.
-        """
-        n = iids.shape[0]
-        if self.firewalled:
-            return np.zeros(n, dtype=bool)
-        if self.retired and epoch >= SCAN_EPOCH:
-            return np.zeros(n, dtype=bool)
-        if self.aliased:
-            if self.profile.probability(port) <= 0.0:
-                return np.zeros(n, dtype=bool)
-            if self.alias_response_prob >= 1.0:
-                return np.ones(n, dtype=bool)
-            return coin_batch(
-                self.alias_response_prob,
-                self.salt,
-                _SALT_ALIAS_RATE,
-                port.index,
-                iids,
-                attempt,
-            )
-        members = self.responsive_iids_array(port, epoch)
-        if members.shape[0] == 0:
-            return np.zeros(n, dtype=bool)
-        slots = np.searchsorted(members, iids)
-        slots = np.minimum(slots, members.shape[0] - 1)
-        return members[slots] == iids
 
     def responds_any_port(self, address: int, epoch: int) -> bool:
         """Whether the address answers on at least one of the four targets."""

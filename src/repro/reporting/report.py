@@ -4,7 +4,7 @@ Assembles a complete, self-contained markdown report of a study —
 world summary, seed composition, the RQ1/RQ2/RQ4 headline comparisons
 and the RQ5 recommended-pipeline outcome — suitable for dropping into a
 README, wiki or paper appendix.  Exposed on the CLI as
-``python -m repro report``.
+``python -m repro study report``.
 """
 
 from __future__ import annotations

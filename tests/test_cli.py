@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
+from repro.tga import ALL_TGA_NAMES
 
 from .golden_telemetry import GOLDEN_PATH
 
@@ -15,14 +16,14 @@ class TestParser:
             build_parser().parse_args([])
 
     def test_defaults(self):
-        args = build_parser().parse_args(["describe"])
+        args = build_parser().parse_args(["world", "describe"])
         assert args.scale == "tiny"
         assert args.seed == 42
         assert args.budget == 2500
 
     def test_run_arguments(self):
         args = build_parser().parse_args(
-            ["run", "6tree", "--port", "tcp80", "--dataset", "joint"]
+            ["study", "run", "6tree", "--port", "tcp80", "--dataset", "joint"]
         )
         assert args.tga == "6tree"
         assert args.port == "tcp80"
@@ -30,29 +31,108 @@ class TestParser:
 
     def test_invalid_tga_rejected(self):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["run", "7tree"])
+            build_parser().parse_args(["study", "run", "7tree"])
 
     def test_invalid_scale_rejected(self):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["--scale", "planetary", "describe"])
+            build_parser().parse_args(["--scale", "planetary", "world", "describe"])
+
+
+ALL_TGAS = ",".join(ALL_TGA_NAMES)
+
+#: Every ``world`` and ``study`` verb, each with its defaults and with
+#: its positional arguments and options given: (argv, parsed attributes).
+VERB_CASES = [
+    (["world", "describe"], {}),
+    (["world", "sources"], {}),
+    (["world", "overlap"], {"by": "ip"}),
+    (["world", "overlap", "--by", "as"], {"by": "as"}),
+    (["study", "run", "6gen"], {"tga": "6gen", "port": "icmp", "dataset": "active"}),
+    (
+        ["study", "run", "entropy_ip", "--port", "udp53", "--dataset", "offline"],
+        {"tga": "eip", "port": "udp53", "dataset": "offline"},
+    ),
+    (["study", "grid"], {"tgas": ALL_TGAS, "ports": "icmp", "dataset": "active"}),
+    (
+        ["study", "grid", "--tgas", "6tree,6gen", "--ports", "icmp,tcp80",
+         "--dataset", "joint"],
+        {"tgas": "6tree,6gen", "ports": "icmp,tcp80", "dataset": "joint"},
+    ),
+    (
+        ["study", "resume", "cp.jsonl"],
+        {"checkpoint": "cp.jsonl", "tgas": ALL_TGAS, "ports": "icmp",
+         "dataset": "active"},
+    ),
+    (
+        ["study", "resume", "cp.jsonl", "--tgas", "6gen", "--ports", "tcp443",
+         "--dataset", "online"],
+        {"checkpoint": "cp.jsonl", "tgas": "6gen", "ports": "tcp443",
+         "dataset": "online"},
+    ),
+    *(
+        case
+        for verb in ("rq1a", "rq1b", "rq2", "rq4")
+        for case in (
+            (["study", verb], {"port": "icmp"}),
+            (["study", verb, "--port", "tcp80"], {"port": "tcp80"}),
+        )
+    ),
+    (["study", "rq3"], {"sources": "censys,scamper,hitlist"}),
+    (["study", "rq3", "--sources", "censys"], {"sources": "censys"}),
+    (["study", "convergence", "6tree"], {"tga": "6tree", "port": "icmp"}),
+    (
+        ["study", "convergence", "6scan", "--port", "tcp443"],
+        {"tga": "6scan", "port": "tcp443"},
+    ),
+    (["study", "recommend"], {"port": "tcp443"}),
+    (["study", "recommend", "--port", "udp53"], {"port": "udp53"}),
+    (["study", "report"], {"out": ""}),
+    (["study", "report", "--out", "report.md"], {"out": "report.md"}),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, expected", VERB_CASES, ids=[" ".join(argv) for argv, _ in VERB_CASES]
+)
+def test_world_and_study_verbs_parse(argv, expected):
+    args = build_parser().parse_args(argv)
+    assert args.command_name == " ".join(argv[:2])
+    assert {name: getattr(args, name) for name in expected} == expected
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["world", "describe", "--by", "as"],
+        ["study", "rq3", "--port", "icmp"],
+        ["study", "report", "--port", "icmp"],
+        ["study", "recommend", "--dataset", "joint"],
+    ],
+    ids=" ".join,
+)
+def test_verbs_reject_arguments_they_do_not_take(argv):
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(argv)
 
 
 class TestCommands:
     def test_describe(self, capsys):
-        assert main(["describe"]) == 0
+        assert main(["world", "describe"]) == 0
         out = capsys.readouterr().out
         assert "regions" in out
         assert "ases" in out
 
     def test_sources_with_export(self, capsys, tmp_path):
         export = tmp_path / "sources.json"
-        assert main(["--export", str(export), "sources"]) == 0
+        assert main(["--export", str(export), "world", "sources"]) == 0
         rows = json.loads(export.read_text())
         assert len(rows) == 12
         assert {"source", "kind", "unique", "ases"} <= set(rows[0])
 
     def test_run_cell(self, capsys):
-        assert main(["--budget", "400", "run", "6gen", "--port", "icmp"]) == 0
+        assert (
+            main(["--budget", "400", "study", "run", "6gen", "--port", "icmp"]) == 0
+        )
         out = capsys.readouterr().out
         assert "hits" in out
         assert "6gen" in out
@@ -60,18 +140,23 @@ class TestCommands:
     def test_run_export_csv(self, tmp_path, capsys):
         export = tmp_path / "run.csv"
         assert (
-            main(["--budget", "400", "--export", str(export), "run", "6tree"]) == 0
+            main(
+                ["--budget", "400", "--export", str(export), "study", "run", "6tree"]
+            )
+            == 0
         )
         header = export.read_text().splitlines()[0]
         assert "tga" in header and "hits" in header
 
     def test_rq4(self, capsys):
-        assert main(["--budget", "400", "rq4", "--port", "icmp"]) == 0
+        assert main(["--budget", "400", "study", "rq4", "--port", "icmp"]) == 0
         out = capsys.readouterr().out
         assert "cumulative" in out.lower()
 
     def test_recommend(self, capsys):
-        assert main(["--budget", "400", "recommend", "--port", "udp53"]) == 0
+        assert (
+            main(["--budget", "400", "study", "recommend", "--port", "udp53"]) == 0
+        )
         out = capsys.readouterr().out
         assert "ENSEMBLE" in out
 
@@ -79,24 +164,29 @@ class TestCommands:
 class TestNewCommands:
     def test_rq3(self, capsys):
         assert (
-            main(["--budget", "400", "rq3", "--sources", "censys,scamper"]) == 0
+            main(
+                ["--budget", "400", "study", "rq3", "--sources", "censys,scamper"]
+            )
+            == 0
         )
         out = capsys.readouterr().out
         assert "pooled" in out
 
     def test_overlap_heatmap(self, capsys):
-        assert main(["overlap", "--by", "ip"]) == 0
+        assert main(["world", "overlap", "--by", "ip"]) == 0
         out = capsys.readouterr().out
         assert "legend:" in out
 
     def test_convergence(self, capsys):
-        assert main(["--budget", "400", "convergence", "6gen"]) == 0
+        assert main(["--budget", "400", "study", "convergence", "6gen"]) == 0
         out = capsys.readouterr().out
         assert "budget to 50% yield" in out
 
     def test_report_to_file(self, tmp_path, capsys):
         out = tmp_path / "report.md"
-        assert main(["--budget", "300", "report", "--out", str(out)]) == 0
+        assert (
+            main(["--budget", "300", "study", "report", "--out", str(out)]) == 0
+        )
         text = out.read_text()
         assert text.startswith("# Seeds of Scanning")
         assert "RQ1.a" in text and "RQ5" in text
@@ -118,26 +208,11 @@ class TestNounVerbCLI:
         assert "regions" in captured.out
         assert "deprecated" not in captured.err
 
-    def test_legacy_alias_still_works_but_warns(self, capsys):
-        assert main(["describe"]) == 0
-        captured = capsys.readouterr()
-        assert "regions" in captured.out
-        assert "deprecated" in captured.err
-        assert "repro world describe" in captured.err
-
-    def test_legacy_run_warns_with_new_spelling(self, capsys):
-        assert main(["--budget", "400", "run", "6gen"]) == 0
-        assert "repro study run" in capsys.readouterr().err
-
-    def test_legacy_aliases_are_hidden_from_help(self):
-        help_text = build_parser().format_help()
-        leading = [
-            line.split()[0] for line in help_text.splitlines() if line.split()
-        ]
-        for old in ("describe", "sources", "run", "grid", "rq1a", "recommend"):
-            assert old not in leading
-        for noun in ("world", "study", "serve", "trace", "top"):
-            assert noun in leading
+    def test_flat_spelling_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["describe"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'describe'" in capsys.readouterr().err
 
     def test_study_resume_reruns_from_checkpoint(self, tmp_path, capsys):
         checkpoint = tmp_path / "grid.jsonl"
@@ -185,7 +260,7 @@ def run_traced(tmp_path, name, extra=(), budget="400"):
     trace = tmp_path / name
     argv = [
         "--budget", budget, "--telemetry", str(trace),
-        *extra, "run", "6gen", "--port", "icmp",
+        *extra, "study", "run", "6gen", "--port", "icmp",
     ]
     assert main(argv) == 0
     return trace
@@ -209,8 +284,8 @@ class TestTelemetryFlags:
     def test_telemetry_summary_goes_to_stderr(self, capsys):
         assert (
             main(
-                ["--budget", "400", "--telemetry-summary", "run", "6gen",
-                 "--port", "icmp"]
+                ["--budget", "400", "--telemetry-summary", "study", "run",
+                 "6gen", "--port", "icmp"]
             )
             == 0
         )
@@ -243,7 +318,7 @@ class TestTelemetryFlags:
         trace = tmp_path / "trace.jsonl"
         argv = [
             "--budget", "400", "--telemetry", str(trace),
-            "--export", str(export), "run", "6gen", "--port", "icmp",
+            "--export", str(export), "study", "run", "6gen", "--port", "icmp",
         ]
         assert main(argv) == 0
         sidecar = tmp_path / "rows.manifest.json"
@@ -258,8 +333,8 @@ class TestTelemetryFlags:
         export = tmp_path / "rows.json"
         assert (
             main(
-                ["--budget", "400", "--export", str(export), "run", "6gen",
-                 "--port", "icmp"]
+                ["--budget", "400", "--export", str(export), "study", "run",
+                 "6gen", "--port", "icmp"]
             )
             == 0
         )

@@ -2,6 +2,8 @@
 
 from repro.addr import Prefix, parse_address
 from repro.dealias import OfflineDealiaser
+from repro.experiments import GridSpec, Study, run_grid
+from repro.internet import InternetConfig, Port
 
 
 class TestOfflineDealiaser:
@@ -47,3 +49,24 @@ class TestFromInternet:
         dealiaser = OfflineDealiaser.from_internet(internet)
         for prefix in internet.published_alias_prefixes[:10]:
             assert dealiaser.is_aliased(prefix.value | 4321)
+
+    def test_one_dealiaser_per_world(self, monkeypatch):
+        """Seed dealiasing and every grid cell on one world share one
+        dealiaser, so the published-list trie is built once."""
+        built = []
+        init = OfflineDealiaser.__init__
+
+        def counting_init(self, published):
+            built.append(self)
+            init(self, published)
+
+        monkeypatch.setattr(OfflineDealiaser, "__init__", counting_init)
+        study = Study(config=InternetConfig.tiny(), budget=300, round_size=100)
+        spec = GridSpec(
+            datasets=(study.constructions.all_active,),
+            tga_names=("6tree", "6gen", "eip"),
+            ports=(Port.ICMP, Port.TCP80),
+        )
+        results = run_grid(study, spec)
+        assert len(results.runs) == 6
+        assert built == [OfflineDealiaser.from_internet(study.internet)]

@@ -61,27 +61,27 @@ class TestTopLevelSurface:
         from repro.cli import build_parser
 
         parser = build_parser()
-        commands = {
-            action.dest
-            for action in parser._subparsers._group_actions[0].choices.values()  # type: ignore[union-attr]
-            for action in []
-        }
-        # The parser exposes all documented subcommands.
+        # The parser exposes all documented nouns and their verbs.
         choices = parser._subparsers._group_actions[0].choices  # type: ignore[union-attr]
-        assert {
-            "describe",
-            "sources",
+        assert set(choices) == {"world", "study", "serve", "trace", "top"}
+
+        def verbs(noun: str) -> set[str]:
+            return set(choices[noun]._subparsers._group_actions[0].choices)
+
+        assert verbs("world") == {"describe", "sources", "overlap"}
+        assert verbs("study") == {
             "run",
+            "grid",
+            "resume",
             "rq1a",
             "rq1b",
             "rq2",
             "rq3",
             "rq4",
-            "overlap",
             "convergence",
             "recommend",
             "report",
-        } <= set(choices)
+        }
 
     def test_docstrings_everywhere(self):
         """Every public module and exported class/function is documented."""

@@ -598,7 +598,7 @@ class TestPeakRssGate:
                 "--scale", "tiny", "--budget", "300",
                 "--telemetry", str(path),
                 "--sample-resources", "0.05",
-                "grid", "--tgas", "6tree", "--ports", "icmp",
+                "study", "grid", "--tgas", "6tree", "--ports", "icmp",
             ]
         )
         assert status == 0

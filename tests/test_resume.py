@@ -1,11 +1,11 @@
 """Tests for fault-tolerant, resumable grid execution.
 
-Covers the RunStore checkpoint format (v2 JSONL, v1 auto-detect, torn
-lines, digest verification), the ExecutionPolicy surface and its
-legacy-kwarg compatibility shims, deterministic fault injection, and
-the headline property: a grid interrupted by worker crashes and resumed
-from its checkpoint yields results bit-identical to an uninterrupted
-run, without ever re-executing completed cells.
+Covers the RunStore checkpoint format (format-3 JSONL, torn lines,
+digest verification, older formats rejected), the ExecutionPolicy
+surface, deterministic fault injection, and the headline property: a
+grid interrupted by worker crashes and resumed from its checkpoint
+yields results bit-identical to an uninterrupted run, without ever
+re-executing completed cells.
 """
 
 import json
@@ -24,9 +24,16 @@ from repro.experiments import (
     Study,
     dump_results,
     load_results,
+    run_cross_port,
     run_grid,
+    run_rq1a,
+    run_rq1b,
+    run_rq2,
+    run_rq3,
+    run_rq4,
     study_digest,
 )
+from repro.experiments.store import result_to_dict
 from repro.internet import ALL_PORTS, InternetConfig, Port
 from repro.telemetry import MemorySink, Telemetry, strip_variant_events, use_telemetry
 
@@ -55,7 +62,7 @@ def run_one(study: Study) -> "tuple":
 
 
 # ---------------------------------------------------------------------------
-# RunStore: the v2 checkpoint format
+# RunStore: the format-3 checkpoint
 # ---------------------------------------------------------------------------
 
 
@@ -146,20 +153,64 @@ class TestRunStore:
         with pytest.raises(ValueError, match="corrupt"):
             RunStore(path).load()
 
-    def test_v1_checkpoint_autodetected_and_readonly(self, tmp_path):
+    def test_v1_document_is_rejected_naming_the_path(self, tmp_path):
         study = make_study()
         _, result = run_one(study)
         path = tmp_path / "old.json"
-        from repro.experiments.store import result_to_dict
-
         path.write_text(
             json.dumps({"format": 1, "results": [result_to_dict(result)]})
         )
-        store = RunStore(path)
-        assert store.load() == 1
-        assert store.results() == [result]
-        with pytest.raises(ValueError, match="read-only"):
-            store.begin()
+        with pytest.raises(ValueError, match="old.json"):
+            RunStore(path).load()
+        with pytest.raises(ValueError, match="old.json"):
+            load_results(path)
+
+    def test_format2_header_is_rejected_naming_the_path(self, tmp_path):
+        study = make_study()
+        key, result = run_one(study)
+        path = tmp_path / "v2.jsonl"
+        with RunStore(path) as store:
+            store.begin(config=study_digest(study))
+            store.append(key, result)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        header = json.loads(lines[0])
+        header["format"] = 2
+        path.write_text(
+            "\n".join([json.dumps(header), *lines[1:]]) + "\n", encoding="utf-8"
+        )
+        with pytest.raises(ValueError, match="v2.jsonl"):
+            RunStore(path).load()
+
+    def test_records_carrying_wall_s_load_and_resume(self, tmp_path):
+        """Format-3 checkpoints written when records carried a per-cell
+        ``wall_s`` still load (the key is ignored) and still resume."""
+        study = make_study()
+        spec = make_spec(study)
+        path = tmp_path / "cp.jsonl"
+        baseline = run_grid(study, spec, policy=ExecutionPolicy(checkpoint=path))
+        lines = path.read_text(encoding="utf-8").splitlines()
+        records = [json.loads(line) for line in lines[1:]]
+        for wall, record in enumerate(records, start=1):
+            record["wall_s"] = float(wall)
+        path.write_text(
+            "\n".join([lines[0], *map(json.dumps, records)]) + "\n",
+            encoding="utf-8",
+        )
+        reread = RunStore(path)
+        assert reread.load() == spec.size
+        assert {key[:3]: reread.get(key) for key in reread.keys()} == baseline.runs
+
+        resumed_study = make_study()
+        telemetry = Telemetry()
+        with use_telemetry(telemetry):
+            resumed = run_grid(
+                resumed_study,
+                make_spec(resumed_study),
+                policy=ExecutionPolicy(checkpoint=path, resume=True),
+            )
+        assert telemetry.counters["checkpoint.cells_loaded"] == spec.size
+        assert telemetry.counters.get("meta.cache_misses", 0) == 0
+        assert resumed.runs == baseline.runs
 
     def test_dump_and_load_are_runstore_wrappers(self, tmp_path):
         study = make_study()
@@ -171,7 +222,7 @@ class TestRunStore:
 
 
 # ---------------------------------------------------------------------------
-# ExecutionPolicy: validation and the removed legacy kwargs
+# ExecutionPolicy: validation and the policy-only surface
 # ---------------------------------------------------------------------------
 
 
@@ -194,15 +245,9 @@ class TestExecutionPolicy:
         assert ExecutionPolicy(fault_plan=FaultPlan()).resilient
         assert ExecutionPolicy(cell_timeout=5.0).resilient
 
-    def test_run_grid_workers_kwarg_raises(self):
-        study = make_study()
-        spec = make_spec(study)
-        with pytest.raises(TypeError, match="workers.*removed.*ExecutionPolicy"):
-            run_grid(study, spec, workers=2)
-
     def test_run_matrix_parallel_kwarg_raises(self):
         study = make_study()
-        with pytest.raises(TypeError, match="parallel.*removed"):
+        with pytest.raises(TypeError, match="unexpected keyword argument 'parallel'"):
             study.run_matrix(
                 [study.constructions.all_active],
                 ports=(Port.ICMP,),
@@ -214,7 +259,7 @@ class TestExecutionPolicy:
     def test_telemetry_kwarg_raises(self):
         study = make_study()
         spec = make_spec(study)
-        with pytest.raises(TypeError, match="telemetry.*removed"):
+        with pytest.raises(TypeError, match="unexpected keyword argument 'telemetry'"):
             run_grid(study, spec, telemetry=Telemetry())
 
     def test_telemetry_via_policy_is_honoured(self):
@@ -231,13 +276,36 @@ class TestExecutionPolicy:
             warnings.simplefilter("error", DeprecationWarning)
             run_grid(study, spec, policy=ExecutionPolicy())
 
-    def test_error_names_both_removed_and_unknown_kwargs(self):
-        from repro.experiments.policy import coalesce_policy
-
-        with pytest.raises(TypeError, match="unexpected"):
-            coalesce_policy(None, "api", bogus=3)
-        with pytest.raises(TypeError, match="workers.*bogus"):
-            coalesce_policy(None, "api", workers=2, bogus=3)
+    @pytest.mark.parametrize(
+        "entry_point",
+        [
+            lambda study, **kw: run_grid(study, make_spec(study), **kw),
+            lambda study, **kw: study.precompute([], **kw),
+            lambda study, **kw: study.run_matrix([], **kw),
+            run_rq1a,
+            run_rq1b,
+            run_rq2,
+            run_cross_port,
+            run_rq3,
+            run_rq4,
+        ],
+        ids=[
+            "run_grid",
+            "Study.precompute",
+            "Study.run_matrix",
+            "run_rq1a",
+            "run_rq1b",
+            "run_rq2",
+            "run_cross_port",
+            "run_rq3",
+            "run_rq4",
+        ],
+    )
+    def test_stray_execution_kwarg_is_a_type_error(self, entry_point):
+        """Execution settings travel only in ``policy=``: a stray
+        ``workers=`` is an ordinary unexpected keyword argument."""
+        with pytest.raises(TypeError, match="unexpected keyword argument 'workers'"):
+            entry_point(make_study(), workers=2)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,9 @@
 """Tests for per-cell wall times and the warm-start layers.
 
 Covers the straggler report over ``sched`` trace events (including
-traces recorded by older versions), RunStore v3 wall-time persistence
-(with v2 backward reads), and the system-level property that a warm
-persistent model store cannot change grid results or stripped traces.
+traces recorded by older versions), per-cell wall times in grid
+results, and the system-level property that a warm persistent model
+store cannot change grid results or stripped traces.
 """
 
 import json
@@ -11,14 +11,7 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.experiments import (
-    ExecutionPolicy,
-    GridSpec,
-    RunStore,
-    Study,
-    run_grid,
-    study_digest,
-)
+from repro.experiments import ExecutionPolicy, GridSpec, Study, run_grid
 from repro.internet import InternetConfig, Port
 from repro.telemetry import (
     MemorySink,
@@ -120,61 +113,6 @@ class TestStragglerReport:
         assert report.workers == 2
         assert report.total_wall_s > 0.0
         assert 0.0 < report.efficiency <= 1.0
-
-
-class TestRunStoreWallSeconds:
-    def run(self, study):
-        return study.run("6gen", study.constructions.all_active, Port.ICMP, budget=200)
-
-    def test_v3_roundtrips_wall_seconds(self, tmp_path):
-        study = make_study()
-        result = self.run(study)
-        key = ("6gen", "all-active", Port.ICMP, 200)
-        path = tmp_path / "ckpt.jsonl"
-        with RunStore(path) as store:
-            store.begin(config=study_digest(study))
-            store.append(key, result, wall_s=1.25)
-        reread = RunStore(path)
-        reread.load()
-        assert reread.header["format"] == 3
-        assert reread.wall_seconds == {key: 1.25}
-        assert reread.get(key) == result
-
-    def test_wall_seconds_optional(self, tmp_path):
-        study = make_study()
-        result = self.run(study)
-        key = ("6gen", "all-active", Port.ICMP, 200)
-        with RunStore(tmp_path / "ckpt.jsonl") as store:
-            store.begin()
-            store.append(key, result)
-        reread = RunStore(tmp_path / "ckpt.jsonl")
-        reread.load()
-        assert reread.wall_seconds == {}
-
-    def test_v2_store_still_loads(self, tmp_path):
-        """A pre-wall_s (format 2) checkpoint reads transparently."""
-        study = make_study()
-        result = self.run(study)
-        key = ("6gen", "all-active", Port.ICMP, 200)
-        path = tmp_path / "v2.jsonl"
-        with RunStore(path) as store:
-            store.begin(config=study_digest(study))
-            store.append(key, result, wall_s=9.9)
-        # Rewrite as a genuine v2 file: format 2 header, no wall_s.
-        lines = path.read_text(encoding="utf-8").splitlines()
-        header = json.loads(lines[0])
-        header["format"] = 2
-        record = json.loads(lines[1])
-        record.pop("wall_s")
-        path.write_text(
-            json.dumps(header) + "\n" + json.dumps(record) + "\n",
-            encoding="utf-8",
-        )
-        reread = RunStore(path)
-        assert reread.load() == 1
-        assert reread.header["format"] == 2
-        assert reread.get(key) == result
-        assert reread.wall_seconds == {}
 
 
 def assert_identical_runs(a, b) -> None:

@@ -302,9 +302,9 @@ class TestRegionRespondParity:
     @pytest.mark.parametrize("epoch", [0, 1, 3])
     @pytest.mark.parametrize("attempt", [0, 2])
     def test_respond_batch_sweep(self, epoch, attempt):
-        """One batch of 64+ addresses (the array kernel) and chunks of
-        fewer (the set-membership loop) both equal per-address
-        :meth:`Region.responds`."""
+        """The whole pool and chunks of 1, 7, 8 and 40 addresses all
+        equal per-address :meth:`Region.responds`: 7 and 8 straddle the
+        rate-limited alias coins' switch from scalar to batch draws."""
         rng = _rng(11)
         for region in _region_variants():
             pool = [region.address_of(iid) for iid in sorted(region.active_iids())]
@@ -317,18 +317,19 @@ class TestRegionRespondParity:
                     for address in pool
                     if single_region.responds(address, port, epoch, attempt)
                 }
-                whole = _fresh(region).respond_batch(pool, port, epoch, attempt)
-                chunked_region = _fresh(region)
-                chunked = set().union(
-                    *(
-                        chunked_region.respond_batch(
-                            pool[start : start + 40], port, epoch, attempt
+                for size in (1, 7, 8, 40, len(pool)):
+                    chunked_region = _fresh(region)
+                    chunked = set().union(
+                        *(
+                            chunked_region.respond_batch(
+                                pool[start : start + size], port, epoch, attempt
+                            )
+                            for start in range(0, len(pool), size)
                         )
-                        for start in range(0, len(pool), 40)
                     )
-                )
-                assert whole == singles, (region.net64, port, epoch, attempt)
-                assert chunked == singles, (region.net64, port, epoch, attempt)
+                    assert chunked == singles, (
+                        region.net64, port, epoch, attempt, size
+                    )
 
     def test_responsive_iids_vector_build_matches(self):
         for region in _region_variants():
