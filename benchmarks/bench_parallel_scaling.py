@@ -40,6 +40,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import statistics
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -150,49 +151,67 @@ def build_pools(internet: SimulatedInternet, total: int) -> dict[str, list[int]]
     return {"dispersed": dispersed, "concentrated": concentrated}
 
 
-def bench_probe_throughput(seed: int, total: int) -> list[dict]:
+def _timed_scans(scanner: Scanner, pool, repeats: int) -> tuple[list[float], object]:
+    """Seconds of ``repeats`` scans of ``pool`` after one untimed warm-up
+    scan of the whole pool, and the last scan's result."""
+    result = scanner.scan(pool, Port.ICMP)
+    seconds = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        result = scanner.scan(pool, Port.ICMP)
+        seconds.append(time.perf_counter() - start)
+    return seconds, result
+
+
+def _quartiles(seconds: list[float]) -> dict:
+    """Median and quartiles of repeated timings (inclusive method)."""
+    q1, median, q3 = statistics.quantiles(seconds, n=4, method="inclusive")
+    return {"median": round(median, 4), "q1": round(q1, 4), "q3": round(q3, 4)}
+
+
+def bench_probe_throughput(seed: int, total: int, repeats: int = 5) -> list[dict]:
     """Grouped vs packed ``Scanner.scan`` on million-address pools.
 
     The grouped path runs on the world's capped twin (a resident-AS cap
     that holds every AS, so nothing is evicted but no packed table is
-    built); the packed path runs on the uncapped world.  Each
-    measurement uses a fresh world (so no membership table or
-    responsive-set cache is warm from the other path's run) and the
-    hit sets are asserted identical before any number is recorded.
+    built); the packed path runs on the uncapped world.  Each path gets
+    a fresh world (so no membership table or responsive-set cache is
+    warm from the other path's run), warmed by one untimed scan of the
+    whole pool so every one-time cost lands outside the timed window;
+    each row then records the median and quartiles of ``repeats`` timed
+    scans.  The hit sets are asserted identical before any number is
+    recorded.
     """
     config = InternetConfig.tiny(master_seed=seed)
     capped = replace(config, max_resident_ases=config.num_ases + 1)
     pools = build_pools(SimulatedInternet(config), total)
     rows: list[dict] = []
-    warmup = max(1_000, len(next(iter(pools.values()))) // 50)
     for name, pool in pools.items():
-        # Warm each path on a slice first so one-time costs (responsive
-        # sets, membership tables) don't land inside the timed window.
-        scanner = Scanner(SimulatedInternet(capped))
-        scanner.scan(pool[:warmup], Port.ICMP)
-        start = time.perf_counter()
-        grouped = scanner.scan(list(pool), Port.ICMP)
-        grouped_seconds = time.perf_counter() - start
-        scanner = Scanner(SimulatedInternet(config))
-        packed = PackedAddresses.from_addresses(pool)
-        scanner.scan(PackedAddresses.from_addresses(pool[:warmup]), Port.ICMP)
-        start = time.perf_counter()
-        result = scanner.scan(packed, Port.ICMP)
-        packed_seconds = time.perf_counter() - start
-        if result.hits != grouped.hits:
+        grouped_seconds, grouped = _timed_scans(
+            Scanner(SimulatedInternet(capped)), list(pool), repeats
+        )
+        packed_seconds, packed = _timed_scans(
+            Scanner(SimulatedInternet(config)),
+            PackedAddresses.from_addresses(pool),
+            repeats,
+        )
+        if packed.hits != grouped.hits:
             raise AssertionError(
                 f"packed scan diverged from grouped on the {name} pool"
             )
+        grouped_time = _quartiles(grouped_seconds)
+        packed_time = _quartiles(packed_seconds)
         rows.append(
             {
                 "pool": name,
                 "addresses": total,
                 "hits": len(grouped.hits),
-                "grouped_seconds": round(grouped_seconds, 4),
-                "grouped_addresses_per_sec": round(total / grouped_seconds, 1),
-                "packed_seconds": round(packed_seconds, 4),
-                "packed_addresses_per_sec": round(total / packed_seconds, 1),
-                "speedup": round(grouped_seconds / packed_seconds, 2),
+                "repeats": repeats,
+                "grouped_seconds": grouped_time,
+                "grouped_addresses_per_sec": round(total / grouped_time["median"], 1),
+                "packed_seconds": packed_time,
+                "packed_addresses_per_sec": round(total / packed_time["median"], 1),
+                "speedup": round(grouped_time["median"] / packed_time["median"], 2),
                 "identical_hits": True,
             }
         )
@@ -391,7 +410,8 @@ def main(argv=None) -> int:
             f"  {row['pool']:<12}: grouped "
             f"{row['grouped_addresses_per_sec']:12,.0f} addr/s  "
             f"packed {row['packed_addresses_per_sec']:12,.0f} addr/s  "
-            f"speedup {row['speedup']:5.2f}x  identical=True"
+            f"speedup {row['speedup']:5.2f}x  (medians of {row['repeats']} scans)  "
+            "identical=True"
         )
 
     record = {

@@ -95,7 +95,7 @@ def choice_index(n: int, *parts: int) -> int:
 # `coin(p, ...)` agree bit for bit.  The scalar≡vectorized contract is
 # asserted wholesale in tests/test_vector_parity.py.
 
-from .vector import np  # noqa: E402
+from .vector import PackedAddresses, np  # noqa: E402
 
 _HASH_STATE = 0x5DEE_CE66_D1A4_F087
 _TWO64 = 18446744073709551616.0  # 2**64
@@ -118,19 +118,29 @@ def mix64_batch(x):
 
 
 def hash64_batch(*parts):
-    """Vectorized :func:`hash64`: parts are ints or uint64 arrays.
+    """Vectorized :func:`hash64`: parts are ints, uint64 arrays or
+    :class:`~repro.addr.vector.PackedAddresses`.
 
     Scalar integer parts may be arbitrarily large (folded 64 bits at a
     time, like the scalar function); array parts must already be uint64
-    lanes (one fold each).  Parts are folded in order with full
-    broadcasting, so per-element lanes (e.g. per-region salts) can sit
-    at any position.  Returns a uint64 array — or a ``np.uint64`` scalar
-    when no part was an array.
+    lanes (one fold each).  A ``PackedAddresses`` part is a lane of
+    128-bit integers (addresses, or any value below 2**128) folded the
+    way the scalar function folds a wide int: the low word, then the
+    high word only where it is non-zero.  Parts are folded in order with
+    full broadcasting, so per-element lanes (e.g. per-region salts) can
+    sit at any position.  Returns a uint64 array — or a ``np.uint64``
+    scalar when no part was an array.
     """
     state = _HASH_STATE
     vector = False
     for part in parts:
-        if isinstance(part, np.ndarray):
+        if isinstance(part, PackedAddresses):
+            low = part.iid64
+            state = mix64_batch((state ^ low) if vector else (low ^ np.uint64(state)))
+            high = part.prefix64
+            state = np.where(high != 0, mix64_batch(state ^ high), state)
+            vector = True
+        elif isinstance(part, np.ndarray):
             arr = part if part.dtype == np.uint64 else part.astype(np.uint64)
             state = (state ^ arr) if vector else (arr ^ np.uint64(state))
             state = mix64_batch(state)
@@ -177,8 +187,8 @@ def coin_batch(probability, *parts):
 def _broadcast_length(parts) -> int:
     """Result length for coin_batch's constant branches."""
     for part in parts:
-        if isinstance(part, np.ndarray):
-            return part.shape[0]
+        if isinstance(part, (np.ndarray, PackedAddresses)):
+            return len(part)
     return 1
 
 

@@ -31,18 +31,19 @@ def collect_hitlist_source(internet: SimulatedInternet, name: str) -> SeedDatase
     if name not in HITLIST_SOURCES:
         raise KeyError(f"not a hitlist source: {name}")
     dataset = collect_source(internet, SOURCE_SPECS[name])
-    if name == "hitlist":
-        published = internet.published_alias_prefixes
-        if published:
-            from ..dealias import AliasPrefixSet
+    if name == "hitlist" and internet.published_alias_prefixes:
+        from ..dealias import OfflineDealiaser
 
-            alias_set = AliasPrefixSet(published)
-            clean, _ = alias_set.partition(dataset.addresses)
-            dataset = SeedDataset(
-                name=dataset.name,
-                kind=dataset.kind,
-                addresses=frozenset(clean),
-                collected=dataset.collected,
-                metadata=dict(dataset.metadata),
-            )
+        # The world's shared published-list table, queried directly:
+        # this is the hitlist's own curation, not a dealiasing step, so
+        # it records no ``dealias.offline.*`` counters.
+        alias_set = OfflineDealiaser.from_internet(internet).prefix_set
+        clean, _ = alias_set.partition(dataset.addresses)
+        dataset = SeedDataset(
+            name=dataset.name,
+            kind=dataset.kind,
+            addresses=frozenset(clean),
+            collected=dataset.collected,
+            metadata=dict(dataset.metadata),
+        )
     return dataset

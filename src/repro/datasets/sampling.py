@@ -8,7 +8,10 @@ per-address draws dictate.
 
 from __future__ import annotations
 
-from ..addr.rand import coin, hash64
+from itertools import compress
+
+from ..addr.rand import coin, coin_batch, hash64
+from ..addr.vector import PackedAddresses, np
 from ..internet import Region, SimulatedInternet
 from .base import SeedDataset
 from .sources import COLLECTION_DATES, SourceSpec
@@ -44,23 +47,39 @@ def _region_probability(spec: SourceSpec, region: Region, extra: bool) -> float:
     return probability
 
 
-def _sample_region_addresses(
-    spec: SourceSpec, seed: int, region: Region, fraction: float
+def _sample_addresses(
+    spec: SourceSpec, seed: int, draws: list[tuple[Region, list[int], float]]
 ) -> list[int]:
-    pool = region.observable_addresses()
-    if not pool:
-        return []
-    if fraction >= 1.0:
-        return pool
-    # Per-address membership draws keep overlap semantics clean across
-    # sources: each (source, address) pair is an independent coin.
-    picked = [
-        address
-        for address in pool
-        if coin(fraction, seed, spec.salt, _SALT_ADDRESS, address)
-    ]
-    if not picked:  # always contribute at least one address per region
-        picked = [pool[hash64(seed, spec.salt, region.net64) % len(pool)]]
+    """The addresses a source keeps from each ``(region, pool, fraction)``.
+
+    Per-address membership draws keep overlap semantics clean across
+    sources: each (source, address) pair is an independent coin.  The
+    coins of every pool are drawn in one batch, each address against
+    its own region's fraction; a region whose coins all fail still
+    contributes one deterministic address.
+    """
+    picked: list[int] = []
+    partial = []
+    for region, pool, fraction in draws:
+        if fraction >= 1.0:
+            picked.extend(pool)
+        else:
+            partial.append((region, pool, fraction))
+    if not partial:
+        return picked
+    sizes = [len(pool) for _, pool, _ in partial]
+    pools = [address for _, pool, _ in partial for address in pool]
+    packed = PackedAddresses(
+        np.repeat(np.fromiter((region.net64 for region, _, _ in partial), np.uint64), sizes),
+        np.fromiter((address & 0xFFFF_FFFF_FFFF_FFFF for address in pools), np.uint64),
+    )
+    fractions = np.repeat(np.array([fraction for _, _, fraction in partial]), sizes)
+    keep = coin_batch(fractions, seed, spec.salt, _SALT_ADDRESS, packed)
+    picked.extend(compress(pools, keep.tolist()))
+    offsets = np.cumsum([0, *sizes[:-1]])
+    for index in np.flatnonzero(np.add.reduceat(keep, offsets) == 0).tolist():
+        region, pool, _ = partial[index]
+        picked.append(pool[hash64(seed, spec.salt, region.net64) % len(pool)])
     return picked
 
 
@@ -71,8 +90,7 @@ def collect_source(internet: SimulatedInternet, spec: SourceSpec) -> SeedDataset
     primary_roles = set(spec.roles)
     extra_roles = set(spec.extra_roles)
     org_types = set(spec.org_types)
-    addresses: set[int] = set()
-    regions_sampled = 0
+    draws: list[tuple[Region, list[int], float]] = []
     alias_regions_sampled = 0
 
     visible_as_cache: dict[int, bool] = {}
@@ -107,19 +125,18 @@ def collect_source(internet: SimulatedInternet, spec: SourceSpec) -> SeedDataset
             salt = _SALT_REGION if is_primary else _SALT_EXTRA
             if not coin(probability, seed, spec.salt, salt, region.net64):
                 continue
-        fraction = spec.address_fraction * (1.0 if is_primary or region.aliased else 0.5)
-        sampled = _sample_region_addresses(spec, seed, region, fraction)
-        if sampled:
-            regions_sampled += 1
-            addresses.update(sampled)
+        pool = region.observable_addresses()
+        if pool:
+            fraction = spec.address_fraction * (1.0 if is_primary or region.aliased else 0.5)
+            draws.append((region, pool, fraction))
 
+    addresses = set(_sample_addresses(spec, seed, draws))
+    regions_sampled = len(draws)
     if not addresses and fallback_region is not None:
         # Degenerate coverage draw (possible in very small worlds): every
         # real-world source still contributes *something*, so sample the
         # first eligible region outright.
-        addresses.update(
-            _sample_region_addresses(spec, seed, fallback_region, 1.0)
-        )
+        addresses.update(fallback_region.observable_addresses())
         regions_sampled += 1
 
     return SeedDataset(

@@ -43,11 +43,11 @@ class JointDealiaser:
     @property
     def mode(self) -> DealiasMode:
         """Which treatment this instance implements."""
-        if self.offline and self.online:
+        if self.offline is not None and self.online is not None:
             return DealiasMode.JOINT
-        if self.offline:
+        if self.offline is not None:
             return DealiasMode.OFFLINE
-        if self.online:
+        if self.online is not None:
             return DealiasMode.ONLINE
         return DealiasMode.NONE
 

@@ -1,15 +1,18 @@
 """Alias prefix sets: collections of known-aliased prefixes.
 
-Backed by the radix trie so containment honours nesting (an address is
-aliased if *any* stored prefix covers it, regardless of prefix length —
-published lists mix /64s, /96s and odd lengths).
+Containment honours nesting (an address is aliased if *any* stored
+prefix covers it, regardless of prefix length — published lists mix
+/64s, /96s and odd lengths), so queries only need the union of the
+stored prefixes.  That union is kept as a sorted table of disjoint
+address ranges, and a query is one :func:`bisect.bisect_right`.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections.abc import Iterable
 
-from ..addr import Prefix, PrefixTrie
+from ..addr import ADDRESS_BITS, Prefix
 
 __all__ = ["AliasPrefixSet"]
 
@@ -18,37 +21,62 @@ class AliasPrefixSet:
     """A set of aliased prefixes with address-containment queries."""
 
     def __init__(self, prefixes: Iterable[Prefix] = ()) -> None:
-        self._trie: PrefixTrie[bool] = PrefixTrie()
-        self._count = 0
-        for prefix in prefixes:
-            self.add(prefix)
+        self._prefixes: set[Prefix] = set(prefixes)
+        #: Merged disjoint ranges: ``_starts[i]`` .. ``_ends[i]`` inclusive,
+        #: rebuilt on the first query after an :meth:`add`.
+        self._starts: list[int] = []
+        self._ends: list[int] = []
+        self._stale = bool(self._prefixes)
 
     def add(self, prefix: Prefix) -> None:
         """Record a prefix as aliased (idempotent)."""
-        if self._trie.get_exact(prefix) is None:
-            self._count += 1
-        self._trie.insert(prefix, True)
+        if prefix not in self._prefixes:
+            self._prefixes.add(prefix)
+            self._stale = True
+
+    def _table(self) -> tuple[list[int], list[int]]:
+        """The merged range table, rebuilt if a prefix was added since."""
+        if self._stale:
+            starts: list[int] = []
+            ends: list[int] = []
+            for prefix in sorted(self._prefixes):
+                first = prefix.value
+                last = first | ((1 << (ADDRESS_BITS - prefix.length)) - 1)
+                if ends and first <= ends[-1] + 1:
+                    ends[-1] = max(ends[-1], last)
+                else:
+                    starts.append(first)
+                    ends.append(last)
+            self._starts, self._ends = starts, ends
+            self._stale = False
+        return self._starts, self._ends
 
     def covers(self, address: int) -> bool:
         """Whether the address lies inside any known aliased prefix."""
-        return self._trie.covers(address)
+        starts, ends = self._table()
+        index = bisect_right(starts, address)
+        return index > 0 and address <= ends[index - 1]
 
     def __contains__(self, address: int) -> bool:
         return self.covers(address)
 
     def __len__(self) -> int:
-        return self._count
+        return len(self._prefixes)
 
     def prefixes(self) -> list[Prefix]:
-        """All stored prefixes in address order."""
-        return self._trie.prefixes()
+        """All stored prefixes in address order (shorter first on ties)."""
+        return sorted(self._prefixes)
 
     def partition(self, addresses: Iterable[int]) -> tuple[set[int], set[int]]:
         """Split addresses into (clean, aliased) sets."""
+        starts, ends = self._table()
+        if not starts:
+            return set(addresses), set()
         clean: set[int] = set()
         aliased: set[int] = set()
         for address in addresses:
-            if self._trie.covers(address):
+            index = bisect_right(starts, address)
+            if index and address <= ends[index - 1]:
                 aliased.add(address)
             else:
                 clean.add(address)
@@ -56,7 +84,4 @@ class AliasPrefixSet:
 
     def merged_with(self, other: "AliasPrefixSet") -> "AliasPrefixSet":
         """A new set containing both sets' prefixes."""
-        merged = AliasPrefixSet(self.prefixes())
-        for prefix in other.prefixes():
-            merged.add(prefix)
-        return merged
+        return AliasPrefixSet(self._prefixes | other._prefixes)

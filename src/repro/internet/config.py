@@ -2,10 +2,11 @@
 
 All knobs that shape the ground truth live here, so that experiments and
 tests can dial the world size up or down while keeping the generative
-rules identical.  Three presets are provided:
+rules identical.  The presets:
 
 ``tiny``  — unit-test scale (dozens of ASes, sub-second construction)
-``small`` — benchmark scale (hundreds of ASes)
+``bench`` — benchmark scale (120 ASes plus a 20,000-region mega ISP)
+``small`` — the full default parameterisation (hundreds of ASes)
 ``medium``— slower, higher-fidelity runs
 ``internet`` — hitlist scale (~1M ASes); only usable through the lazy
 topology with a resident-AS budget, never via an eager walk

@@ -1,6 +1,5 @@
 """Probe engine (Scanv6 analogue): responses, blocklist, rate limiting, stats."""
 
-from .backends import CachingBackend, ProbeBackend, SimulatedBackend
 from .blocklist import Blocklist
 from .engine import Scanner, ScanResult
 from .ratelimit import RateLimiter, TokenBucket
@@ -17,7 +16,4 @@ __all__ = [
     "affirmative_response",
     "negative_response",
     "ScanStats",
-    "ProbeBackend",
-    "SimulatedBackend",
-    "CachingBackend",
 ]

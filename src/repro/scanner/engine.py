@@ -16,7 +16,7 @@ Differences from naive scanners that the paper calls out, reproduced here:
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass, field
 
 from ..addr.vector import PackedAddresses, np
@@ -44,6 +44,14 @@ _NOISE_MULT = 0x9E3779B97F4A7C15
 def _negative_noise(address: int, port_index: int) -> bool:
     value = ((address ^ port_index) * _NOISE_MULT) & 0xFFFFFFFFFFFFFFFF
     return value < 0x4000000000000000  # ~25% of misses in allocated space
+
+
+def _negative_noise_mask(iid64, port_index: int):
+    """Vectorized :func:`_negative_noise` over an IID column (the low
+    64 bits of the product depend only on the address's low word)."""
+    return ((iid64 ^ np.uint64(port_index)) * np.uint64(_NOISE_MULT)) < np.uint64(
+        0x4000000000000000
+    )
 
 
 def _first_seen_group_sizes(prefix64) -> list[int]:
@@ -87,19 +95,8 @@ class Scanner:
 
     def probe(self, address: int, port: Port, attempt: int = 0) -> ResponseType:
         """Send one probe and classify the reply."""
-        tel = get_telemetry()
-        if self.blocklist.is_blocked(address):
-            self.lifetime_stats.record(ResponseType.BLOCKED)
-            if tel.enabled:
-                tel.count("scan.blocked")
-            return ResponseType.BLOCKED
-        self.rate_limiter.account()
-        response = self._classify(address, port, attempt)
-        self.lifetime_stats.record(response)
-        if tel.enabled:
-            tel.count("scan.single_probes")
-            if response.is_hit:
-                tel.count(f"scan.hits.{port.value}")
+        response = self.classify([address], port, attempt)[0]
+        self.charge({response: 1}, port)
         return response
 
     def probe_with_retries(self, address: int, port: Port, retries: int = 3) -> bool:
@@ -120,6 +117,121 @@ class Scanner:
         """Single-probe responsiveness check."""
         return self.probe(address, port).is_hit
 
+    def classify(
+        self, addresses: Iterable[int], port: Port, attempt: int = 0
+    ) -> list[ResponseType]:
+        """What :meth:`probe` would return for each address, uncharged.
+
+        One reply per address, in input order, ``BLOCKED`` included;
+        nothing is counted or timed.  Pair it with :meth:`charge` to
+        account the probes a caller decides were sent.  It runs on the
+        same two formulations as :meth:`scan`: the packed probe tables
+        for batches of at least :data:`VECTOR_MIN_BATCH` addresses on a
+        world without a resident-AS cap, and ``respond_batch`` per /64
+        group otherwise.  ``attempt`` salts the replies of rate-limited
+        aliased regions, the only ones that depend on it.
+        """
+        packed, addresses = self._batch(addresses)
+        if packed is not None:
+            return self._classify_packed(packed, port, attempt)
+        if not isinstance(addresses, (list, tuple)):
+            addresses = list(addresses)
+        return self._classify_grouped(addresses, port, attempt)
+
+    def _classify_grouped(
+        self, addresses: list[int] | tuple[int, ...], port: Port, attempt: int
+    ) -> list[ResponseType]:
+        """:meth:`classify` over /64 groups, one ``respond_batch`` per region."""
+        is_blocked = self.blocklist.is_blocked if self.blocklist else None
+        groups: dict[int, list[int]] = {}
+        for address in addresses:
+            if is_blocked is None or not is_blocked(address):
+                groups.setdefault(address >> 64, []).append(address)
+        hit = affirmative_response(port)
+        negative = negative_response(port)
+        port_index = port.index
+        replies: dict[int, ResponseType] = {}
+        regions = self.internet.topology.regions_for_net64s(groups)
+        for net64, group in groups.items():
+            region = regions[net64]
+            if region is None:
+                continue
+            responders = region.respond_batch(group, port, self.epoch, attempt)
+            noisy = self.classify_negative and not region.firewalled
+            for address in group:
+                if address in responders:
+                    replies[address] = hit
+                elif noisy and _negative_noise(address, port_index):
+                    replies[address] = negative
+        timeout = ResponseType.TIMEOUT
+        if is_blocked is None:
+            return [replies.get(address, timeout) for address in addresses]
+        return [
+            ResponseType.BLOCKED if is_blocked(address) else replies.get(address, timeout)
+            for address in addresses
+        ]
+
+    def _classify_packed(
+        self, packed: PackedAddresses, port: Port, attempt: int
+    ) -> list[ResponseType]:
+        """:meth:`classify` on the packed probe tables."""
+        prefix64 = packed.prefix64
+        iid64 = packed.iid64
+        tables = self.internet.probe_tables()
+        hits, slots, exists = tables.hit_mask(prefix64, iid64, port, self.epoch, attempt)
+        codes = np.full(prefix64.shape[0], 2, dtype=np.int8)
+        if self.classify_negative:
+            negative = exists & ~hits & ~tables.firewalled[slots]
+            negative &= _negative_noise_mask(iid64, port.index)
+            codes[negative] = 1
+        codes[hits] = 0
+        if self.blocklist and len(self.blocklist):
+            codes[self.blocklist.blocked_mask(prefix64, iid64)] = 3
+        replies = (
+            affirmative_response(port),
+            negative_response(port),
+            ResponseType.TIMEOUT,
+            ResponseType.BLOCKED,
+        )
+        return [replies[code] for code in codes.tolist()]
+
+    def charge(self, tally: Mapping[ResponseType, int], port: Port) -> None:
+        """Account ``tally`` (reply → count) exactly as that many
+        :meth:`probe` calls on ``port`` would.
+
+        Sent replies go to the rate limiter, the lifetime
+        :class:`ScanStats` and the ``scan.single_probes`` and
+        ``scan.hits.<port>`` counters; ``BLOCKED`` ones were never sent
+        and count only as blocked targets (``scan.blocked``).  A counter
+        is touched only when its count is non-zero, as per-probe calls
+        would leave it.
+        """
+        stats = self.lifetime_stats
+        blocked = 0
+        sent = 0
+        hits = 0
+        for response, count in tally.items():
+            if not count:
+                continue
+            if response is ResponseType.BLOCKED:
+                blocked += count
+                continue
+            stats.responses[response] = stats.responses.get(response, 0) + count
+            sent += count
+            if response.is_hit:
+                hits += count
+        stats.targets_blocked += blocked
+        stats.probes_sent += sent
+        self.rate_limiter.account(sent)
+        tel = get_telemetry()
+        if tel.enabled:
+            if blocked:
+                tel.count("scan.blocked", blocked)
+            if sent:
+                tel.count("scan.single_probes", sent)
+            if hits:
+                tel.count(f"scan.hits.{port.value}", hits)
+
     # -- batch scans ----------------------------------------------------------
 
     def scan(self, addresses: Iterable[int], port: Port) -> ScanResult:
@@ -138,16 +250,31 @@ class Scanner:
         once.  Hits, stats and telemetry are identical either way, and
         identical to probing each address individually.
         """
-        if self.internet.vector_tables_allowed:
-            packed = addresses if isinstance(addresses, PackedAddresses) else None
-            if packed is None:
-                if not isinstance(addresses, (list, tuple)):
-                    addresses = list(addresses)
-                if len(addresses) >= VECTOR_MIN_BATCH:
-                    packed = PackedAddresses.from_addresses(addresses)
-            if packed is not None:
-                return self._scan_packed(packed, port)
+        packed, addresses = self._batch(addresses)
+        if packed is not None:
+            return self._scan_packed(packed, port)
         return self._scan_grouped(addresses, port)
+
+    def _batch(
+        self, addresses: Iterable[int]
+    ) -> tuple[PackedAddresses | None, Iterable[int]]:
+        """``(packed, addresses)``: the batch packed when the world's
+        packed probe tables take it, else ``None`` (the /64-grouped
+        path), and the addresses (a one-shot iterable turned into a list
+        when its length had to be read).
+
+        The tables take any :class:`PackedAddresses` and any batch of at
+        least :data:`VECTOR_MIN_BATCH` addresses, on a world without a
+        resident-AS cap.
+        """
+        if self.internet.vector_tables_allowed:
+            if isinstance(addresses, PackedAddresses):
+                return addresses, addresses
+            if not isinstance(addresses, (list, tuple)):
+                addresses = list(addresses)
+            if len(addresses) >= VECTOR_MIN_BATCH:
+                return PackedAddresses.from_addresses(addresses), addresses
+        return None, addresses
 
     def _scan_grouped(self, addresses: Iterable[int], port: Port) -> ScanResult:
         """:meth:`scan` over /64 groups, one ``respond_batch`` per region."""
@@ -257,10 +384,7 @@ class Scanner:
             eligible = exists & ~hit_mask
             eligible &= ~tables.firewalled[slots]
             if eligible.any():
-                noise = (
-                    (iid64 ^ np.uint64(port.index)) * np.uint64(_NOISE_MULT)
-                ) < np.uint64(0x4000000000000000)
-                neg = int((eligible & noise).sum())
+                neg = int((eligible & _negative_noise_mask(iid64, port.index)).sum())
         affirmative = int(hit_rows.shape[0])
         timeouts = sent - affirmative - neg
         return self._account(
@@ -331,15 +455,3 @@ class Scanner:
         if tel.enabled:
             tel.count("scan.multiport_calls")
         return {port: self.scan(targets, port) for port in ports}
-
-    # -- internals ---------------------------------------------------------------
-
-    def _classify(self, address: int, port: Port, attempt: int) -> ResponseType:
-        region = self.internet.region_of(address)
-        if region is None:
-            return ResponseType.TIMEOUT
-        if region.responds(address, port, self.epoch, attempt):
-            return affirmative_response(port)
-        if self.classify_negative and not region.firewalled and _negative_noise(address, port.index):
-            return negative_response(port)
-        return ResponseType.TIMEOUT

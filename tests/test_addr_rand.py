@@ -219,3 +219,59 @@ class TestTake:
             assert block.tolist() == [oracle.next64() for _ in range(k)]
             assert stream.next64() == oracle.next64()
             assert stream.next_below(1000) == oracle.next_below(1000)
+
+
+class TestWidePartFold:
+    """``hash64_batch`` folds a packed 128-bit lane as ``hash64`` folds
+    a wide int: the low word, then the high word only when non-zero."""
+
+    VALUES = [
+        0,
+        1,
+        (1 << 64) - 1,
+        1 << 64,
+        (1 << 64) + 1,
+        (1 << 96) | 5,
+        0xFFFF << 64,
+        (1 << 128) - 1,
+    ]
+
+    def values(self):
+        import random
+
+        rng = random.Random(0xF01D)
+        extra = [rng.getrandbits(rng.choice([16, 63, 64, 65, 96, 127, 128])) for _ in range(500)]
+        return self.VALUES + extra
+
+    def test_single_part(self):
+        from repro.addr import PackedAddresses, hash64_batch
+
+        values = self.values()
+        packed = PackedAddresses.from_addresses(values)
+        assert hash64_batch(packed).tolist() == [hash64(v) for v in values]
+
+    def test_between_scalar_and_lane_parts(self):
+        from repro.addr import PackedAddresses, hash64_batch
+
+        values = self.values()
+        packed = PackedAddresses.from_addresses(values)
+        index = np.arange(len(values), dtype=np.uint64)
+        assert hash64_batch(0xA1, packed, index).tolist() == [
+            hash64(0xA1, v, i) for i, v in enumerate(values)
+        ]
+        assert hash64_batch(index, 1 << 70, packed).tolist() == [
+            hash64(i, 1 << 70, v) for i, v in enumerate(values)
+        ]
+
+    def test_coin_batch_with_packed_lane(self):
+        from repro.addr import PackedAddresses, coin_batch
+
+        values = self.values()
+        fractions = np.linspace(0.0, 1.0, len(values))
+        drawn = coin_batch(fractions, 42, 0xD3, PackedAddresses.from_addresses(values))
+        assert drawn.tolist() == [
+            coin(p, 42, 0xD3, v) for p, v in zip(fractions.tolist(), values)
+        ]
+        assert coin_batch(0.0, 7, PackedAddresses.from_addresses(values)).shape == (
+            len(values),
+        )

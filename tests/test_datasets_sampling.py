@@ -1,5 +1,7 @@
 """Tests for repro.datasets.sampling."""
 
+import pytest
+
 from repro.asdb import OrgType
 from repro.datasets import SourceSpec, collect_source
 from repro.datasets.base import SourceKind
@@ -111,3 +113,103 @@ class TestCollectSource:
             return count / len(dataset)
 
         assert stale_fraction(stale) > stale_fraction(fresh)
+
+
+def scalar_collect_source(internet, spec):
+    """``collect_source`` with one scalar ``coin`` per address (the oracle)."""
+    from repro.addr.rand import coin, hash64
+    from repro.datasets import sampling
+
+    seed = internet.config.master_seed
+    registry = internet.registry
+    addresses: set[int] = set()
+    regions_sampled = 0
+    alias_regions_sampled = 0
+    visible_as_cache: dict[int, bool] = {}
+    fallback_region = None
+
+    def sample(region, fraction):
+        pool = region.observable_addresses()
+        if not pool:
+            return []
+        if fraction >= 1.0:
+            return pool
+        picked = [
+            address
+            for address in pool
+            if coin(fraction, seed, spec.salt, sampling._SALT_ADDRESS, address)
+        ]
+        if not picked:
+            picked = [pool[hash64(seed, spec.salt, region.net64) % len(pool)]]
+        return picked
+
+    for region in internet.regions:
+        is_primary = region.role in spec.roles
+        is_extra = region.role in spec.extra_roles
+        if not (is_primary or is_extra):
+            continue
+        info = registry.info(region.asn)
+        if is_primary and info.org_type not in spec.org_types:
+            if not is_extra:
+                continue
+            is_primary = False
+        if is_primary and not region.aliased and fallback_region is None:
+            fallback_region = region
+        visible = visible_as_cache.get(region.asn)
+        if visible is None:
+            visible = sampling._as_visible(spec, seed, region.asn, info.country)
+            visible_as_cache[region.asn] = visible
+        if not visible:
+            continue
+        if region.aliased:
+            if not coin(spec.alias_inclusion, seed, spec.salt, sampling._SALT_ALIAS, region.net64):
+                continue
+            alias_regions_sampled += 1
+        else:
+            probability = sampling._region_probability(spec, region, extra=not is_primary)
+            salt = sampling._SALT_REGION if is_primary else sampling._SALT_EXTRA
+            if not coin(probability, seed, spec.salt, salt, region.net64):
+                continue
+        fraction = spec.address_fraction * (1.0 if is_primary or region.aliased else 0.5)
+        sampled = sample(region, fraction)
+        if sampled:
+            regions_sampled += 1
+            addresses.update(sampled)
+    if not addresses and fallback_region is not None:
+        addresses.update(sample(fallback_region, 1.0))
+        regions_sampled += 1
+    return frozenset(addresses), {
+        "regions_sampled": regions_sampled,
+        "alias_regions_sampled": alias_regions_sampled,
+    }
+
+
+class TestBatchedCoinsMatchScalar:
+    @pytest.fixture(scope="class", params=[42, 7])
+    def world(self, request, internet):
+        if request.param == internet.config.master_seed:
+            return internet
+        from repro.internet import InternetConfig, SimulatedInternet
+
+        return SimulatedInternet(InternetConfig.tiny(master_seed=request.param))
+
+    def test_every_source_spec(self, world):
+        from repro.datasets import SOURCE_SPECS
+
+        assert len(SOURCE_SPECS) == 12
+        for spec in SOURCE_SPECS.values():
+            dataset = collect_source(world, spec)
+            addresses, metadata = scalar_collect_source(world, spec)
+            assert dataset.addresses == addresses, spec.name
+            assert dataset.metadata == metadata, spec.name
+
+    def test_degenerate_fallback(self, internet):
+        # Thin enough coverage that some draws empty out entirely.
+        for salt in range(20):
+            spec = make_spec(
+                as_coverage=0.05, region_coverage=0.05, address_fraction=0.01, salt=salt
+            )
+            dataset = collect_source(internet, spec)
+            addresses, metadata = scalar_collect_source(internet, spec)
+            assert dataset.addresses == addresses
+            assert dataset.metadata == metadata

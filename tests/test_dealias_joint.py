@@ -87,3 +87,12 @@ class TestJointBehaviour:
 class TestModeProperty:
     def test_empty_joint_is_none_mode(self):
         assert JointDealiaser().mode is DealiasMode.NONE
+
+    def test_empty_published_list_is_offline_mode(self, internet, scanner):
+        from repro.dealias import OfflineDealiaser, OnlineDealiaser
+
+        empty = OfflineDealiaser([])
+        assert len(empty) == 0
+        assert JointDealiaser(offline=empty).mode is DealiasMode.OFFLINE
+        joint = JointDealiaser(offline=empty, online=OnlineDealiaser(scanner))
+        assert joint.mode is DealiasMode.JOINT

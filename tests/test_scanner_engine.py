@@ -121,3 +121,118 @@ class TestBatchScan:
         targets = list(itertools.islice(internet.iter_responsive(Port.ICMP), 50))
         result = scanner.scan(targets, Port.ICMP)
         assert result.stats.virtual_duration == 0.5
+
+
+def expected_reply(scanner, address, port, attempt):
+    """What one probe returns, from the ground-truth region definition."""
+    from repro.scanner.engine import _negative_noise
+    from repro.scanner.responses import affirmative_response, negative_response
+
+    if scanner.blocklist.is_blocked(address):
+        return ResponseType.BLOCKED
+    region = scanner.internet.region_of(address)
+    if region is None:
+        return ResponseType.TIMEOUT
+    if region.responds(address, port, scanner.epoch, attempt):
+        return affirmative_response(port)
+    if scanner.classify_negative and not region.firewalled and _negative_noise(address, port.index):
+        return negative_response(port)
+    return ResponseType.TIMEOUT
+
+
+def mixed_targets(internet):
+    """Live, rate-limited alias, firewalled, retired, unrouted and repeated."""
+    targets = list(itertools.islice(internet.iter_responsive(Port.ICMP), 40))
+    for predicate in (
+        lambda r: r.aliased and r.alias_response_prob < 1.0,
+        lambda r: r.aliased and r.alias_response_prob >= 1.0,
+        lambda r: r.firewalled,
+        lambda r: r.retired,
+        lambda r: not r.aliased,
+    ):
+        for region in [r for r in internet.regions if predicate(r)][:6]:
+            targets.extend(region.address_of(iid) for iid in (1, 2, 0xFFFF_0000_1234))
+    targets.extend((0x3FFF << 112) + i for i in range(10))
+    return targets + targets[:7]
+
+
+class TestClassifyAndCharge:
+    def scanners(self, internet):
+        from repro.addr import Prefix
+
+        targets = mixed_targets(internet)
+        blocklist = Blocklist([Prefix.of(targets[3], 128), Prefix.of(targets[-20], 64)])
+        return targets, [
+            Scanner(internet, blocklist=blocklist),
+            Scanner(internet, blocklist=blocklist, classify_negative=False),
+        ]
+
+    def test_classify_matches_probe_definition(self, internet):
+        from dataclasses import replace
+
+        from repro.addr import PackedAddresses
+        from repro.internet import SimulatedInternet
+
+        capped = SimulatedInternet(
+            replace(internet.config, max_resident_ases=internet.config.num_ases + 1)
+        )
+        for world in (internet, capped):
+            targets, scanners = self.scanners(world)
+            assert len(targets) >= 64  # the packed path on the uncapped world
+            for scanner in scanners:
+                for port in (Port.ICMP, Port.TCP443):
+                    for attempt in range(4):
+                        want = [expected_reply(scanner, a, port, attempt) for a in targets]
+                        assert scanner.classify(targets, port, attempt) == want
+                        assert scanner.classify(
+                            PackedAddresses.from_addresses(targets), port, attempt
+                        ) == want
+                        # Small batches take the grouped path everywhere.
+                        assert scanner.classify(targets[:9], port, attempt) == want[:9]
+                assert scanner.rate_limiter.packets_sent == 0
+                assert scanner.lifetime_stats.probes_sent == 0
+
+    def test_charge_equals_probe_calls(self, internet):
+        from collections import Counter
+
+        from repro.telemetry import Telemetry, use_telemetry
+
+        targets, (scanner, _) = self.scanners(internet)
+        outcomes = []
+        for batched in (False, True):
+            twin = Scanner(internet, blocklist=scanner.blocklist)
+            telemetry = Telemetry()
+            with use_telemetry(telemetry):
+                for port in (Port.ICMP, Port.TCP80):
+                    if batched:
+                        twin.charge(Counter(twin.classify(targets, port, 1)), port)
+                    else:
+                        for address in targets:
+                            twin.probe(address, port, attempt=1)
+            outcomes.append(
+                (
+                    twin.rate_limiter.packets_sent,
+                    twin.lifetime_stats,
+                    telemetry.snapshot()["counters"],
+                )
+            )
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][1].targets_blocked > 0
+
+    def test_charge_touches_only_nonzero_counters(self, internet):
+        from repro.telemetry import Telemetry, use_telemetry
+
+        scanner = Scanner(internet)
+        telemetry = Telemetry()
+        with use_telemetry(telemetry):
+            scanner.charge({ResponseType.BLOCKED: 3}, Port.ICMP)
+            assert telemetry.snapshot()["counters"] == {"scan.blocked": 3}
+            scanner.charge({ResponseType.TIMEOUT: 2, ResponseType.ECHO_REPLY: 0}, Port.ICMP)
+            scanner.charge({}, Port.ICMP)
+        assert telemetry.snapshot()["counters"] == {
+            "scan.blocked": 3,
+            "scan.single_probes": 2,
+        }
+        assert scanner.lifetime_stats.responses == {ResponseType.TIMEOUT: 2}
+        assert scanner.lifetime_stats.targets_blocked == 3
+        assert scanner.rate_limiter.packets_sent == 2
