@@ -16,7 +16,8 @@
   study submissions with dedup and streaming telemetry; the protocol
   is :mod:`repro.api`'s versioned surface)
 * ``trace``           — analyse recorded telemetry traces
-  (``summary`` / ``attribution`` / ``diff`` / ``check`` / ``timeline``)
+  (``summary`` / ``attribution`` / ``diff`` / ``check`` / ``timeline`` /
+  ``stragglers``)
 * ``top``             — live per-rank resource table over a trace file
 
 Common options: ``--scale {tiny,bench,small,internet}``, ``--seed``,
@@ -37,7 +38,9 @@ Fault tolerance (``repro.experiments.ExecutionPolicy``):
 moment it finishes; ``--resume`` restores completed cells from that
 checkpoint (after verifying its config digest) so an interrupted
 campaign never recomputes finished work.  ``--cell-timeout SECONDS``
-reaps cells stuck in a worker, ``--max-retries N`` bounds how often a
+reaps cells stuck in a worker process (it cannot reap a cell run
+in-process, as every cell is with ``--workers 1`` or when only one
+cell is missing), ``--max-retries N`` bounds how often a
 crashing/timing-out cell is retried before it is reported as failed
 (``grid`` exits 3 on a partial result), and ``--inject-fault
 KIND[:TGA][:PORT][:FIRES]`` injects a deterministic fault (crash/stall/
@@ -55,15 +58,17 @@ byte-identical with the flag on or off).
 ``--sample-resources SECONDS`` starts the resource flight recorder
 (:mod:`repro.telemetry.resources`): a background sampler in the parent
 and in every worker emits ``resource.*`` gauge events (RSS, CPU, GC,
-model-cache footprint, resident ASes) into the trace, workers
-piggyback heartbeats so stalls are detected in O(interval) instead of
-waiting out ``--cell-timeout``, and budget watermarks fire against the
-scale's ``memory_budget_mb``.  ``resource.*`` / ``heartbeat.*`` are
-sanctioned variant namespaces, so the rest of the trace stays
-byte-identical with sampling on or off.  Analyse afterwards with
-``repro trace timeline`` (per-rank series + peak attribution), ``repro
-top`` (a ``top(1)``-style live view while a run writes its trace), and
-``repro trace check --rss-tol`` (peak-RSS regression gate).
+model-cache footprint, resident ASes) into the trace, and budget
+watermarks fire against the scale's ``memory_budget_mb``.  With
+``--cell-timeout`` also set, workers piggyback heartbeats recording
+their CPU seconds, and a worker whose CPU stops advancing for twice
+the interval is reaped as stalled instead of waiting out the timeout.
+``resource.*`` / ``heartbeat.*`` are sanctioned variant namespaces, so
+the rest of the trace stays byte-identical with sampling on or off.
+Analyse afterwards with ``repro trace timeline`` (per-rank series +
+peak attribution), ``repro top`` (a ``top(1)``-style live view while a
+run writes its trace), and ``repro trace check --rss-tol`` (peak-RSS
+regression gate).
 
 ``--export`` artifacts additionally get a ``<stem>.manifest.json``
 sidecar recording the run's provenance (seed, scale, budget, config
@@ -73,6 +78,7 @@ hash, versions) so every row set is traceable to the run that made it.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from collections.abc import Sequence
 
@@ -138,6 +144,28 @@ def _workers_arg(value: str) -> int | str:
         ) from None
     if count < 1:
         raise argparse.ArgumentTypeError("workers must be at least 1")
+    return count
+
+
+def _positive_float_arg(value: str) -> float:
+    """A finite number above zero (``--cell-timeout``, ``--sample-resources``)."""
+    try:
+        number = float(value)
+    except ValueError:
+        number = math.nan
+    if not 0 < number < math.inf:
+        raise argparse.ArgumentTypeError(f"expected a positive number, got {value!r}")
+    return number
+
+
+def _nonnegative_int_arg(value: str) -> int:
+    """An integer of zero or more (``--max-retries``)."""
+    try:
+        count = int(value)
+    except ValueError:
+        count = -1
+    if count < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {value!r}")
     return count
 
 
@@ -247,14 +275,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--cell-timeout",
-        type=float,
+        type=_positive_float_arg,
         default=None,
         metavar="SECONDS",
-        help="reap and retry a cell stuck in a worker longer than this",
+        help="reap and retry a cell stuck in a worker process longer than "
+        "this (cells run in-process with --workers 1, or when only one "
+        "cell is missing, cannot be reaped)",
     )
     parser.add_argument(
         "--max-retries",
-        type=int,
+        type=_nonnegative_int_arg,
         default=2,
         metavar="N",
         help="retries per crashing/timing-out cell before it is reported "
@@ -287,12 +317,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--sample-resources",
-        type=float,
+        type=_positive_float_arg,
         default=None,
         metavar="SECONDS",
         help="sample RSS/CPU/cache gauges into the trace every SECONDS "
         "(parent and workers; with --cell-timeout also set, a worker "
-        "without heartbeat progress for 2x SECONDS is declared stalled; "
+        "whose CPU does not advance for 2x SECONDS is reaped as stalled; "
         "resource.* events are a sanctioned variant namespace, so "
         "results stay bit-identical)",
     )

@@ -18,14 +18,14 @@ kind         worker process (``allow_exit=True``)        inline / serial executi
 ``crash``    ``os._exit`` — kills the process, the       raises :class:`FaultInjected`
              parent sees ``BrokenProcessPool``
 ``stall``    sleeps ``stall_seconds`` — the parent's     raises :class:`FaultInjected`
-             per-cell timeout (or heartbeat monitor)
-             must reap it
+             per-cell timeout (or, with heartbeats,
+             its CPU-progress rule) must reap it
 ``exception``  raises :class:`FaultInjected`             raises :class:`FaultInjected`
 ``busy``     burns CPU for ``busy_seconds``, then        burns CPU, then returns
              returns normally — slow but alive           normally
 ===========  ==========================================  =========================
 
-``busy`` is the heartbeat monitor's negative control: a cell that is
+``busy`` is the CPU-progress rule's negative control: a cell that is
 merely *slow* keeps advancing its CPU counter, keeps beating, and must
 never be reaped before the real ``cell_timeout``.
 

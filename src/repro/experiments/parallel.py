@@ -27,8 +27,9 @@ Key design points:
   reuse them exactly as they would after a serial run.
 * Execution is governed by an :class:`~repro.experiments.ExecutionPolicy`:
   a worker crash rebuilds the pool and retries the lost cells, a cell
-  overrunning ``cell_timeout`` has its pool reaped and is retried, and
-  a cell still failing after ``max_retries`` degrades gracefully into a
+  overrunning ``cell_timeout`` (or, with heartbeats on, whose worker's
+  CPU stops advancing) has its pool reaped and is retried, and a cell
+  still failing after ``max_retries`` degrades gracefully into a
   :class:`CellFailure` record instead of sinking the whole grid.  With
   ``policy.checkpoint`` set, every completed cell is appended to a
   :class:`~repro.experiments.RunStore` the moment it finishes, and
@@ -39,13 +40,14 @@ Key design points:
 from __future__ import annotations
 
 import contextlib
+import itertools
 import os
 import shutil
 import tempfile
 import time
 from collections import deque
 from collections.abc import Callable, Sequence
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 
@@ -54,10 +56,10 @@ from ..internet import InternetConfig, Port
 from ..scanner import Blocklist
 from ..telemetry import MemorySink, Telemetry, get_telemetry, use_telemetry
 from ..telemetry.resources import (
-    HeartbeatMonitor,
     ResourceSampler,
     ResourceSpec,
     default_providers,
+    read_heartbeat,
 )
 from ..tga import canonical_tga_name, get_model_cache
 from ..tga.modelstore import (
@@ -290,25 +292,21 @@ def _run_cell_chunk(
     memoised run cache first so the re-execution emits the same
     telemetry a first run would.
 
-    ``beat`` names this dispatch's heartbeat file inside
-    ``spec.resources.heartbeat_dir``; the sampler starts *before* world
-    construction so the parent sees liveness (and honest CPU progress)
-    during a CPU-heavy build, and its events attach to the worker
-    telemetry registry only once that registry exists.
+    ``beat`` is this dispatch's heartbeat file (``None`` = no beats);
+    the sampler starts *before* world construction so the parent sees
+    honest CPU progress during a CPU-heavy build, and its events attach
+    to each cell's telemetry registry only once that registry exists.
     """
     get_model_cache().enabled = spec.model_cache
     set_model_store(ModelStore(spec.model_store) if spec.model_store else None)
     sampler: ResourceSampler | None = None
     res = spec.resources
     if res is not None:
-        heartbeat_path = None
-        if res.heartbeat_dir is not None and beat is not None:
-            heartbeat_path = os.path.join(res.heartbeat_dir, beat)
         sampler = ResourceSampler(
             interval=res.interval,
             rank=f"w{os.getpid()}",
             budget_mb=res.budget_mb,
-            heartbeat_path=heartbeat_path,
+            heartbeat_path=beat,
         ).start()
     try:
         study = _worker_study(spec)
@@ -331,37 +329,25 @@ def _run_cell_chunk(
                     attempt,
                     allow_exit=True,
                 )
-            if not spec.telemetry:
-                start = time.perf_counter()
-                result = study.run(tga_name, dataset, port, budget=budget)
-                wall = time.perf_counter() - start
-                out.append(
-                    ((tga_name, dataset.name, port, result.budget), result, wall, None)
-                )
-                continue
             sink = MemorySink()
-            telemetry = Telemetry(sinks=[sink])
+            telemetry = Telemetry(sinks=[sink]) if spec.telemetry else None
             if sampler is not None:
                 sampler.telemetry = telemetry
             with use_telemetry(telemetry):
                 start = time.perf_counter()
                 result = study.run(tga_name, dataset, port, budget=budget)
                 wall = time.perf_counter() - start
-            if sampler is not None:
-                # Detach before snapshotting: the registry must be
-                # quiescent while its dicts are sorted (late resource
-                # samples between cells are variant noise and dropped).
-                sampler.telemetry = None
+            capture = None
+            if telemetry is not None:
+                if sampler is not None:
+                    # Detach before snapshotting: the registry must be
+                    # quiescent while its dicts are sorted (late resource
+                    # samples between cells are variant noise and dropped).
+                    sampler.telemetry = None
+                capture = (telemetry.snapshot(include_wall=True), list(sink.events))
             out.append(
-                (
-                    (tga_name, dataset.name, port, result.budget),
-                    result,
-                    wall,
-                    (telemetry.snapshot(include_wall=True), list(sink.events)),
-                )
+                ((tga_name, dataset.name, port, result.budget), result, wall, capture)
             )
-        if sampler is not None:
-            sampler.stop()
         return out
     finally:
         if sampler is not None:
@@ -369,6 +355,63 @@ def _run_cell_chunk(
 
 
 # -- parent side -----------------------------------------------------------
+
+#: A worker whose CPU advances by less than this fraction of the time
+#: since its last progress is idle: its sampler thread alone keeps
+#: beating, but the cell's main thread is stuck.
+_CPU_IDLE_FRACTION = 0.1
+
+
+@dataclass(frozen=True)
+class _Dispatch:
+    """One chunk in flight in a worker, as the parent judges it."""
+
+    index: int
+    #: This dispatch's heartbeat file (``None`` = heartbeats off).
+    beat: str | None
+    #: ``time.monotonic()`` at submission, where ``cell_timeout`` counts
+    #: from.
+    submitted: float
+    #: The worker's CPU seconds and the ``time.monotonic()`` of its last
+    #: progress (``None`` until its first beat is read).
+    cpu: float | None = None
+    progressed: float | None = None
+
+
+def _overdue(
+    dispatch: _Dispatch,
+    now: float,
+    cpu: float | None,
+    cell_timeout: float | None,
+    grace: float | None,
+) -> tuple[_Dispatch, tuple[str, str] | None]:
+    """Judge one in-flight dispatch at ``now``.
+
+    ``cpu`` is the CPU seconds of the dispatch's latest beat (``None``
+    before its first beat, and always with heartbeats off).  Returns
+    the dispatch — re-anchored at ``now`` when its CPU advanced by at
+    least :data:`_CPU_IDLE_FRACTION` of the time since its last
+    progress — and ``None`` or the ``(reason, detail)`` to reap it for:
+
+    * ``timeout`` — ``cell_timeout`` has passed since submission;
+    * ``stall`` — ``grace`` has passed since the last CPU progress.  A
+      sleeping main thread under a live sampler thread and a frozen
+      process that writes no more beats look alike here: the CPU its
+      beat records stops advancing.
+    """
+    if cell_timeout is not None and now - dispatch.submitted >= cell_timeout:
+        return dispatch, ("timeout", f"exceeded cell_timeout={cell_timeout}s")
+    if cpu is None:
+        return dispatch, None
+    if dispatch.cpu is None:
+        return replace(dispatch, cpu=cpu, progressed=now), None
+    idle = now - dispatch.progressed
+    advance = cpu - dispatch.cpu
+    if advance >= _CPU_IDLE_FRACTION * idle:
+        return replace(dispatch, cpu=cpu, progressed=now), None
+    if idle >= grace:
+        return dispatch, ("stall", f"CPU idle (+{advance:.3f}s over {idle:.1f}s)")
+    return dispatch, None
 
 
 class ParallelExecutor:
@@ -380,7 +423,10 @@ class ParallelExecutor:
     timeouts need per-cell dispatch — and at most one chunk per worker
     is in flight at a time.  ``policy`` also supplies the
     fault-tolerance knobs: checkpoint/resume, retry budget, timeout and
-    fault injection.
+    fault injection.  The timeout and heartbeats govern only cells run
+    in worker processes: with one worker, or one missing cell,
+    :meth:`_run_serial` runs cells in-process, where nothing can be
+    reaped.
     """
 
     def __init__(
@@ -619,9 +665,10 @@ class ParallelExecutor:
 
         Inline execution converts every fault kind to
         :class:`FaultInjected` (a real ``os._exit`` would kill the
-        caller; an un-reapable stall would hang it).  Genuine exceptions
-        propagate — in-process failures are the caller's bugs, not
-        infrastructure weather.
+        caller; an un-reapable stall would hang it).  ``cell_timeout``
+        does not apply here: nothing in-process can be reaped.  Genuine
+        exceptions propagate — in-process failures are the caller's
+        bugs, not infrastructure weather.
         """
         study = self.study
         policy = self.policy
@@ -662,13 +709,6 @@ class ParallelExecutor:
 
     # -- multiprocess path -------------------------------------------------
 
-    def _kill_pool(self, pool: ProcessPoolExecutor) -> None:
-        """Forcibly reap a pool whose workers may never return."""
-        processes = list((getattr(pool, "_processes", None) or {}).values())
-        pool.shutdown(wait=False, cancel_futures=True)
-        for process in processes:
-            process.terminate()
-
     def _run_pool(
         self, missing, results, store, progress, done, total, tel
     ) -> None:
@@ -690,18 +730,18 @@ class ParallelExecutor:
           culprit is charged; innocent bystanders retry for free, which
           keeps failure outcomes deterministic (independent of which
           chunks happened to be in flight when a worker died);
-        * a chunk overrunning ``cell_timeout`` has the whole pool
-          terminated (a stuck worker cannot be cancelled); the expired
-          chunk is charged — deadlines identify it exactly — and the
-          other in-flight chunks requeue for free;
-        * with the resource sampler on (``policy.resource_interval``)
-          alongside ``cell_timeout``, workers heartbeat into a
-          parent-owned temp directory and a :class:`HeartbeatMonitor`
-          is consulted on every wait wake-up: a cell whose heartbeats
-          go stale *or* whose CPU counter stops advancing for twice the
-          sample interval is charged a ``stall`` instead of waiting out
-          the whole ``cell_timeout`` — while slow-but-alive cells,
-          still burning CPU, are left to the ordinary deadline.
+        * every in-flight dispatch is judged by :func:`_overdue` on
+          every wake-up, whether or not another chunk just finished.
+          One overrunning ``cell_timeout`` is charged a ``timeout``.
+          With the resource sampler on (``policy.resource_interval``)
+          alongside ``cell_timeout``, each dispatch also beats its CPU
+          seconds into a parent-owned temp directory, and one whose CPU
+          stops advancing for twice the sample interval is charged a
+          ``stall`` without waiting out the ``cell_timeout`` — while
+          slow-but-alive cells, still burning CPU, are left to the
+          deadline.  A stuck worker cannot be cancelled, so the whole
+          pool is terminated: the charged chunks are isolated, and the
+          other in-flight chunks requeue for free.
 
         Chunks not yet submitted when a pool is reaped or breaks, and a
         chunk a broken pool refuses at submission, were never in a
@@ -722,18 +762,15 @@ class ParallelExecutor:
         # a spawn start method re-import this module, see no donor and
         # rebuild the world from the spec.
         _FORK_DONOR = (_memo_key(spec), self.study)
-        # Heartbeat-based stall detection needs both the sampler (the
-        # beat source) and a cell timeout (per-cell dispatch, and the
-        # semantic licence to reap): with only one of the two, workers
-        # may still sample but the parent never reaps on beats.
+        # Heartbeats need both the sampler (the beat source) and a cell
+        # timeout (per-cell dispatch, and the licence to reap): with
+        # only one of the two, workers may still sample but the parent
+        # never reaps on beats.
         hb_dir: str | None = None
-        monitor: HeartbeatMonitor | None = None
+        grace: float | None = None
         if spec.resources is not None and policy.cell_timeout is not None:
             hb_dir = tempfile.mkdtemp(prefix="repro-heartbeat-")
-            spec = replace(
-                spec, resources=replace(spec.resources, heartbeat_dir=hb_dir)
-            )
-            monitor = HeartbeatMonitor(grace=2.0 * policy.resource_interval)
+            grace = 2.0 * policy.resource_interval
         chunks = self._chunks(missing)
         workers = min(self.max_workers, len(chunks))
         self._last_workers = workers
@@ -747,6 +784,8 @@ class ParallelExecutor:
         pending: deque[int] = deque(range(len(chunks)))
         suspects: deque[int] = deque()
         pool: ProcessPoolExecutor | None = None
+        inflight: dict[Future, _Dispatch] = {}
+        dispatches = itertools.count()
 
         def charge(index: int, reason: str, detail: str) -> None:
             """Bill a failure to a chunk: retry it, or fail its cells."""
@@ -778,21 +817,6 @@ class ParallelExecutor:
                 if progress is not None:
                     progress(done, total, cached)
 
-        def rebuild(kill: bool) -> None:
-            nonlocal pool
-            if kill:
-                self._kill_pool(pool)
-            else:
-                pool.shutdown(wait=False, cancel_futures=True)
-            pool = None
-            if tel.enabled:
-                tel.count("fault.pool_rebuilds")
-
-        beat_serial = 0
-        inflight: dict = {}
-        beats: dict = {}
-        deadlines: dict = {}
-
         def submit(queue: deque[int], window: int) -> bool:
             """Dispatch chunks from ``queue`` until ``window`` are in flight.
 
@@ -802,30 +826,66 @@ class ParallelExecutor:
             chunk never reached a worker, so it goes back to the head
             of ``queue`` uncharged.
 
-            Every dispatch gets its own beat file name (and monitor
-            anchor key), so a chunk requeued after a pool rebuild can
-            never be judged against a dead predecessor's stale file or
-            a previous process's CPU counter.
+            Every dispatch beats into a file of its own, so a chunk
+            requeued after a reap is never judged by a dead
+            predecessor's CPU counter.
             """
-            nonlocal beat_serial
             while queue and len(inflight) < window:
                 index = queue.popleft()
-                name = None
-                if monitor is not None:
-                    beat_serial += 1
-                    name = f"c{index}a{attempts[index]}s{beat_serial}.hb"
+                beat = None
+                if hb_dir is not None:
+                    beat = os.path.join(hb_dir, f"{next(dispatches)}.hb")
                 try:
                     future = pool.submit(
-                        _run_cell_chunk, spec, chunks[index], attempts[index], name
+                        _run_cell_chunk, spec, chunks[index], attempts[index], beat
                     )
                 except BrokenProcessPool:
                     queue.appendleft(index)
                     return False
-                inflight[future] = index
-                beats[future] = name
-                if policy.cell_timeout is not None:
-                    deadlines[future] = time.monotonic() + policy.cell_timeout
+                inflight[future] = _Dispatch(index, beat, time.monotonic())
             return True
+
+        def wake_timeout() -> float | None:
+            """How long ``wait`` may block before the next judgement."""
+            if policy.cell_timeout is None:
+                return None
+            first = min(dispatch.submitted for dispatch in inflight.values())
+            timeout = max(0.0, first + policy.cell_timeout - time.monotonic())
+            if grace is not None:
+                # Wake at least once per sample interval so a stall is
+                # noticed in O(interval), not O(timeout).
+                timeout = min(timeout, policy.resource_interval)
+            return timeout
+
+        def charge_overdue() -> bool:
+            """Judge every in-flight dispatch; charge the overdue ones."""
+            now = time.monotonic()
+            overdue = []
+            for future, dispatch in inflight.items():
+                cpu = read_heartbeat(dispatch.beat) if dispatch.beat else None
+                inflight[future], verdict = _overdue(
+                    dispatch, now, cpu, policy.cell_timeout, grace
+                )
+                if verdict is not None:
+                    overdue.append((future, verdict))
+            for future, (reason, detail) in overdue:
+                charge(inflight.pop(future).index, reason, detail)
+            return bool(overdue)
+
+        def reap(requeue: deque[int]) -> None:
+            """Terminate the pool — a stuck worker cannot be cancelled,
+            and a broken pool takes no more work — and move the
+            uncharged in-flight chunks onto ``requeue``."""
+            nonlocal pool
+            requeue.extend(dispatch.index for dispatch in inflight.values())
+            inflight.clear()
+            processes = list((getattr(pool, "_processes", None) or {}).values())
+            pool.shutdown(wait=False, cancel_futures=True)
+            for process in processes:
+                process.terminate()
+            pool = None
+            if tel.enabled:
+                tel.count("fault.pool_rebuilds")
 
         try:
             while pending or suspects:
@@ -836,75 +896,15 @@ class ParallelExecutor:
                 # where retried chunks rejoin it.
                 isolated = bool(suspects)
                 queue, window = (suspects, 1) if isolated else (pending, workers)
-                inflight.clear()
-                beats.clear()
-                deadlines.clear()
                 broken = not submit(queue, window)
                 while inflight and not broken:
-                    timeout = None
-                    if policy.cell_timeout is not None:
-                        timeout = max(
-                            0.0,
-                            min(deadlines[future] for future in inflight)
-                            - time.monotonic(),
-                        )
-                    if monitor is not None:
-                        # Wake at least once per sample interval so a
-                        # stall is noticed in O(interval), not O(timeout).
-                        interval = policy.resource_interval
-                        timeout = (
-                            interval if timeout is None else min(timeout, interval)
-                        )
                     finished, _ = wait(
-                        set(inflight), timeout=timeout, return_when=FIRST_COMPLETED
+                        set(inflight),
+                        timeout=wake_timeout(),
+                        return_when=FIRST_COMPLETED,
                     )
-                    if not finished:
-                        # Nothing completed inside the wake-up window:
-                        # look for cells past their deadline and, with
-                        # the monitor on, cells whose heartbeats have
-                        # gone stale or whose CPU stopped advancing.
-                        # Stuck workers cannot be cancelled, so any
-                        # finding reaps the whole pool; the culpable
-                        # chunks are charged and innocent in-flight
-                        # chunks requeue for free.
-                        now = time.monotonic()
-                        expired = [
-                            future
-                            for future in inflight
-                            if policy.cell_timeout is not None
-                            and deadlines[future] <= now
-                        ]
-                        stalled: list[tuple[object, str]] = []
-                        if monitor is not None:
-                            for future in inflight:
-                                if future in expired:
-                                    continue
-                                name = beats[future]
-                                why = monitor.check(
-                                    name, os.path.join(hb_dir, name)
-                                )
-                                if why is not None:
-                                    stalled.append((future, why))
-                        if not expired and not stalled:
-                            continue
-                        for future in expired:
-                            charge(
-                                inflight.pop(future),
-                                "timeout",
-                                f"exceeded cell_timeout={policy.cell_timeout}s",
-                            )
-                        for future, why in stalled:
-                            charge(inflight.pop(future), "stall", why)
-                        pending.extend(inflight.values())
-                        inflight.clear()
-                        if monitor is not None:
-                            monitor.reset()
-                        rebuild(kill=True)
-                        break
                     for future in finished:
-                        index = inflight.pop(future)
-                        if monitor is not None:
-                            monitor.forget(beats[future])
+                        index = inflight.pop(future).index
                         try:
                             payload = future.result()
                         except BrokenProcessPool:
@@ -923,8 +923,8 @@ class ParallelExecutor:
                         except Exception as error:  # noqa: BLE001 — worker-side failure
                             # Workers fire faults with ``allow_exit``,
                             # where a stall sleeps instead of raising: a
-                            # stall is charged by the deadline or the
-                            # heartbeat monitor, never here.
+                            # stall is charged by ``_overdue``, never
+                            # here.
                             charge(
                                 index,
                                 "exception",
@@ -932,21 +932,24 @@ class ParallelExecutor:
                             )
                         else:
                             harvest(index, payload)
-                    if not broken:
-                        broken = not submit(queue, window)
+                    if broken:
+                        break
+                    if charge_overdue():
+                        # The overdue chunks are known, so the other
+                        # in-flight chunks requeue with the parallel
+                        # batch rather than in isolation.
+                        reap(pending)
+                        break
+                    broken = not submit(queue, window)
                 if broken:
                     if not isolated:
                         self._note_fault(
                             "crash",
-                            sum(len(chunks[i]) for i in inflight.values()) or 0,
+                            sum(len(chunks[d.index]) for d in inflight.values()),
                             0,
                             tel,
                         )
-                    suspects.extend(inflight.values())
-                    inflight.clear()
-                    if monitor is not None:
-                        monitor.reset()
-                    rebuild(kill=False)
+                    reap(suspects)
         finally:
             if pool is not None:
                 pool.shutdown()

@@ -44,6 +44,9 @@ class ExecutionPolicy:
     resume: bool = False
     #: Seconds a single cell may run in a worker before it is reaped
     #: and retried (``None`` = no timeout; implies one cell per task).
+    #: Applies only to cells run in worker processes: with ``workers``
+    #: 1, or one missing cell, cells run in-process, where nothing can
+    #: be reaped.
     cell_timeout: float | None = None
     #: How many times a failing cell is retried before it is reported
     #: in ``GridResults.failed_cells``.
@@ -56,9 +59,9 @@ class ExecutionPolicy:
     #: in every worker, emitting sanctioned ``resource.*`` /
     #: ``heartbeat.*`` telemetry; grid results and stripped traces are
     #: bit-identical with sampling on or off.  Together with
-    #: ``cell_timeout`` it also arms heartbeat stall detection: a worker
-    #: cell whose heartbeats go silent, or whose CPU stays idle, for
-    #: twice this interval is retried without waiting out the timeout.
+    #: ``cell_timeout`` it also arms heartbeats: a worker cell whose CPU
+    #: does not advance for twice this interval is reaped as stalled
+    #: and retried without waiting out the timeout.
     resource_interval: float | None = None
     #: Persistent prepared-model store (disk tier under the in-memory
     #: model cache): ``None`` = inherit whatever store is already active

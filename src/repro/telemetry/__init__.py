@@ -40,9 +40,8 @@ The consumption layer lives alongside the producer:
   :class:`TopSink`, the per-rank resource table behind ``repro top``;
 * :mod:`repro.telemetry.resources` — the resource flight recorder:
   :class:`ResourceSampler` background RSS/CPU/cache sampling with
-  budget watermarks, plus the worker heartbeat protocol
-  (:class:`HeartbeatMonitor`) the executor uses for fast stall
-  detection.
+  budget watermarks, plus the worker heartbeat files whose CPU
+  progress the executor judges for fast stall detection.
 
 All of it is scriptable via ``repro trace {summary,attribution,diff,
 check,timeline,stragglers}``, ``repro top`` and ``--progress`` /
@@ -86,8 +85,6 @@ from .provenance import (
     write_manifest,
 )
 from .resources import (
-    Heartbeat,
-    HeartbeatMonitor,
     ResourceSampler,
     ResourceSpec,
     default_providers,
@@ -137,8 +134,6 @@ __all__ = [
     "VARIANT_EVENT_TYPES",
     "NONDETERMINISTIC_PREFIXES",
     "strip_variant_events",
-    "Heartbeat",
-    "HeartbeatMonitor",
     "ResourceSampler",
     "ResourceSpec",
     "default_providers",

@@ -479,7 +479,7 @@ class ResourceTimeline:
     samples: list[dict] = field(default_factory=list)
     #: ``kind == "watermark"`` budget-crossing events, trace order.
     watermarks: list[dict] = field(default_factory=list)
-    #: Heartbeat events, trace order.
+    #: ``heartbeat`` events, trace order.
     heartbeats: list[dict] = field(default_factory=list)
 
     @classmethod

@@ -33,17 +33,12 @@ the metric names.  Grid *results* are bit-identical with the sampler on
 or off; stripped traces are byte-identical too.
 
 **Heartbeats** — a worker sampler with a ``heartbeat_path`` piggybacks
-a beat on every sample: an atomically-replaced file recording a
-sequence number and the process's cumulative CPU seconds.  The parent's
-:class:`HeartbeatMonitor` reads those files inside the executor's wait
-loop and declares a cell stalled in O(sample interval) when either
-
-* the file has gone stale (the whole process is frozen or dead), or
-* beats stay fresh but CPU stops advancing (the classic injected
-  ``stall``: a sleeping main thread under a healthy sampler thread).
-
-A slow-but-alive worker keeps burning CPU, keeps re-anchoring the
-monitor, and is never reaped before ``cell_timeout``.
+a beat on every sample: an atomically-replaced file holding the
+process's cumulative CPU seconds.  The parallel executor reads each
+in-flight dispatch's beat on every wake-up and reaps a worker whose
+CPU stops advancing for twice the sample interval (see
+:mod:`repro.experiments.parallel`); a slow-but-alive worker keeps
+burning CPU and is left to ``cell_timeout``.
 """
 
 from __future__ import annotations
@@ -63,8 +58,6 @@ __all__ = [
     "WATERMARK_DEGRADE",
     "ResourceSpec",
     "ResourceSampler",
-    "Heartbeat",
-    "HeartbeatMonitor",
     "read_rss_bytes",
     "read_cpu_seconds",
     "gc_collections",
@@ -139,109 +132,19 @@ def gc_collections() -> int:
 # -- heartbeat protocol ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Heartbeat:
-    """One decoded heartbeat file."""
-
-    #: Beat sequence number (1-based, one per sample).
-    seq: int
-    #: The worker process's cumulative CPU seconds at beat time.
-    cpu_seconds: float
-    #: File mtime (wall clock) — freshness is judged against ``time.time``.
-    mtime: float
-
-
-def write_heartbeat(path: Path | str, seq: int, cpu_seconds: float) -> None:
+def write_heartbeat(path: Path | str, cpu_seconds: float) -> None:
     """Atomically (write + rename) record a beat at ``path``."""
     path = Path(path)
     tmp = path.with_suffix(".tmp")
-    tmp.write_text(f"{seq} {cpu_seconds:.6f}", encoding="ascii")
+    tmp.write_text(f"{cpu_seconds:.6f}", encoding="ascii")
     os.replace(tmp, path)
 
 
-def read_heartbeat(path: Path | str) -> Heartbeat | None:
-    """Decode a heartbeat file; ``None`` when absent or torn."""
-    path = Path(path)
+def read_heartbeat(path: Path | str) -> float | None:
+    """The CPU seconds of the beat at ``path``; ``None`` when absent or torn."""
     try:
-        text = path.read_text(encoding="ascii")
-        mtime = path.stat().st_mtime
-        seq_text, cpu_text = text.split()
-        return Heartbeat(seq=int(seq_text), cpu_seconds=float(cpu_text), mtime=mtime)
+        return float(Path(path).read_text(encoding="ascii"))
     except (OSError, ValueError):
-        return None
-
-
-@dataclass
-class _Anchor:
-    """Last observed CPU progress point for one monitored chunk."""
-
-    cpu: float
-    time: float
-
-
-class HeartbeatMonitor:
-    """Parent-side stall detection over worker heartbeat files.
-
-    :meth:`check` returns ``None`` while a chunk looks healthy (or has
-    not produced a heartbeat yet — a just-dispatched chunk whose worker
-    is still starting up is governed by the cell deadline alone) and a
-    human-readable stall reason once it does not.  Two signals compose:
-
-    * **freshness** — a heartbeat older than ``grace`` means the whole
-      worker process (sampler thread included) is frozen or gone;
-    * **CPU progress** — fresh beats whose CPU counter advances by less
-      than ``cpu_idle_fraction`` of the elapsed window for at least
-      ``grace`` seconds mean the main thread is blocked (sleeping,
-      deadlocked, stuck in a syscall) under a healthy sampler thread.
-
-    A busy worker re-anchors on every check, so slow-but-alive cells
-    are never reported.
-    """
-
-    def __init__(
-        self,
-        grace: float,
-        cpu_idle_fraction: float = 0.1,
-        clock: Callable[[], float] = time.monotonic,
-        wall: Callable[[], float] = time.time,
-    ) -> None:
-        if grace <= 0:
-            raise ValueError("grace must be positive")
-        self.grace = grace
-        self.cpu_idle_fraction = cpu_idle_fraction
-        self._clock = clock
-        self._wall = wall
-        self._anchors: dict[object, _Anchor] = {}
-
-    def forget(self, key: object) -> None:
-        self._anchors.pop(key, None)
-
-    def reset(self) -> None:
-        self._anchors.clear()
-
-    def check(self, key: object, path: Path | str) -> str | None:
-        """Stall reason for the chunk keyed ``key`` beating at ``path``."""
-        beat = read_heartbeat(path)
-        if beat is None:
-            return None
-        age = self._wall() - beat.mtime
-        if age > max(self.grace, 2.0):
-            return f"no heartbeat for {age:.1f}s"
-        now = self._clock()
-        anchor = self._anchors.get(key)
-        if anchor is None:
-            self._anchors[key] = _Anchor(cpu=beat.cpu_seconds, time=now)
-            return None
-        window = now - anchor.time
-        advance = beat.cpu_seconds - anchor.cpu
-        if advance >= self.cpu_idle_fraction * window:
-            self._anchors[key] = _Anchor(cpu=beat.cpu_seconds, time=now)
-            return None
-        if window >= self.grace:
-            return (
-                f"heartbeats fresh but CPU idle "
-                f"(+{advance:.3f}s over {window:.1f}s)"
-            )
         return None
 
 
@@ -261,8 +164,6 @@ class ResourceSpec:
     interval: float
     #: Budget the watermark events are raised against (``None`` = none).
     budget_mb: int | None = None
-    #: Directory of per-chunk heartbeat files (``None`` = no heartbeats).
-    heartbeat_dir: str | None = None
 
     def __post_init__(self) -> None:
         if self.interval <= 0:
@@ -344,7 +245,6 @@ class ResourceSampler:
         self._thread: threading.Thread | None = None
         self._start_time: float | None = None
         self.samples = 0
-        self.beats = 0
         self.peak_rss_bytes = 0
         self._warned = False
         #: Latched once RSS crosses 100 % of ``budget_mb`` — the degrade
@@ -400,8 +300,7 @@ class ResourceSampler:
             self.peak_rss_bytes = rss
         if self.heartbeat_path is not None:
             try:
-                write_heartbeat(self.heartbeat_path, self.samples, cpu)
-                self.beats += 1
+                write_heartbeat(self.heartbeat_path, cpu)
             except OSError:  # pragma: no cover - disk weather
                 pass
         sample: dict = {

@@ -214,6 +214,21 @@ class TestNounVerbCLI:
         assert exit_info.value.code == 2
         assert "invalid choice: 'describe'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--cell-timeout", "0"),
+            ("--cell-timeout", "nan"),
+            ("--sample-resources", "0"),
+            ("--max-retries", "-1"),
+        ],
+    )
+    def test_bad_policy_value_is_a_usage_error(self, flag, value, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([flag, value, "study", "grid", "--tgas", "6gen"])
+        assert exit_info.value.code == 2
+        assert f"argument {flag}" in capsys.readouterr().err
+
     def test_study_resume_reruns_from_checkpoint(self, tmp_path, capsys):
         checkpoint = tmp_path / "grid.jsonl"
         assert (

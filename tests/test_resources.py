@@ -1,14 +1,13 @@
 """Tests for repro.telemetry.resources: the resource flight recorder.
 
 Covers the /proc readers, the sampler's event/gauge/watermark output,
-the heartbeat file protocol and stall monitor, the sanctioned-variant
-bit-identity property (grid results and stripped traces must not move
-when sampling is toggled), executor-level stall detection in
-O(sample interval), and the peak-RSS regression gate.
+the heartbeat file protocol and the executor's stall rule, the
+sanctioned-variant bit-identity property (grid results and stripped
+traces must not move when sampling is toggled), executor-level stall
+detection in O(sample interval), and the peak-RSS regression gate.
 """
 
 import json
-import os
 import time
 
 import pytest
@@ -21,11 +20,10 @@ from repro.experiments import (
     Study,
     run_grid,
 )
+from repro.experiments.parallel import _Dispatch, _overdue
 from repro.internet import InternetConfig, Port
 from repro.telemetry import (
     SANCTIONED_VARIANT_PREFIXES,
-    Heartbeat,
-    HeartbeatMonitor,
     MemorySink,
     ResourceSampler,
     ResourceTimeline,
@@ -79,105 +77,87 @@ class TestProcessReaders:
 
 class TestHeartbeatFiles:
     def test_roundtrip(self, tmp_path):
-        path = tmp_path / "c0a0s0.hb"
-        write_heartbeat(path, 7, 1.25)
-        beat = read_heartbeat(path)
-        assert beat == Heartbeat(seq=7, cpu_seconds=1.25, mtime=beat.mtime)
-        assert beat.mtime > 0
+        path = tmp_path / "0.hb"
+        write_heartbeat(path, 1.25)
+        assert read_heartbeat(path) == 1.25
 
     def test_overwrite_is_atomic_replace(self, tmp_path):
         path = tmp_path / "beat.hb"
-        write_heartbeat(path, 1, 0.5)
-        write_heartbeat(path, 2, 0.75)
-        beat = read_heartbeat(path)
-        assert (beat.seq, beat.cpu_seconds) == (2, 0.75)
+        write_heartbeat(path, 0.5)
+        write_heartbeat(path, 0.75)
+        assert read_heartbeat(path) == 0.75
+        assert [entry.name for entry in tmp_path.iterdir()] == ["beat.hb"]
 
     def test_missing_file_reads_none(self, tmp_path):
         assert read_heartbeat(tmp_path / "absent.hb") is None
 
     def test_torn_file_reads_none(self, tmp_path):
         path = tmp_path / "torn.hb"
-        path.write_text("garbage not two fields or numbers at all")
+        path.write_text("garbage not a number at all")
         assert read_heartbeat(path) is None
 
 
-class FakeClocks:
-    """Paired monotonic/wall clocks the tests can advance by hand."""
+class TestOverdueRule:
+    """The executor's one stall rule, judged against a hand-set clock:
+    ``cell_timeout`` counts from submission, and with heartbeats on a
+    dispatch whose CPU stops advancing is reaped after the grace."""
 
-    def __init__(self) -> None:
-        self.now = 1000.0
+    TIMEOUT = 60.0
+    GRACE = 1.0
 
-    def monotonic(self) -> float:
-        return self.now
+    def judge(self, dispatch, now, cpu):
+        return _overdue(dispatch, now, cpu, self.TIMEOUT, self.GRACE)
 
-    def wall(self) -> float:
-        return self.now
+    def test_no_heartbeat_yet_only_the_deadline_applies(self):
+        dispatch = _Dispatch(index=0, beat="0.hb", submitted=100.0)
+        for now in (100.5, 110.0, 159.9):
+            judged, verdict = self.judge(dispatch, now, None)
+            assert verdict is None
+            assert judged == dispatch  # nothing to anchor on
+        _, verdict = self.judge(dispatch, 160.0, None)
+        assert verdict[0] == "timeout"
 
-    def advance(self, seconds: float) -> None:
-        self.now += seconds
+    def test_idle_cpu_under_fresh_beats_reports_stall(self):
+        dispatch = _Dispatch(index=0, beat="0.hb", submitted=100.0)
+        dispatch, verdict = self.judge(dispatch, 100.1, 5.0)  # anchors
+        assert verdict is None
+        assert (dispatch.cpu, dispatch.progressed) == (5.0, 100.1)
+        dispatch, verdict = self.judge(dispatch, 100.6, 5.0)
+        assert verdict is None  # idle, but for less than the grace
+        _, verdict = self.judge(dispatch, 101.6, 5.001)
+        assert verdict[0] == "stall"
+        assert "CPU idle" in verdict[1]
 
-
-class TestHeartbeatMonitor:
-    def make(self, tmp_path, grace=1.0):
-        clocks = FakeClocks()
-        monitor = HeartbeatMonitor(
-            grace=grace, clock=clocks.monotonic, wall=clocks.wall
-        )
-        return monitor, clocks, tmp_path / "chunk.hb"
-
-    def beat(self, path, clocks, seq, cpu):
-        write_heartbeat(path, seq, cpu)
-        os.utime(path, (clocks.wall(), clocks.wall()))
-
-    def test_no_heartbeat_yet_is_healthy(self, tmp_path):
-        monitor, _, path = self.make(tmp_path)
-        assert monitor.check("c0", path) is None
-
-    def test_stale_file_reports_frozen_process(self, tmp_path):
-        monitor, clocks, path = self.make(tmp_path, grace=1.0)
-        self.beat(path, clocks, 1, 0.1)
-        clocks.advance(10.0)
-        reason = monitor.check("c0", path)
-        assert reason is not None and "no heartbeat" in reason
-
-    def test_idle_cpu_under_fresh_beats_reports_stall(self, tmp_path):
-        monitor, clocks, path = self.make(tmp_path, grace=1.0)
-        self.beat(path, clocks, 1, 5.0)
-        assert monitor.check("c0", path) is None  # anchors
-        clocks.advance(0.5)
-        self.beat(path, clocks, 2, 5.0)  # fresh beat, zero CPU progress
-        assert monitor.check("c0", path) is None  # window < grace
-        clocks.advance(1.0)
-        self.beat(path, clocks, 3, 5.001)
-        reason = monitor.check("c0", path)
-        assert reason is not None and "CPU idle" in reason
-
-    def test_busy_worker_reanchors_forever(self, tmp_path):
-        monitor, clocks, path = self.make(tmp_path, grace=1.0)
-        cpu = 1.0
-        self.beat(path, clocks, 1, cpu)
-        assert monitor.check("c0", path) is None
-        for seq in range(2, 12):
-            clocks.advance(0.8)
+    def test_busy_worker_reanchors_but_still_times_out(self):
+        dispatch = _Dispatch(index=0, beat="0.hb", submitted=100.0)
+        now, cpu = 100.0, 1.0
+        while now + 0.8 < 100.0 + self.TIMEOUT:
+            now += 0.8
             cpu += 0.7  # hard at work
-            self.beat(path, clocks, seq, cpu)
-            assert monitor.check("c0", path) is None
+            dispatch, verdict = self.judge(dispatch, now, cpu)
+            assert verdict is None
+            assert (dispatch.cpu, dispatch.progressed) == (cpu, now)
+        _, verdict = self.judge(dispatch, 100.0 + self.TIMEOUT, cpu + 0.7)
+        assert verdict == ("timeout", f"exceeded cell_timeout={self.TIMEOUT}s")
 
-    def test_forget_and_reset_drop_anchors(self, tmp_path):
-        monitor, clocks, path = self.make(tmp_path, grace=1.0)
-        self.beat(path, clocks, 1, 2.0)
-        assert monitor.check("c0", path) is None
-        monitor.forget("c0")
-        clocks.advance(1.5)
-        self.beat(path, clocks, 2, 2.0)
-        # Fresh anchor after forget: no verdict on the first re-check.
-        assert monitor.check("c0", path) is None
-        monitor.reset()
-        assert monitor._anchors == {}
-
-    def test_rejects_nonpositive_grace(self):
-        with pytest.raises(ValueError):
-            HeartbeatMonitor(grace=0.0)
+    def test_stopped_beats_report_stall(self, tmp_path):
+        """A frozen worker writes no more beats: its file keeps the last
+        CPU reading, which stops advancing, so the CPU rule reaps it."""
+        path = tmp_path / "0.hb"
+        dispatch = _Dispatch(index=0, beat=str(path), submitted=100.0)
+        now = 100.0
+        for cpu in (0.5, 0.9, 1.3):  # a live worker's last beats
+            write_heartbeat(path, cpu)
+            now += 0.4
+            dispatch, verdict = self.judge(dispatch, now, read_heartbeat(path))
+            assert verdict is None
+        last_progress = now
+        while now - last_progress < self.GRACE:
+            dispatch, verdict = self.judge(dispatch, now, read_heartbeat(path))
+            assert verdict is None
+            now += 0.25
+        _, verdict = self.judge(dispatch, now, read_heartbeat(path))
+        assert verdict[0] == "stall"
 
 
 # ---------------------------------------------------------------------------
@@ -263,9 +243,7 @@ class TestResourceSampler:
         sampler = make_sampler(telemetry=tel, heartbeat_path=path)
         sampler.sample_now()
         sampler.sample_now()
-        beat = read_heartbeat(path)
-        assert beat.seq == 2
-        assert beat.cpu_seconds == 1.5
+        assert read_heartbeat(path) == 1.5
         assert tel.counters["heartbeat.beats"] == 2
         assert len([e for e in sink.events if e.get("type") == "heartbeat"]) == 2
 
@@ -420,6 +398,14 @@ class TestSamplingBitIdentity:
 # executor-level stall detection (the acceptance scenario)
 
 
+def sibling_grid(study: Study) -> GridSpec:
+    """Every generator on three ports: 24 cells."""
+    return GridSpec(
+        datasets=(study.constructions.all_active,),
+        ports=(Port.ICMP, Port.TCP80, Port.TCP443),
+    )
+
+
 class TestHeartbeatStallDetection:
     def test_stalled_worker_detected_well_before_cell_timeout(self):
         """An injected stall sleeps the worker's main thread for an hour;
@@ -465,6 +451,45 @@ class TestHeartbeatStallDetection:
         )
         for key in baseline.runs:
             assert_identical_runs(baseline.runs[key], results.runs[key])
+
+    def test_stall_is_judged_while_siblings_finish(self):
+        """Busy siblings finishing every ~0.1 s wake the executor more
+        often than the sample interval.  The stalled cell must still be
+        judged on those wake-ups and reaped early, not only once the
+        other worker has drained the rest of the grid."""
+        study = Study(config=InternetConfig.tiny(), budget=400, round_size=200)
+        sink = MemorySink()
+        telemetry = Telemetry(sinks=[sink])
+        plan = FaultPlan(
+            rules=(FaultRule("stall", tga="6tree", port="icmp"),),
+            rate=1.0,
+            rate_kind="busy",
+            busy_seconds=0.1,
+        )
+        policy = ExecutionPolicy(
+            workers=2,
+            fault_plan=plan,
+            cell_timeout=60.0,
+            resource_interval=0.25,
+            telemetry=telemetry,
+        )
+        results = run_grid(study, sibling_grid(study), policy=policy)
+
+        harvested = 0
+        for event in sink.events:
+            if event["type"] == "fault":
+                break
+            if event["type"] == "sched" and event["kind"] == "cell":
+                harvested += 1
+        assert harvested < 11, f"{harvested} of 23 siblings ran before the reap"
+        assert telemetry.counters.get("fault.stall", 0) == 1
+        assert results.complete
+
+        serial_study = Study(config=InternetConfig.tiny(), budget=400, round_size=200)
+        serial = run_grid(serial_study, sibling_grid(serial_study))
+        assert set(serial.runs) == set(results.runs)
+        for key in serial.runs:
+            assert_identical_runs(serial.runs[key], results.runs[key])
 
     def test_slow_but_alive_worker_is_never_reaped(self):
         """The negative control: a busy fault burns CPU well past the
