@@ -10,6 +10,7 @@ never in per-function keyword arguments.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
@@ -80,12 +81,15 @@ class ExecutionPolicy:
                 )
         if isinstance(self.workers, int) and self.workers < 1:
             raise ValueError("workers must be at least 1")
-        if self.cell_timeout is not None and self.cell_timeout <= 0:
-            raise ValueError("cell_timeout must be positive")
+        # ``not 0 < x < inf`` also refuses nan, which no comparison passes.
+        if self.cell_timeout is not None and not 0 < self.cell_timeout < math.inf:
+            raise ValueError("cell_timeout must be positive and finite")
         if self.max_retries < 0:
             raise ValueError("max_retries cannot be negative")
-        if self.resource_interval is not None and self.resource_interval <= 0:
-            raise ValueError("resource_interval must be positive")
+        if self.resource_interval is not None and not (
+            0 < self.resource_interval < math.inf
+        ):
+            raise ValueError("resource_interval must be positive and finite")
 
     @property
     def resilient(self) -> bool:

@@ -44,6 +44,7 @@ burning CPU and is left to ``cell_timeout``.
 from __future__ import annotations
 
 import gc
+import math
 import os
 import sys
 import threading
@@ -166,8 +167,8 @@ class ResourceSpec:
     budget_mb: int | None = None
 
     def __post_init__(self) -> None:
-        if self.interval <= 0:
-            raise ValueError("resource sample interval must be positive")
+        if not 0 < self.interval < math.inf:
+            raise ValueError("resource sample interval must be positive and finite")
         if self.budget_mb is not None and self.budget_mb < 1:
             raise ValueError("budget_mb must be at least 1")
 
@@ -230,8 +231,8 @@ class ResourceSampler:
         cpu_reader: Callable[[], float] = read_cpu_seconds,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
-        if interval <= 0:
-            raise ValueError("resource sample interval must be positive")
+        if not 0 < interval < math.inf:
+            raise ValueError("resource sample interval must be positive and finite")
         self.telemetry = telemetry
         self.interval = interval
         self.rank = rank

@@ -37,7 +37,14 @@ from .sixhit import SixHit
 from .sixscan import SixScan
 from .sixsense import SixSense
 from .sixtree import SixTree
-from .spacetree import SpaceTree, SpaceTreeLeaf, expanded_values, leaf_candidates
+from .spacetree import (
+    LeafTable,
+    SpaceTree,
+    SpaceTreeLeaf,
+    expanded_values,
+    leaf_candidates,
+    space_forest,
+)
 
 __all__ = [
     "TargetGenerator",
@@ -51,9 +58,11 @@ __all__ = [
     "TGA_TABLE1",
     "SpaceTree",
     "SpaceTreeLeaf",
+    "LeafTable",
     "LeafPool",
     "expanded_values",
     "leaf_candidates",
+    "space_forest",
     "CacheStats",
     "ModelCache",
     "cached_space_tree",

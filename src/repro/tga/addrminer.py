@@ -73,10 +73,7 @@ class AddrMiner(TargetGenerator):
             fingerprint=fingerprint,
         )
         self._pool = LeafPool(
-            tree.leaves,
-            weights=[max(leaf.density, 1e-9) for leaf in tree.leaves],
-            max_level=self.max_level,
-            exclude=self._seed_set,
+            tree.leaves, max_level=self.max_level, exclude=self._seed_set
         )
 
         def build_sparse() -> tuple[int, ...]:
@@ -171,13 +168,13 @@ class AddrMiner(TargetGenerator):
     def observe(self, results) -> None:
         assert self._pool is not None
         pool = self._pool
+        probed: set[int] = set()
         for address, hit in results.items():
             leaf_index = self._pending.pop(address, None)
             if leaf_index is not None:
                 pool.record(leaf_index, hit)
-        for index, leaf in enumerate(pool.leaves):
-            probes = pool.probes[index]
-            if probes == 0:
-                continue
-            smoothed = (pool.hits[index] + 1.0) / (probes + 2.0)
-            pool.set_weight(index, smoothed * max(leaf.density, 1e-9))
+                probed.add(leaf_index)
+        # Leaves probed only in earlier rounds keep their weights.
+        for index in probed:
+            smoothed = (pool.hits[index] + 1.0) / (pool.probes[index] + 2.0)
+            pool.set_weight(index, smoothed * max(pool.densities[index], 1e-9))

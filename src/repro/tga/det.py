@@ -29,6 +29,7 @@ import math
 from .base import TargetGenerator, register_tga
 from .leafpool import LeafPool
 from .modelcache import cached_space_tree, get_model_cache, seed_fingerprint
+from .spacetree import LeafTable
 
 __all__ = ["DET"]
 
@@ -79,26 +80,29 @@ class DET(TargetGenerator):
 
     # -- model construction -----------------------------------------------
 
-    def _frozen_groups(self, seeds: list[int]) -> tuple:
+    def _frozen_groups(self, seeds: list[int]) -> tuple[tuple[int, LeafTable], ...]:
         """Frozen model: entropy-tree leaves grouped by /32, cached.
 
-        Pure function of the seed list — the UCB statistics, pools and
-        pending maps layered on top are per-run state.
+        Each group is the sub-table of the leaves whose first seed lies
+        in its /32, in tree order.  Pure function of the seed list — the
+        UCB statistics, pools and pending maps layered on top are
+        per-run state.
         """
         fingerprint = seed_fingerprint(seeds)
 
-        def build() -> tuple:
+        def build() -> tuple[tuple[int, LeafTable], ...]:
             tree = cached_space_tree(
                 seeds,
                 strategy="entropy",
                 max_leaf_seeds=self.max_leaf_seeds,
                 fingerprint=fingerprint,
             )
-            by_net32: dict[int, list] = {}
-            for leaf in tree.leaves:
-                by_net32.setdefault(leaf.seeds[0] >> 96, []).append(leaf)
+            by_net32: dict[int, list[int]] = {}
+            for row, first in enumerate(tree.leaves.first_seeds()):
+                by_net32.setdefault(first >> 96, []).append(row)
             return tuple(
-                (net32, tuple(leaves)) for net32, leaves in sorted(by_net32.items())
+                (net32, tree.leaves.take(rows))
+                for net32, rows in sorted(by_net32.items())
             )
 
         return get_model_cache().get_or_build(
@@ -115,12 +119,7 @@ class DET(TargetGenerator):
         old_stats = {group.net32: (group.probes, group.hits) for group in self._groups}
         self._groups = []
         for net32, leaves in grouped:
-            pool = LeafPool(
-                leaves,
-                weights=[max(leaf.density, 1e-9) for leaf in leaves],
-                max_level=self.max_level,
-                exclude=exclude,
-            )
+            pool = LeafPool(leaves, max_level=self.max_level, exclude=exclude)
             group = _NetworkGroup(net32, pool)
             group.probes, group.hits = old_stats.get(net32, (0, 0))
             self._groups.append(group)
@@ -183,6 +182,7 @@ class DET(TargetGenerator):
         return result
 
     def observe(self, results) -> None:
+        probed: set[tuple[int, int]] = set()
         for address, hit in results.items():
             located = self._pending.pop(address, None)
             if located is None:
@@ -197,15 +197,14 @@ class DET(TargetGenerator):
             pool = group.pool
             if leaf_index < len(pool):
                 pool.record(leaf_index, hit)
+                probed.add(located)
         # Within-group reweight: density prior scaled by smoothed hitrate.
-        for group in self._groups:
-            pool = group.pool
-            for index, leaf in enumerate(pool.leaves):
-                probes = pool.probes[index]
-                if probes == 0:
-                    continue
-                smoothed = (pool.hits[index] + 1.0) / (probes + 2.0)
-                pool.set_weight(index, smoothed * max(leaf.density, 1e-9))
+        # Leaves probed only in earlier rounds keep the weight their
+        # unchanged counts gave them.
+        for group_index, index in probed:
+            pool = self._groups[group_index].pool
+            smoothed = (pool.hits[index] + 1.0) / (pool.probes[index] + 2.0)
+            pool.set_weight(index, smoothed * max(pool.densities[index], 1e-9))
         self._rounds_since_rebuild += 1
         if self._rounds_since_rebuild >= self.rebuild_every and self._discovered:
             self._rounds_since_rebuild = 0

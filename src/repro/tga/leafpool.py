@@ -1,19 +1,52 @@
 """Weighted candidate pools over space-tree leaves.
 
-All four tree-family TGAs (6Tree, 6Scan, DET, 6Hit) and the clustering
-generators (6Gen, 6Graph) boil down to the same mechanic: keep a set of
-*regions*, each with a lazy candidate stream, and split the generation
-budget across regions according to some (possibly adaptive) weight.
-:class:`LeafPool` implements that mechanic once.
+All the region generators (6Tree, 6Scan, DET, 6Hit, AddrMiner, 6Sense)
+and the clustering generators (6Gen, 6Graph) boil down to the same
+mechanic: keep a set of *regions*, each with a lazy candidate stream,
+and split the generation budget across regions according to some
+(possibly adaptive) weight.  :class:`LeafPool` implements that mechanic
+once.  A pool reads its regions' densities from a
+:class:`~repro.tga.spacetree.LeafTable`'s column and builds a region's
+leaf and candidate stream only when it first draws from that region.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 
-from .spacetree import SpaceTreeLeaf, leaf_candidates
+from .spacetree import LeafTable, SpaceTreeLeaf, leaf_candidates
 
 __all__ = ["LeafPool"]
+
+#: A stream slot whose iterator has not been made yet (``None`` marks an
+#: exhausted leaf).
+_UNMADE = object()
+
+#: A slot as stored, without making its stream.
+_slot = list.__getitem__
+
+
+class _Streams(list):
+    """Per-leaf candidate iterators, each made on its first lookup.
+
+    A slot holds ``_UNMADE`` until then and ``None`` once the leaf is
+    exhausted.  Iterating the list yields the slots as they are, so
+    liveness scans never build a leaf.
+    """
+
+    __slots__ = ("_regions", "_max_level")
+
+    def __init__(self, leaves: Sequence[SpaceTreeLeaf], max_level: int) -> None:
+        super().__init__([_UNMADE] * len(leaves))
+        self._regions = leaves
+        self._max_level = max_level
+
+    def __getitem__(self, index):
+        stream = _slot(self, index)
+        if stream is _UNMADE:
+            stream = leaf_candidates(self._regions[index], self._max_level)
+            self[index] = stream
+        return stream
 
 
 class LeafPool:
@@ -21,7 +54,7 @@ class LeafPool:
 
     def __init__(
         self,
-        leaves: list[SpaceTreeLeaf],
+        leaves: Sequence[SpaceTreeLeaf],
         weights: list[float] | None = None,
         max_level: int = 3,
         exclude: set[int] | None = None,
@@ -29,13 +62,18 @@ class LeafPool:
         if weights is not None and len(weights) != len(leaves):
             raise ValueError("weights must match leaves")
         self.leaves = leaves
-        self._iterators: list[Iterator[int] | None] = [
-            leaf_candidates(leaf, max_level) for leaf in leaves
-        ]
+        self._iterators: list[Iterator[int] | None] = _Streams(leaves, max_level)
+        #: Each leaf's density (read only): a :class:`LeafTable`'s own
+        #: column, shared with every other pool over the table.
+        self.densities: list[float] = (
+            leaves.density
+            if isinstance(leaves, LeafTable)
+            else [leaf.density for leaf in leaves]
+        )
         if weights is not None:
             self.weights: list[float] = list(weights)
         else:
-            self.weights = [max(leaf.density, 1e-9) for leaf in leaves]
+            self.weights = [max(density, 1e-9) for density in self.densities]
         self._exclude = exclude if exclude is not None else set()
         self._emitted: set[int] = set()
         #: probes/hits bookkeeping for adaptive callers.
@@ -73,13 +111,19 @@ class LeafPool:
         """Append up to ``want`` fresh (address, ``index``) pairs from one
         leaf to ``out``; return how many.
 
-        The leaf's iterator is advanced no further than its ``want``-th
-        fresh address, and dropped once it ends.
+        The leaf's iterator is made on its first take, advanced no
+        further than its ``want``-th fresh address, and dropped once it
+        ends.
         """
         emitted = self._emitted
         exclude = self._exclude
         taken = 0
-        for address in self._iterators[index]:
+        # Read the slot as stored: a pool takes from a leaf many times,
+        # and only the first take needs the stream made.
+        stream = _slot(self._iterators, index)
+        if stream is _UNMADE:
+            stream = self._iterators[index]
+        for address in stream:
             if address in emitted or address in exclude:
                 continue
             emitted.add(address)

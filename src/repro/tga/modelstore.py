@@ -68,7 +68,7 @@ __all__ = [
 DEFAULT_STORE_ROOT = Path("~/.cache/repro/models")
 
 #: File preamble: format identifier, bumped on any layout change.
-_MAGIC = b"repro-model-store-v2\n"
+_MAGIC = b"repro-model-store-v3\n"
 
 #: Hex SHA-256 digest length (the integrity line between magic and payload).
 _DIGEST_LEN = 64

@@ -17,7 +17,7 @@ from __future__ import annotations
 from .base import TargetGenerator, register_tga
 from .leafpool import LeafPool
 from .modelcache import get_model_cache, seed_fingerprint
-from .spacetree import leaves_for_groups
+from .spacetree import LeafTable, leaves_for_groups
 
 __all__ = ["SixGen"]
 
@@ -35,10 +35,10 @@ class SixGen(TargetGenerator):
         self.max_level = max_level
         self._pool: LeafPool | None = None
 
-    def _frozen_clusters(self, seeds: list[int]) -> tuple:
+    def _frozen_clusters(self, seeds: list[int]) -> LeafTable:
         """Frozen model: the clustered range leaves, cached process-wide."""
 
-        def build() -> tuple:
+        def build() -> LeafTable:
             by_net64: dict[int, list[int]] = {}
             for seed in set(seeds):
                 by_net64.setdefault(seed >> 64, []).append(seed)
@@ -53,10 +53,7 @@ class SixGen(TargetGenerator):
             for members in sparse_by_net48.values():
                 clusters.append(sorted(members))
 
-            leaves = leaves_for_groups(clusters)
-            for index, leaf in enumerate(leaves):
-                leaf.index = index
-            return tuple(leaves)
+            return leaves_for_groups(clusters)
 
         return get_model_cache().get_or_build(
             "6gen.clusters",
@@ -68,12 +65,7 @@ class SixGen(TargetGenerator):
 
     def _ingest(self, seeds: list[int]) -> None:
         leaves = self._frozen_clusters(seeds)
-        self._pool = LeafPool(
-            leaves,
-            weights=[leaf.density for leaf in leaves],
-            max_level=self.max_level,
-            exclude=set(seeds),
-        )
+        self._pool = LeafPool(leaves, max_level=self.max_level, exclude=set(seeds))
 
     def propose(self, count: int) -> list[int]:
         self._require_prepared()

@@ -19,12 +19,11 @@ AS diversity, hits below the best exploiters.
 
 from __future__ import annotations
 
-import copy
-
+from ..addr.vector import np
 from .base import TargetGenerator, register_tga
 from .leafpool import LeafPool
 from .modelcache import cached_space_tree, get_model_cache, seed_fingerprint
-from .spacetree import SpaceTreeLeaf, leaves_for_groups
+from .spacetree import LeafTable, leaves_for_groups
 
 __all__ = ["SixGraph"]
 
@@ -49,67 +48,57 @@ class SixGraph(TargetGenerator):
         self.max_merged_dims = max_merged_dims
         self._pool: LeafPool | None = None
 
-    def _frozen_patterns(self, seeds: list[int]) -> tuple[tuple, tuple]:
-        """Frozen model: the merged pattern list plus damped weights.
+    def _frozen_patterns(self, seeds: list[int]) -> tuple[LeafTable, tuple]:
+        """Frozen model: the merged pattern table plus damped weights.
 
         Pure function of the seed list, cached process-wide.  Internal
-        passthrough regions are *copied* out of the shared space tree
-        before their ``index`` is reassigned — the tree artifact is
-        shared with other TGAs and must stay immutable.
+        passthrough regions are rows taken from the shared space tree's
+        table, which stays as it is.
         """
         fingerprint = seed_fingerprint(seeds)
 
-        def build() -> tuple[tuple, tuple]:
+        def build() -> tuple[LeafTable, tuple]:
             tree = cached_space_tree(
                 seeds,
                 strategy="entropy",
                 max_leaf_seeds=self.max_leaf_seeds,
                 fingerprint=fingerprint,
             )
+            table = tree.leaves
             # Graph-clustering analogue: leaves with the same wildcard
             # signature inside one /32 merge into a single pattern,
             # provided the merged pattern stays compact.
             buckets: dict[tuple[int, tuple[int, ...]], list[int]] = {}
-            passthrough: list[SpaceTreeLeaf] = []
-            for leaf in tree.leaves:
-                if leaf.is_internal:
-                    passthrough.append(copy.copy(leaf))
-                    continue
-                key = (leaf.seeds[0] >> 96, tuple(leaf.variable_dims))
-                buckets.setdefault(key, []).extend(leaf.seeds)
+            first_seeds = table.first_seeds()
+            for row in np.flatnonzero(~table.internal).tolist():
+                key = (first_seeds[row] >> 96, tuple(table.variable_dims(row)))
+                buckets.setdefault(key, []).extend(table.region_seeds(row))
 
             keys = sorted(buckets)
-            leaves = leaves_for_groups([sorted(set(buckets[key])) for key in keys])
-            diffuse = [
-                slot
-                for slot, (leaf, (_, signature)) in enumerate(zip(leaves, keys))
-                if len(leaf.variable_dims)
-                > max(len(signature) + 2, self.max_merged_dims)
-            ]
+            groups = [sorted(set(buckets[key])) for key in keys]
+            counts = leaves_for_groups(groups).variable_counts().tolist()
             # Outlier merge: a combined pattern that is too diffuse keeps
             # only the densest half of its members as one pattern.
-            halves = leaves_for_groups(
+            for slot, (_, signature) in enumerate(keys):
+                if counts[slot] > max(len(signature) + 2, self.max_merged_dims):
+                    groups[slot] = groups[slot][: max(2, len(groups[slot]) // 2)]
+            patterns = LeafTable.concat(
                 [
-                    leaves[slot].seeds[: max(2, len(leaves[slot].seeds) // 2)]
-                    for slot in diffuse
+                    leaves_for_groups(groups),
+                    table.take(np.flatnonzero(table.internal)),
                 ]
             )
-            for slot, half in zip(diffuse, halves):
-                leaves[slot] = half
-            leaves.extend(passthrough)
-            for index, leaf in enumerate(leaves):
-                leaf.index = index
             # Outlier culling (real 6Graph discards isolated seeds from its
             # pattern graph): single-support patterns get a token weight.
             # Remaining patterns are density-weighted with mild damping —
             # flatter than 6Tree, trading peak exploitation for breadth.
             weights = tuple(
-                max(leaf.density, 1e-9) ** 0.85
-                if len(leaf.seeds) >= 2
-                else max(leaf.density, 1e-9) * 0.05
-                for leaf in leaves
+                max(density, 1e-9) ** 0.85
+                if size >= 2
+                else max(density, 1e-9) * 0.05
+                for density, size in zip(patterns.density, patterns.sizes.tolist())
             )
-            return tuple(leaves), weights
+            return patterns, weights
 
         return get_model_cache().get_or_build(
             "6graph.patterns",

@@ -67,7 +67,6 @@ class SixHit(TargetGenerator):
         )
         self._pool = LeafPool(
             tree.leaves,
-            weights=[max(leaf.density, 1e-9) for leaf in tree.leaves],
             max_level=self.max_level,
             exclude=self._seeds | self._discovered,
         )

@@ -48,10 +48,7 @@ class SixScan(TargetGenerator):
             seeds, strategy="leftmost", max_leaf_seeds=self.max_leaf_seeds
         )
         self._pool = LeafPool(
-            tree.leaves,
-            weights=[leaf.density for leaf in tree.leaves],
-            max_level=self.max_level,
-            exclude=set(seeds),
+            tree.leaves, max_level=self.max_level, exclude=set(seeds)
         )
         self._pending = {}
 
@@ -66,18 +63,21 @@ class SixScan(TargetGenerator):
     def observe(self, results) -> None:
         assert self._pool is not None
         pool = self._pool
+        probed: set[int] = set()
         for address, hit in results.items():
             leaf_index = self._pending.pop(address, None)
             if leaf_index is None:
                 continue
             pool.record(leaf_index, hit)
+            probed.add(leaf_index)
         # Regional encoding update: weight = prior density scaled by the
         # Laplace-smoothed hitrate, floored so no region starves entirely.
-        for index, leaf in enumerate(pool.leaves):
-            probes = pool.probes[index]
-            if probes == 0:
-                continue
-            smoothed = (pool.hits[index] + 1.0) / (probes + 2.0)
+        # Leaves probed only in earlier rounds keep the weight their
+        # unchanged counts gave them.
+        for index in probed:
+            smoothed = (pool.hits[index] + 1.0) / (pool.probes[index] + 2.0)
             pool.set_weight(
-                index, max(self.exploration_floor, smoothed) * max(leaf.density, 1e-9)
+                index,
+                max(self.exploration_floor, smoothed)
+                * max(pool.densities[index], 1e-9),
             )

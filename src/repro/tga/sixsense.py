@@ -5,8 +5,9 @@ design elements define it, and all three are reproduced here:
 
 1. **Hierarchical generation per network section.**  Seeds are grouped
    by /32 ("sections" standing in for the per-AS hierarchy 6Sense
-   learns); each section gets its own space-tree generator built lazily
-   the first time it receives budget.
+   learns); each section gets its own space tree, all of them grown in
+   one forest build, and its candidate pool is made the first time it
+   receives budget.
 2. **Reinforcement-learning budget allocation with a dedicated
    AS-coverage slice.**  Most of each round goes to sections weighted by
    their smoothed hitrate; a fixed exploration fraction goes to the
@@ -21,23 +22,26 @@ design elements define it, and all three are reproduced here:
 
 from __future__ import annotations
 
+import itertools
 import math
 
 from .base import TargetGenerator, register_tga
 from .leafpool import LeafPool
-from .modelcache import cached_space_tree, get_model_cache, seed_fingerprint
+from .modelcache import get_model_cache, seed_fingerprint
+from .spacetree import LeafTable, space_forest
 
 __all__ = ["SixSense"]
 
 
 class _Section:
-    """One /32 section: lazy space tree plus reward statistics."""
+    """One /32 section: its tree's leaves, a lazy pool and reward statistics."""
 
-    __slots__ = ("net32", "seeds", "pool", "probes", "hits", "reward")
+    __slots__ = ("net32", "size", "leaves", "pool", "probes", "hits", "reward")
 
-    def __init__(self, net32: int, seeds: list[int]) -> None:
+    def __init__(self, net32: int, size: int, leaves: LeafTable) -> None:
         self.net32 = net32
-        self.seeds = seeds
+        self.size = size  # seeds in the section
+        self.leaves = leaves
         self.pool: LeafPool | None = None
         self.probes = 0
         self.hits = 0
@@ -45,17 +49,7 @@ class _Section:
 
     def ensure_pool(self, exclude: set[int], max_level: int) -> LeafPool:
         if self.pool is None:
-            # The section's tree is a frozen artifact too: the same /32
-            # section recurs across ports, so its lazy build is shared.
-            tree = cached_space_tree(
-                self.seeds, strategy="leftmost", max_leaf_seeds=10
-            )
-            self.pool = LeafPool(
-                tree.leaves,
-                weights=[leaf.density for leaf in tree.leaves],
-                max_level=max_level,
-                exclude=exclude,
-            )
+            self.pool = LeafPool(self.leaves, max_level=max_level, exclude=exclude)
         return self.pool
 
     @property
@@ -92,16 +86,27 @@ class SixSense(TargetGenerator):
 
     # -- model ------------------------------------------------------------
 
-    def _frozen_sections(self, seeds: list[int]) -> tuple[tuple[int, list[int]], ...]:
-        """Frozen model: (net32, sorted members) section table, cached."""
+    def _frozen_sections(
+        self, seeds: list[int]
+    ) -> tuple[tuple[int, int, LeafTable], ...]:
+        """Frozen model: (net32, seed count, leaf table) per /32 section,
+        cached.
 
-        def build() -> tuple[tuple[int, list[int]], ...]:
-            by_net32: dict[int, list[int]] = {}
-            for seed in set(seeds):
-                by_net32.setdefault(seed >> 96, []).append(seed)
+        Each section's table is its leftmost space tree with leaves of at
+        most 10 seeds, every section grown in one forest build.
+        """
+
+        def build() -> tuple[tuple[int, int, LeafTable], ...]:
+            sections = [
+                list(members)
+                for _, members in itertools.groupby(
+                    sorted(set(seeds)), key=lambda seed: seed >> 96
+                )
+            ]
+            tables = space_forest(sections, strategy="leftmost", max_leaf_seeds=10)
             return tuple(
-                (net32, sorted(members))
-                for net32, members in sorted(by_net32.items())
+                (section[0] >> 96, len(section), table)
+                for section, table in zip(sections, tables)
             )
 
         return get_model_cache().get_or_build(
@@ -116,8 +121,8 @@ class SixSense(TargetGenerator):
         # Per-run state: fresh _Section wrappers (reward, probes, lazy
         # pool) over the frozen section table.
         self._sections = [
-            _Section(net32, members)
-            for net32, members in self._frozen_sections(seeds)
+            _Section(net32, size, leaves)
+            for net32, size, leaves in self._frozen_sections(seeds)
         ]
         self._seed_set = set(seeds)
         self._pending = {}
@@ -167,7 +172,7 @@ class SixSense(TargetGenerator):
         if remaining > 0:
             weights = {
                 i: self._sections[i].reward
-                * math.sqrt(1.0 + len(self._sections[i].seeds))
+                * math.sqrt(1.0 + self._sections[i].size)
                 for i in alive
             }
             total = sum(weights.values()) or 1.0

@@ -39,10 +39,7 @@ class SixTree(TargetGenerator):
             seeds, strategy="leftmost", max_leaf_seeds=self.max_leaf_seeds
         )
         self._pool = LeafPool(
-            tree.leaves,
-            weights=[leaf.density for leaf in tree.leaves],
-            max_level=self.max_level,
-            exclude=set(seeds),
+            tree.leaves, max_level=self.max_level, exclude=set(seeds)
         )
 
     def propose(self, count: int) -> list[int]:

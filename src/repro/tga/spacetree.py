@@ -1,5 +1,6 @@
-"""Hierarchical address-space trees — the shared core of 6Tree, DET,
-6Scan and 6Hit.
+"""Hierarchical address-space trees — the shared core of the region
+generators: 6Tree, 6Scan, 6Hit, DET, AddrMiner, 6Graph and 6Sense grow
+space trees, and 6Gen expands its clusters through the same regions.
 
 A space tree recursively partitions the seed set on nybble positions.
 Each leaf is a *region*: a set of seeds agreeing on every nybble except a
@@ -29,6 +30,13 @@ split is a stable partition of its range on the chosen column.  All of
 it is bit-identical to the recursive per-seed formulation: leaves keep
 its depth-first order and the entropy terms keep its float summation
 order.
+
+The regions stay columns too: a :class:`LeafTable` holds every region's
+row range, depth, internal flag, presence masks and density, and builds
+a region's :class:`SpaceTreeLeaf` only when it is read.  At the budgets
+a reproduction runs, most regions are never drawn from.  One build can
+also grow several trees at once (:func:`space_forest`), one root per
+section of the seeds.
 """
 
 from __future__ import annotations
@@ -36,6 +44,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from array import array
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 
@@ -45,6 +54,7 @@ from ..addr.nybbles import nybble_matrix_from_bytes
 from ..addr.vector import np
 
 __all__ = [
+    "LeafTable",
     "SpaceTreeLeaf",
     "SpaceTree",
     "column_entropies",
@@ -53,6 +63,7 @@ __all__ = [
     "leaves_for_groups",
     "seed_bytes",
     "seed_matrix",
+    "space_forest",
 ]
 
 _ADDRESS_BYTES = ADDRESS_NYBBLES // 2
@@ -192,7 +203,8 @@ class SpaceTreeLeaf:
     (e.g. discovering sibling subnets never seen in the seeds).
 
     The expanded value sets and the density are computed once, at
-    construction, and travel with the leaf when it is pickled.
+    construction, unless given: a :class:`LeafTable` passes the ones its
+    columns already hold.
     """
 
     seeds: list[int]
@@ -205,16 +217,17 @@ class SpaceTreeLeaf:
     #: Seeds per unit of (log) pattern-space size — the ranking signal.
     #: Denser regions (many seeds, small wildcard space) are likelier to
     #: contain further active addresses, so they are expanded first.
-    density: float = field(init=False, repr=False)
+    density: float | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         if self._value_sets is None:
             (masks,) = _presence_masks(seed_matrix(self.seeds), [0]).tolist()
             self._value_sets = _value_sets(self.effective_dims, masks)
-        space_log = sum(
-            [_SPACE_LOG[len(values)] for values in self._value_sets.values()]
-        )
-        self.density = len(self.seeds) / (1.0 + space_log)
+        if self.density is None:
+            space_log = sum(
+                [_SPACE_LOG[len(values)] for values in self._value_sets.values()]
+            )
+            self.density = len(self.seeds) / (1.0 + space_log)
 
     @property
     def effective_dims(self) -> list[int]:
@@ -234,51 +247,264 @@ def _value_sets(dims: Iterable[int], masks: list[int]) -> dict[int, list[int]]:
     return {dim: list(_mask_values(masks[dim])) for dim in dims}
 
 
-def _leaves(
-    seed_lists: Iterable[list[int]],
-    masks,
-    depth: int,
-    internal: Iterable[bool],
-) -> list[SpaceTreeLeaf]:
-    """Leaves over seed lists given their ``(k, 32)`` presence masks.
+#: Whether the builtin ``sum`` adds floats with Neumaier compensation
+#: (CPython 3.12 and later) rather than one plain addition at a time.
+_COMPENSATED_SUM = sum([1.0, 1e100, 1.0, -1e100]) != 0.0
 
-    Each leaf varies where its seeds differ: the dims whose mask has
-    more than one bit set.
+
+def _row_sums(terms):
+    """Each row's ``sum(row)`` of a float64 matrix, bit for bit.
+
+    Columns are added left to right, as the builtin ``sum`` adds a list,
+    with its compensation where the interpreter's ``sum`` compensates.
+    A zero term leaves both the total and the compensation unchanged,
+    so padding a row with zeros does not move its sum.  Never a pairwise
+    ``np.sum``: its partial sums round differently.
     """
-    varies = (masks & (masks - 1)) != 0
-    dims = np.nonzero(varies)[1].tolist()
-    ends = np.cumsum(varies.sum(axis=1)).tolist()
-    leaves = []
-    start = 0
-    for seeds, end, row, is_internal in zip(seed_lists, ends, masks.tolist(), internal):
-        variable = dims[start:end]
-        start = end
-        leaves.append(
-            SpaceTreeLeaf(
-                seeds=seeds,
-                variable_dims=variable,
-                depth=depth,
-                is_internal=is_internal,
-                _value_sets=_value_sets(variable or _DEFAULT_EXPANSION_DIMS, row),
-            )
+    total = np.zeros(len(terms))
+    if not _COMPENSATED_SUM:
+        for column in terms.T:
+            total += column
+        return total
+    compensation = np.zeros(len(terms))
+    for column in terms.T:
+        added = total + column
+        compensation += np.where(
+            np.abs(total) >= np.abs(column),
+            (total - added) + column,
+            (column - added) + total,
         )
-    return leaves
+        total = added
+    return total + compensation
 
 
-def leaves_for_groups(groups: Sequence[list[int]]) -> list[SpaceTreeLeaf]:
-    """One leaf per non-empty seed group, varying where its seeds differ.
+def _densities(masks, sizes):
+    """Each region's :attr:`SpaceTreeLeaf.density` from its presence masks.
 
-    Equivalent to ``SpaceTreeLeaf(seeds=g, variable_dims=
-    differing_positions(g))`` for each group ``g``, with every group's
-    presence masks taken in one pass over one matrix.
+    ``size / (1.0 + space_log)``, where ``space_log`` adds the pattern
+    space term of every effective dim in ascending dim order.  A
+    degenerate region expands dims 31 and 30 instead; its two terms
+    commute.
     """
-    if not groups:
-        return []
-    sizes = [len(group) for group in groups]
-    offsets = list(itertools.accumulate(sizes, initial=0))[:-1]
-    matrix = seed_matrix(itertools.chain.from_iterable(groups))
-    masks = _presence_masks(matrix, offsets)
-    return _leaves(groups, masks, 0, itertools.repeat(False))
+    effective = (masks & (masks - 1)) != 0
+    effective[~effective.any(axis=1), ADDRESS_NYBBLES - 2 :] = True
+    distinct, inverse = np.unique(masks[effective], return_inverse=True)
+    logs = [_SPACE_LOG[len(_mask_values(mask))] for mask in distinct.tolist()]
+    terms = np.zeros(masks.shape)
+    terms[effective] = np.array(logs, dtype=np.float64)[inverse]
+    return sizes / (1.0 + _row_sums(terms))
+
+
+class LeafTable(Sequence[SpaceTreeLeaf]):
+    """Regions as columns, read as a sequence of :class:`SpaceTreeLeaf`.
+
+    Region ``i`` covers ``seeds[starts[i] : starts[i] + sizes[i]]``.  A
+    leaf's range holds its seeds in ascending order; an internal
+    region's range holds them in the order the splits below it left
+    them, and its leaf sorts them.  ``depths`` and ``internal`` are the
+    leaves' fields, ``masks`` the ``(regions, 32)`` uint16 presence
+    masks their value sets come from, and ``density`` (a list of
+    floats, which every pool over the table shares) their ranking
+    signal: callers rank and group regions from the columns alone.
+
+    Indexing builds a region's leaf the first time it is read and keeps
+    it; slices give lists of leaves, and so does appending a table to a
+    list.  A table is shared through the model cache, so treat it and
+    its leaves as frozen.
+    """
+
+    __slots__ = (
+        "seeds",
+        "starts",
+        "sizes",
+        "depths",
+        "internal",
+        "masks",
+        "density",
+        "_built",
+        "_parts",
+    )
+
+    def __init__(self, seeds, starts, sizes, depths, internal, masks, density) -> None:
+        self.seeds: list[int] = seeds
+        self.starts = starts
+        self.sizes = sizes
+        self.depths = depths
+        self.internal = internal
+        self.masks = masks
+        self.density = density
+        #: Leaves built so far, by row (``None`` until the first read).
+        self._built: list[SpaceTreeLeaf | None] | None = None
+        #: What building a leaf reads (see ``_leaf_parts``).
+        self._parts: tuple | None = None
+
+    def __reduce__(self):
+        # Pickle the columns only; leaves are rebuilt on demand.
+        return (
+            LeafTable,
+            (
+                self.seeds,
+                self.starts,
+                self.sizes,
+                self.depths,
+                self.internal,
+                self.masks,
+                self.density,
+            ),
+        )
+
+    # -- the sequence of leaves ---------------------------------------------
+
+    def __len__(self) -> int:
+        return len(self.starts)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[row] for row in range(*index.indices(len(self)))]
+        built = self._built
+        if built is None:
+            built = self._built = [None] * len(self)
+        leaf = built[index]
+        if leaf is None:
+            row = range(len(built))[index]
+            leaf = built[row] = self._leaf(row)
+        return leaf
+
+    def __iter__(self) -> Iterator[SpaceTreeLeaf]:
+        return map(self.__getitem__, range(len(self)))
+
+    def __radd__(self, other):
+        return other + list(self)
+
+    def _leaf_parts(self) -> tuple:
+        """Every region's variable dims and their masks, flattened row by
+        row with each row's bounds, then the scalar columns.  They are
+        compact arrays, which the cyclic GC never scans, whose items read
+        as Python numbers."""
+        if self._parts is None:
+            varies = (self.masks & (self.masks - 1)) != 0
+            rows, dims = np.nonzero(varies)
+            bounds = np.searchsorted(rows, np.arange(len(self) + 1))
+            self._parts = (
+                array("B", dims.astype(np.uint8).tobytes()),
+                array("H", self.masks[rows, dims].tobytes()),
+                array("q", bounds.astype(np.int64).tobytes()),
+                array("q", self.starts.astype(np.int64).tobytes()),
+                array("q", self.sizes.astype(np.int64).tobytes()),
+                array("B", self.depths.astype(np.uint8).tobytes()),
+                array("B", self.internal.astype(np.uint8).tobytes()),
+            )
+        return self._parts
+
+    def _leaf(self, row: int) -> SpaceTreeLeaf:
+        dims, masks, bounds, starts, sizes, depths, internal = self._leaf_parts()
+        lo, hi = bounds[row], bounds[row + 1]
+        variable = dims[lo:hi].tolist()
+        if variable:
+            value_sets = dict(zip(variable, map(list, map(_mask_values, masks[lo:hi]))))
+        else:
+            value_sets = {
+                dim: list(_mask_values(self.masks.item(row, dim)))
+                for dim in _DEFAULT_EXPANSION_DIMS
+            }
+        start = starts[row]
+        seeds = self.seeds[start : start + sizes[row]]
+        if internal[row]:
+            seeds.sort()
+        # Positional, in field order: a warm model store builds most of
+        # its leaves here, one call each.
+        return SpaceTreeLeaf(
+            seeds,
+            variable,
+            depths[row],
+            row,
+            internal[row] == 1,
+            value_sets,
+            self.density[row],
+        )
+
+    # -- columns ------------------------------------------------------------
+
+    def region_seeds(self, row: int) -> list[int]:
+        """Region ``row``'s seeds (its leaf's ``seeds``), without the leaf."""
+        start = int(self.starts[row])
+        seeds = self.seeds[start : start + int(self.sizes[row])]
+        if self.internal[row]:
+            seeds.sort()
+        return seeds
+
+    def first_seeds(self) -> list[int]:
+        """Every region's first seed (its leaf's ``seeds[0]``)."""
+        seeds = self.seeds
+        return [
+            min(seeds[start : start + size]) if internal else seeds[start]
+            for start, size, internal in zip(
+                self.starts.tolist(), self.sizes.tolist(), self.internal.tolist()
+            )
+        ]
+
+    def variable_dims(self, row: int) -> list[int]:
+        """Region ``row``'s variable dims (its leaf's ``variable_dims``)."""
+        dims, _, bounds, *_ = self._leaf_parts()
+        return dims[bounds[row] : bounds[row + 1]].tolist()
+
+    def variable_counts(self):
+        """How many dims vary in each region."""
+        return ((self.masks & (self.masks - 1)) != 0).sum(axis=1)
+
+    def take(self, rows) -> LeafTable:
+        """The regions at ``rows`` (indices or a slice), in that order and
+        renumbered from 0, sharing this table's seed list."""
+        rows = np.arange(len(self))[rows]
+        return LeafTable(
+            self.seeds,
+            self.starts[rows],
+            self.sizes[rows],
+            self.depths[rows],
+            self.internal[rows],
+            self.masks[rows],
+            list(map(self.density.__getitem__, rows.tolist())),
+        )
+
+    @staticmethod
+    def concat(tables: Sequence[LeafTable]) -> LeafTable:
+        """The regions of every table, one table after another."""
+        offsets = itertools.accumulate((len(table.seeds) for table in tables), initial=0)
+        starts = [table.starts + offset for table, offset in zip(tables, offsets)]
+        return LeafTable(
+            list(itertools.chain.from_iterable(table.seeds for table in tables)),
+            np.concatenate(starts),
+            *(
+                np.concatenate([getattr(table, column) for table in tables])
+                for column in ("sizes", "depths", "internal", "masks")
+            ),
+            list(itertools.chain.from_iterable(table.density for table in tables)),
+        )
+
+
+def leaves_for_groups(groups: Sequence[list[int]]) -> LeafTable:
+    """One region per non-empty seed group, varying where its seeds differ.
+
+    Region ``i``'s leaf equals ``SpaceTreeLeaf(seeds=groups[i],
+    variable_dims=differing_positions(groups[i]))``; every group's
+    presence masks are taken in one pass over one matrix.
+    """
+    sizes = np.array([len(group) for group in groups], dtype=np.intp)
+    starts = np.cumsum(sizes) - sizes
+    seeds = list(itertools.chain.from_iterable(groups))
+    if seeds:
+        masks = _presence_masks(seed_matrix(seeds), starts)
+    else:
+        masks = np.zeros((0, ADDRESS_NYBBLES), dtype=np.uint16)
+    return LeafTable(
+        seeds,
+        starts,
+        sizes,
+        np.zeros(len(sizes), dtype=np.uint8),
+        np.zeros(len(sizes), dtype=bool),
+        masks,
+        _densities(masks, sizes).tolist(),
+    )
 
 
 def leaf_candidates(leaf: SpaceTreeLeaf, max_level: int = 3) -> Iterator[int]:
@@ -331,6 +557,9 @@ def leaf_candidates(leaf: SpaceTreeLeaf, max_level: int = 3) -> Iterator[int]:
                         yield address
 
 
+# -- trees ---------------------------------------------------------------------
+
+
 def _concat_ranges(starts, counts, steps=None):
     """Concatenated ``arange(start, start + count * step, step)`` of every
     range (``step`` 1 when ``steps`` is omitted)."""
@@ -341,8 +570,146 @@ def _concat_ranges(starts, counts, steps=None):
     return np.repeat(starts, counts) + index
 
 
+# Entropy estimation on huge nodes samples a deterministic stride of
+# seeds: the split choice is a ranking, and a few thousand samples rank
+# 16-bin histograms reliably.
+_ENTROPY_SAMPLE = 2048
+
+
+def _choose_dims(strategy, matrix, active, offsets, sizes, varies):
+    """The split dimension of each node (ranges of ``active``)."""
+    if strategy == "leftmost":
+        return varies.argmax(axis=1)
+    # Entropy strategy: lowest-entropy variable dimension first, scored
+    # on every row, or on every ``n // 2048``-th row of a node above
+    # 2,048 seeds.
+    strides = np.maximum(sizes // _ENTROPY_SAMPLE, 1)
+    samples = (sizes + strides - 1) // strides
+    picked = active[_concat_ranges(offsets, samples, strides)]
+    entropies = column_entropies(matrix[picked], samples, varies)
+    # The first dim reaching the lowest positive entropy, like a strict
+    # ``0 < entropy < best`` scan in ascending dim order.
+    scores = np.where(varies & (entropies > 0.0), entropies, np.inf)
+    return np.where(
+        np.isinf(scores.min(axis=1)), varies.argmax(axis=1), scores.argmin(axis=1)
+    )
+
+
+def space_forest(
+    sections: Sequence[list[int]],
+    strategy: str = "leftmost",
+    max_leaf_seeds: int = 12,
+    max_depth: int = ADDRESS_NYBBLES,
+    internal_regions: bool = True,
+    max_internal_seeds: int = 384,
+    max_internal_dims: int = 8,
+) -> list[LeafTable]:
+    """Every section's space tree, grown in one build.
+
+    ``sections`` are sorted, duplicate-free, non-empty seed lists.
+    Section ``i``'s table equals ``SpaceTree(sections[i], ...).leaves``
+    with the same parameters: splits are node-local, so one
+    level-synchronous pass over all roots grows each tree as its own
+    build would, at one set of array operations per level instead of
+    one per tree and level.
+
+    All sections share one nybble matrix, each as one root range.
+    ``rows`` is the current arrangement of matrix rows: every open node
+    is a contiguous range of it, and stable partitions keep each range
+    in ascending seed order.  Each level records the regions it emits
+    with the start of their range; sorting every region on (start,
+    depth) yields each tree's depth-first leaf order (a node before its
+    children, children by ascending nybble), tree after tree.  Ranges
+    are read in the final arrangement.
+    """
+    if strategy not in ("leftmost", "entropy"):
+        raise ValueError(f"unknown split strategy: {strategy!r}")
+    if not sections:
+        return []
+    seeds = list(itertools.chain.from_iterable(sections))
+    matrix = seed_matrix(seeds)
+    rows = np.arange(len(seeds), dtype=np.intp)
+    sizes = np.array([len(section) for section in sections], dtype=np.intp)
+    starts = roots = np.cumsum(sizes) - sizes
+    levels = []
+    for depth in itertools.count():
+        positions = _concat_ranges(starts, sizes)
+        active = rows[positions]
+        offsets = np.cumsum(sizes) - sizes
+        masks = _presence_masks(matrix[active], offsets)
+        varies = (masks & (masks - 1)) != 0
+        variable_counts = varies.sum(axis=1)
+        final = (
+            (sizes <= max_leaf_seeds)
+            | (variable_counts <= 2)  # already a compact pattern
+            | (depth >= max_depth)
+        )
+        # Internal regions are generalisation regions for split nodes:
+        # they let the pool expand back up the hierarchy (e.g. into
+        # sibling subnets) after the dense leaves below are exhausted.
+        internal = (
+            ~final
+            & (sizes <= max_internal_seeds)
+            & (variable_counts <= max_internal_dims)
+            & internal_regions
+        )
+        emitted = np.flatnonzero(final | internal)
+        levels.append(
+            (
+                starts[emitted],
+                sizes[emitted],
+                np.full(emitted.size, depth, dtype=np.uint8),
+                internal[emitted],
+                masks[emitted],
+            )
+        )
+        split = np.flatnonzero(~final)
+        if not split.size:
+            break
+        dims = _choose_dims(
+            strategy, matrix, active, offsets[split], sizes[split], varies[split]
+        )
+        # Stable partition of every split node on its chosen column.
+        local = _concat_ranges(offsets[split], sizes[split])
+        split_rows = active[local]
+        node = np.repeat(np.arange(split.size, dtype=np.intp), sizes[split])
+        keys = (node << 4) | matrix[split_rows, dims[node]]
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        split_positions = positions[local]
+        rows[split_positions] = split_rows[order]
+        bounds = np.flatnonzero(keys[1:] != keys[:-1]) + 1
+        child_starts = np.concatenate(([0], bounds))
+        child_sizes = np.diff(np.concatenate((child_starts, [keys.size])))
+        starts = split_positions[child_starts]
+        sizes = child_sizes
+    region_starts, region_sizes, depths, internal, masks = (
+        np.concatenate(column) for column in zip(*levels)
+    )
+    order = np.lexsort((depths, region_starts))
+    region_starts = region_starts[order]
+    region_sizes = region_sizes[order]
+    masks = masks[order]
+    table = LeafTable(
+        [seeds[row] for row in rows.tolist()],
+        region_starts,
+        region_sizes,
+        depths[order],
+        internal[order],
+        masks,
+        _densities(masks, region_sizes).tolist(),
+    )
+    # A section's regions start inside its root range, so they are the
+    # rows from its root's start up to the next root's.
+    bounds = np.append(np.searchsorted(region_starts, roots), len(table))
+    return [table.take(slice(lo, hi)) for lo, hi in itertools.pairwise(bounds.tolist())]
+
+
 class SpaceTree:
-    """A space tree over a seed set with pluggable split strategy."""
+    """A space tree over a seed set with pluggable split strategy.
+
+    ``leaves`` is the tree's :class:`LeafTable`, in depth-first order.
+    """
 
     def __init__(
         self,
@@ -354,8 +721,6 @@ class SpaceTree:
         max_internal_seeds: int = 384,
         max_internal_dims: int = 8,
     ) -> None:
-        if strategy not in ("leftmost", "entropy"):
-            raise ValueError(f"unknown split strategy: {strategy!r}")
         if not seeds:
             raise ValueError("cannot build a space tree from no seeds")
         self.strategy = strategy
@@ -364,117 +729,20 @@ class SpaceTree:
         self.internal_regions = internal_regions
         self.max_internal_seeds = max_internal_seeds
         self.max_internal_dims = max_internal_dims
-        self.leaves = self._build(sorted(set(seeds)))
-        for index, leaf in enumerate(self.leaves):
-            leaf.index = index
-
-    # -- construction -----------------------------------------------------
-
-    def _build(self, seeds: list[int]) -> list[SpaceTreeLeaf]:
-        """Partition ``seeds`` (sorted, unique) level by level.
-
-        ``rows`` is the current arrangement of matrix rows: every open
-        node is a contiguous range of it, and stable partitions keep
-        each range in ascending seed order.  A region is recorded with
-        the start of its range and its depth; sorting on that pair
-        yields the depth-first leaf order (a node before its children,
-        children by ascending nybble).
-        """
-        matrix = seed_matrix(seeds)
-        seed_column = np.array(seeds, dtype=object)
-        rows = np.arange(len(seeds), dtype=np.intp)
-        starts = np.zeros(1, dtype=np.intp)
-        sizes = np.array([len(seeds)], dtype=np.intp)
-        regions: list[tuple[int, int, SpaceTreeLeaf]] = []
-        for depth in itertools.count():
-            positions = _concat_ranges(starts, sizes)
-            active = rows[positions]
-            offsets = np.cumsum(sizes) - sizes
-            masks = _presence_masks(matrix[active], offsets)
-            varies = (masks & (masks - 1)) != 0
-            variable_counts = varies.sum(axis=1)
-            final = (
-                (sizes <= self.max_leaf_seeds)
-                | (variable_counts <= 2)  # already a compact pattern
-                | (depth >= self.max_depth)
-            )
-            # Internal regions are generalisation regions for split
-            # nodes: they let the pool expand back up the hierarchy
-            # (e.g. into sibling subnets) after the dense leaves below
-            # are exhausted.
-            internal = (
-                ~final
-                & (sizes <= self.max_internal_seeds)
-                & (variable_counts <= self.max_internal_dims)
-                & self.internal_regions
-            )
-            emitted = np.flatnonzero(final | internal)
-            if emitted.size:
-                emitted_sizes = sizes[emitted]
-                emitted_seeds = seed_column[
-                    active[_concat_ranges(offsets[emitted], emitted_sizes)]
-                ].tolist()
-                bounds = itertools.pairwise(
-                    itertools.accumulate(emitted_sizes.tolist(), initial=0)
-                )
-                seed_lists = [emitted_seeds[lo:hi] for lo, hi in bounds]
-                leaves = _leaves(
-                    seed_lists, masks[emitted], depth, internal[emitted].tolist()
-                )
-                regions.extend(
-                    zip(starts[emitted].tolist(), itertools.repeat(depth), leaves)
-                )
-            split = np.flatnonzero(~final)
-            if not split.size:
-                break
-            dims = self._choose_dims(
-                matrix, active, offsets[split], sizes[split], varies[split]
-            )
-            # Stable partition of every split node on its chosen column.
-            local = _concat_ranges(offsets[split], sizes[split])
-            split_rows = active[local]
-            node = np.repeat(np.arange(split.size, dtype=np.intp), sizes[split])
-            keys = (node << 4) | matrix[split_rows, dims[node]]
-            order = np.argsort(keys, kind="stable")
-            keys = keys[order]
-            split_positions = positions[local]
-            rows[split_positions] = split_rows[order]
-            bounds = np.flatnonzero(keys[1:] != keys[:-1]) + 1
-            child_starts = np.concatenate(([0], bounds))
-            child_sizes = np.diff(np.concatenate((child_starts, [keys.size])))
-            starts = split_positions[child_starts]
-            sizes = child_sizes
-        regions.sort(key=lambda region: (region[0], region[1]))
-        return [leaf for _, _, leaf in regions]
-
-    # Entropy estimation on huge nodes samples a deterministic stride of
-    # seeds: the split choice is a ranking, and a few thousand samples
-    # rank 16-bin histograms reliably.
-    _ENTROPY_SAMPLE = 2048
-
-    def _choose_dims(self, matrix, active, offsets, sizes, varies):
-        """The split dimension of each node (ranges of ``active``)."""
-        if self.strategy == "leftmost":
-            return varies.argmax(axis=1)
-        # Entropy strategy: lowest-entropy variable dimension first,
-        # scored on every row, or on every ``n // 2048``-th row of a
-        # node above 2,048 seeds.
-        strides = np.maximum(sizes // self._ENTROPY_SAMPLE, 1)
-        samples = (sizes + strides - 1) // strides
-        picked = active[_concat_ranges(offsets, samples, strides)]
-        entropies = column_entropies(matrix[picked], samples, varies)
-        # The first dim reaching the lowest positive entropy, like a
-        # strict ``0 < entropy < best`` scan in ascending dim order.
-        scores = np.where(varies & (entropies > 0.0), entropies, np.inf)
-        return np.where(
-            np.isinf(scores.min(axis=1)), varies.argmax(axis=1), scores.argmin(axis=1)
+        (self.leaves,) = space_forest(
+            [sorted(set(seeds))],
+            strategy,
+            max_leaf_seeds,
+            max_depth,
+            internal_regions,
+            max_internal_seeds,
+            max_internal_dims,
         )
-
-    # -- queries --------------------------------------------------------------
 
     def __len__(self) -> int:
         return len(self.leaves)
 
     def leaves_by_density(self) -> list[SpaceTreeLeaf]:
         """Leaves ranked densest first (ties broken by tree order)."""
-        return sorted(self.leaves, key=lambda leaf: (-leaf.density, leaf.index))
+        order = np.argsort(-np.array(self.leaves.density), kind="stable")
+        return [self.leaves[row] for row in order.tolist()]

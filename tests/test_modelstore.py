@@ -14,13 +14,24 @@ import pickle
 import pytest
 
 from repro.tga import (
+    DET,
+    LeafTable,
+    ModelCache,
     ModelStore,
+    SixGen,
+    SixGraph,
+    SixSense,
+    SpaceTree,
+    create_tga,
     get_model_store,
     resolve_model_store,
     set_model_store,
+    use_model_cache,
     use_model_store,
 )
 from repro.tga.modelstore import _MAGIC
+
+from .test_tga_modelcache import _random_seed_sets
 
 
 def make_store(tmp_path, **kwargs) -> ModelStore:
@@ -130,6 +141,21 @@ class TestCorruption:
         assert path.read_bytes().startswith(_MAGIC)
         assert store.load("6tree", 5, ()) == "rebuilt"
 
+    def test_v2_entry_dropped_and_rebuilt(self, tmp_path):
+        # Entries written while trees still pickled one object per leaf
+        # carry the v2 magic: they are never unpickled.
+        store = make_store(tmp_path)
+        path = store.entry_path("spacetree", 5, ())
+        path.parent.mkdir(parents=True)
+        payload = pickle.dumps("leaf-objects")
+        digest = hashlib.sha256(payload).hexdigest().encode("ascii")
+        path.write_bytes(b"repro-model-store-v2\n" + digest + b"\n" + payload)
+        assert _MAGIC == b"repro-model-store-v3\n"
+        assert store.get_or_build("spacetree", 5, (), lambda: "rebuilt") == "rebuilt"
+        assert store.stats.corrupt_dropped == 1
+        assert path.read_bytes().startswith(_MAGIC)
+        assert store.load("spacetree", 5, ()) == "rebuilt"
+
     def test_get_or_build_rebuilds_after_corruption(self, tmp_path):
         store = make_store(tmp_path)
         calls = []
@@ -177,6 +203,66 @@ class TestGetOrBuild:
         lock.write_text("dead-builder")
         os.utime(lock, (0, 0))
         assert store.get_or_build("6tree", 1, (), lambda: "built") == "built"
+
+
+def _view(artifact):
+    """An artifact with every region table replaced by its leaves and
+    columns, so two artifacts compare by content."""
+    if isinstance(artifact, SpaceTree):
+        return _view(artifact.leaves)
+    if isinstance(artifact, LeafTable):
+        return (
+            list(artifact),
+            artifact.density,
+            artifact.masks.tolist(),
+            artifact.first_seeds(),
+        )
+    if isinstance(artifact, tuple):
+        return tuple(_view(item) for item in artifact)
+    return artifact
+
+
+class TestRegionTableArtifacts:
+    """Trees, DET's groups, 6Graph's patterns, 6Gen's clusters and
+    6Sense's sections keep their regions as tables across the store."""
+
+    FAMILIES = dict(_random_seed_sets())
+    SEEDS = sorted(set(FAMILIES["dense64"] + FAMILIES["scattered"]))
+
+    def test_artifacts_round_trip(self, tmp_path):
+        store = make_store(tmp_path)
+        with use_model_cache(ModelCache(enabled=False)):
+            artifacts = {
+                "spacetree": SpaceTree(self.SEEDS, strategy="entropy"),
+                "det.groups": DET()._frozen_groups(self.SEEDS),
+                "6graph.patterns": SixGraph()._frozen_patterns(self.SEEDS),
+                "6gen.clusters": SixGen()._frozen_clusters(self.SEEDS),
+                "6sense.sections": SixSense()._frozen_sections(self.SEEDS),
+            }
+        for kind, artifact in artifacts.items():
+            assert store.store(kind, 1, (), artifact), kind
+            loaded = store.load(kind, 1, ())
+            assert _view(loaded) == _view(artifact), kind
+
+    @pytest.mark.parametrize(
+        "name", ["6tree", "6scan", "6hit", "det", "6graph", "6gen", "6sense"]
+    )
+    def test_warm_models_generate_identically(self, tmp_path, name):
+        store = make_store(tmp_path)
+
+        def drive():
+            with use_model_cache(ModelCache()), use_model_store(store):
+                tga = create_tga(name, salt=3)
+                tga.prepare(self.SEEDS)
+                first = tga.propose_batch(150)
+                tga.feedback({address: address % 3 == 0 for address in first})
+                return first, tga.propose_batch(150)
+
+        cold = drive()
+        assert store.stats.stores > 0
+        warm = drive()
+        assert store.stats.hits > 0
+        assert cold == warm
 
 
 class TestEviction:

@@ -8,6 +8,7 @@ detection in O(sample interval), and the peak-RSS regression gate.
 """
 
 import json
+import math
 import time
 
 import pytest
@@ -281,12 +282,20 @@ class TestResourceSampler:
             ResourceSampler(interval=0.0)
         with pytest.raises(ValueError):
             ResourceSpec(interval=-1.0)
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError):
+                ResourceSampler(interval=value)
+            with pytest.raises(ValueError):
+                ResourceSpec(interval=value)
 
 
 class TestExecutionPolicyValidation:
     def test_resource_interval_must_be_positive(self):
         with pytest.raises(ValueError):
             ExecutionPolicy(resource_interval=0.0)
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError):
+                ExecutionPolicy(resource_interval=value)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ re-executing completed cells.
 """
 
 import json
+import math
 import warnings
 
 import pytest
@@ -234,6 +235,9 @@ class TestExecutionPolicy:
             ExecutionPolicy(workers="many")
         with pytest.raises(ValueError):
             ExecutionPolicy(cell_timeout=0.0)
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError):
+                ExecutionPolicy(cell_timeout=value)
         with pytest.raises(ValueError):
             ExecutionPolicy(max_retries=-1)
         assert ExecutionPolicy(workers="auto").workers == "auto"

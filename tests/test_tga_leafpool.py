@@ -1,9 +1,21 @@
 """Tests for repro.tga.leafpool."""
 
+import gc
+import inspect
+
 import pytest
 
 from repro.addr import parse_address
-from repro.tga import LeafPool, SpaceTreeLeaf
+from repro.tga import (
+    LeafPool,
+    ModelCache,
+    SpaceTree,
+    SpaceTreeLeaf,
+    create_tga,
+    use_model_cache,
+)
+
+from .test_tga_modelcache import _random_seed_sets
 
 
 def A(text: str) -> int:
@@ -104,3 +116,71 @@ class TestFeedback:
     def test_len(self):
         pool = LeafPool([make_leaf("2001:db8"), make_leaf("2400:1", index=1)])
         assert len(pool) == 2
+
+
+# ---------------------------------------------------------------------------
+# Leaves and streams are built on first draw
+# ---------------------------------------------------------------------------
+
+
+def _count_leaves() -> int:
+    return sum(type(obj) is SpaceTreeLeaf for obj in gc.get_objects())
+
+
+def _made(pool: LeafPool) -> set[int]:
+    """Leaves whose candidate stream the pool has made (live or spent)."""
+    return {
+        index
+        for index, stream in enumerate(pool._iterators)
+        if stream is None or inspect.isgenerator(stream)
+    }
+
+
+def _large_seeds() -> list[int]:
+    return sorted(set(dict(_random_seed_sets())["large"]))
+
+
+class TestLazyLeaves:
+    def test_draw_builds_only_the_leaves_it_takes_from(self):
+        table = SpaceTree(_large_seeds(), strategy="entropy").leaves
+        before = _count_leaves()
+        pool = LeafPool(table)
+        assert _count_leaves() == before
+        assert not _made(pool)
+        assert pool.alive
+        drawn = pool.draw(40)
+        taken = {index for _, index in drawn}
+        assert _made(pool) == taken
+        assert _count_leaves() - before == len(taken) == 40
+        # A second draw adds only the leaves it newly takes from.
+        more = {index for _, index in pool.draw(40)}
+        assert _made(pool) == taken | more
+        assert _count_leaves() - before == len(taken | more) < len(table)
+
+    @pytest.mark.parametrize("name", ["det", "6scan", "addrminer"])
+    def test_one_round_leaves_undrawn_leaves_unbuilt(self, name):
+        seeds = _large_seeds()
+        with use_model_cache(ModelCache()):
+            before = _count_leaves()
+            tga = create_tga(name, salt=7)
+            tga.prepare(seeds)
+            proposed = tga.propose_batch(300)
+            if name == "det":
+                pools = [group.pool for group in tga._groups]
+                drawn = {
+                    (group, leaf) for group, leaf in tga._pending.values()
+                }
+            else:
+                pools = [tga._pool]
+                drawn = {(0, leaf) for leaf in tga._pending.values()}
+            made = {
+                (number, index)
+                for number, pool in enumerate(pools)
+                for index in _made(pool)
+            }
+            built = _count_leaves() - before
+            tga.feedback({address: address % 5 == 0 for address in proposed})
+            assert _count_leaves() - before == built
+        total = sum(len(pool) for pool in pools)
+        assert drawn <= made
+        assert built == len(made) < total // 4

@@ -396,6 +396,24 @@ class TestSpaceTreeMatchesReference:
         tree = SpaceTree(list(seeds), strategy=strategy)
         reference = _reference_build(tree, list(seeds))
 
+        # The region columns, read before any leaf is built, bit for bit.
+        table = tree.leaves
+        assert (
+            table.density,
+            [table.variable_dims(row) for row in range(len(table))],
+            table.depths.tolist(),
+            table.internal.tolist(),
+        ) == (
+            [
+                _reference_density(
+                    ref["seeds"], _reference_value_sets(ref["dims"], ref["seeds"])
+                )
+                for ref in reference
+            ],
+            [ref["dims"] for ref in reference],
+            [ref["depth"] for ref in reference],
+            [ref["internal"] for ref in reference],
+        )
         assert len(tree.leaves) == len(reference)
         for leaf, ref in zip(tree.leaves, reference):
             assert leaf.seeds == ref["seeds"]

@@ -1,10 +1,30 @@
 """Tests for repro.tga.spacetree."""
 
+import dataclasses
+import gc
+import itertools
+import pickle
+import random
+
 import pytest
 
 from repro.addr import parse_address
 from repro.addr.nybbles import differing_positions
-from repro.tga import SpaceTree, SpaceTreeLeaf, expanded_values, leaf_candidates
+from repro.addr.vector import np
+from repro.tga import (
+    LeafTable,
+    ModelCache,
+    SixSense,
+    SpaceTree,
+    SpaceTreeLeaf,
+    expanded_values,
+    leaf_candidates,
+    use_model_cache,
+)
+from repro.tga import spacetree
+from repro.tga.spacetree import _SPACE_LOG, _row_sums, leaves_for_groups, space_forest
+
+from .test_tga_modelcache import _random_seed_sets
 
 
 def A(text: str) -> int:
@@ -179,3 +199,194 @@ class TestLeafCandidates:
         leaf = SpaceTreeLeaf(seeds=[A("2001:db8::1")], variable_dims=[])
         assert leaf.density > 0
         assert leaf.span_score() > 0
+
+
+# ---------------------------------------------------------------------------
+# The region table: columns first, leaves on demand
+# ---------------------------------------------------------------------------
+
+
+def _family(name: str) -> list[int]:
+    return list(dict(_random_seed_sets())[name])
+
+
+def _count_leaves() -> int:
+    return sum(type(obj) is SpaceTreeLeaf for obj in gc.get_objects())
+
+
+class TestLeafTable:
+    @pytest.mark.parametrize("strategy", ["leftmost", "entropy"])
+    def test_build_makes_no_per_region_objects(self, strategy):
+        seeds = _family("large")
+        SpaceTree(seeds, strategy=strategy)  # fill the process-wide mask memo
+        gc.collect()
+        gc.disable()
+        try:
+            leaves_before = _count_leaves()
+            tracked_before = len(gc.get_objects())
+            tree = SpaceTree(seeds, strategy=strategy)
+            tracked_after = len(gc.get_objects())
+            leaves_after = _count_leaves()
+        finally:
+            gc.enable()
+        assert len(tree) > 1_000
+        assert leaves_after == leaves_before
+        # The tree, its table and one seed list, whatever the leaf count.
+        assert tracked_after - tracked_before <= 8
+
+    def test_reads_as_a_sequence_of_leaves(self):
+        tree = SpaceTree(_family("dense64"), strategy="entropy", max_leaf_seeds=6)
+        table = tree.leaves
+        count = len(table)
+        assert table[0] is table[0]
+        assert table[-1] is table[count - 1]
+        assert table[1:4] == [table[1], table[2], table[3]]
+        assert [leaf.index for leaf in table] == list(range(count))
+        assert [table[0]] + table == [table[0], *table]
+        with pytest.raises(IndexError):
+            table[count]
+
+    @pytest.mark.parametrize("strategy", ["leftmost", "entropy"])
+    def test_columns_agree_with_leaves(self, strategy):
+        table = SpaceTree(_family("large"), strategy=strategy).leaves
+        leaves = list(table)
+        # Internal ranges are permuted by the entropy splits below them;
+        # their leaves still list the seeds in ascending order.
+        permuted = [
+            row
+            for row, leaf in enumerate(leaves)
+            if leaf.is_internal
+            and table.seeds[table.starts[row] : table.starts[row] + table.sizes[row]]
+            != leaf.seeds
+        ]
+        assert bool(permuted) == (strategy == "entropy")
+        assert all(leaf.seeds == sorted(leaf.seeds) for leaf in leaves)
+        assert table.first_seeds() == [leaf.seeds[0] for leaf in leaves]
+        assert table.variable_counts().tolist() == [
+            len(leaf.variable_dims) for leaf in leaves
+        ]
+        assert table.depths.tolist() == [leaf.depth for leaf in leaves]
+        assert table.internal.tolist() == [leaf.is_internal for leaf in leaves]
+        for row, leaf in enumerate(leaves):
+            assert table.region_seeds(row) == leaf.seeds
+            assert table.variable_dims(row) == leaf.variable_dims
+
+    def test_take_and_concat_renumber_rows(self):
+        table = SpaceTree(_family("dense64"), strategy="entropy").leaves
+        groups = leaves_for_groups([[1, 2, 3], [7]])
+        rows = [5, 0, 3]
+        joined = LeafTable.concat([table.take(rows), groups])
+        expected = [table[row] for row in rows] + list(groups)
+        assert list(joined) == [
+            dataclasses.replace(leaf, index=index)
+            for index, leaf in enumerate(expected)
+        ]
+
+    def test_pickle_carries_columns_not_leaves(self):
+        tree = SpaceTree(_family("slaac"), strategy="entropy")
+        leaves = list(tree.leaves)
+        blob = pickle.dumps(tree)
+        assert b"SpaceTreeLeaf" not in blob
+        assert list(pickle.loads(blob).leaves) == leaves
+
+    def test_empty_group_list(self):
+        assert len(leaves_for_groups([])) == 0
+
+
+class TestRowSums:
+    """Densities add their log terms as the builtin ``sum`` does."""
+
+    @staticmethod
+    def _rows() -> list[list[float]]:
+        rng = random.Random(0x5A)
+        return [
+            [rng.choice(_SPACE_LOG[2:]) if rng.random() < 0.4 else 0.0 for _ in range(32)]
+            for _ in range(400)
+        ]
+
+    def test_matches_builtin_sum(self):
+        rows = self._rows()
+        expected = [sum([term for term in row if term]) for row in rows]
+        assert _row_sums(np.array(rows)).tolist() == expected
+
+    @pytest.mark.parametrize("compensated", [False, True])
+    def test_each_summation_order(self, compensated, monkeypatch):
+        rows = self._rows()
+        monkeypatch.setattr(spacetree, "_COMPENSATED_SUM", compensated)
+        expected = [_scalar_sum(row, compensated) for row in rows]
+        assert _row_sums(np.array(rows)).tolist() == expected
+        # The two orders differ on these rows, so each branch is pinned.
+        assert expected != [_scalar_sum(row, not compensated) for row in rows]
+
+
+def _scalar_sum(row: list[float], compensated: bool) -> float:
+    """The builtin float ``sum`` of a row's non-zero terms: from 0, one
+    term at a time, with Neumaier compensation on interpreters whose
+    ``sum`` has it (CPython 3.12 and later)."""
+    total = compensation = 0.0
+    for term in row:
+        if not term:
+            continue
+        added = total + term
+        if abs(total) >= abs(term):
+            compensation += (total - added) + term
+        else:
+            compensation += (term - added) + total
+        total = added
+    return total + compensation if compensated else total
+
+
+# ---------------------------------------------------------------------------
+# 6Sense's sections: one forest build
+# ---------------------------------------------------------------------------
+
+
+def _sections(seeds: list[int]) -> list[list[int]]:
+    return [
+        list(members)
+        for _, members in itertools.groupby(sorted(set(seeds)), key=lambda s: s >> 96)
+    ]
+
+
+def _assert_forest_matches_trees(seeds: list[int]) -> None:
+    sections = _sections(seeds)
+    with use_model_cache(ModelCache(enabled=False)):
+        frozen = SixSense()._frozen_sections(sorted(set(seeds)))
+    tables = space_forest(sections, strategy="leftmost", max_leaf_seeds=10)
+    assert [(net32, size) for net32, size, _ in frozen] == [
+        (section[0] >> 96, len(section)) for section in sections
+    ]
+    for section, table, (_, _, leaves) in zip(sections, tables, frozen):
+        tree = SpaceTree(section, strategy="leftmost", max_leaf_seeds=10)
+        for forest_table in (table, leaves):
+            assert forest_table.density == tree.leaves.density
+            assert forest_table.masks.tolist() == tree.leaves.masks.tolist()
+            assert list(forest_table) == list(tree.leaves)
+
+
+class TestSpaceForest:
+    @pytest.mark.parametrize(
+        "name,seeds",
+        _random_seed_sets(),
+        ids=[name for name, _ in _random_seed_sets()],
+    )
+    def test_sections_equal_their_own_trees(self, name, seeds):
+        _assert_forest_matches_trees(list(seeds))
+
+    def test_tiny_world_all_active(self, study):
+        seeds = sorted(study.constructions.all_active.addresses)
+        assert len(_sections(seeds)) > 1
+        _assert_forest_matches_trees(seeds)
+
+    @pytest.mark.parametrize("strategy", ["leftmost", "entropy"])
+    def test_any_parameters(self, strategy):
+        # Single-seed /32s of the scattered family between large ones.
+        sections = _sections(_family("scattered") + _family("slaac") + _family("dense64"))
+        assert {len(section) for section in sections} >= {1, 320, 400}
+        tables = space_forest(sections, strategy=strategy, max_leaf_seeds=4)
+        for section, table in zip(sections, tables):
+            tree = SpaceTree(section, strategy=strategy, max_leaf_seeds=4)
+            assert list(table) == list(tree.leaves)
+
+    def test_no_sections(self):
+        assert space_forest([]) == []
