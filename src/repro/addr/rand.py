@@ -246,12 +246,21 @@ class DeterministicStream:
         if not rest:
             return np.array(head, dtype=np.uint64)
         blocks = -(-rest // _BLOCK)
-        steps = np.arange(1, blocks * _BLOCK + 1, dtype=np.uint64) * _GOLDEN_U64
+        if blocks == 1:
+            steps = _BLOCK_STEPS
+        else:
+            steps = np.arange(1, blocks * _BLOCK + 1, dtype=np.uint64) * _GOLDEN_U64
         draws = mix64_batch(steps + np.uint64(self._state))
         self._state = (self._state + blocks * _BLOCK * _GOLDEN) & _MASK64
         last = (blocks - 1) * _BLOCK
-        self._block = draws[last:].tolist()
-        self._pos = rest - last
+        if rest - last == _BLOCK:
+            # Every new draw is taken: the next single draw starts a block.
+            self._block, self._pos = [], 0
+        else:
+            self._block = draws[last:].tolist()
+            self._pos = rest - last
+        if not head:
+            return draws[:rest]
         return np.concatenate((np.array(head, dtype=np.uint64), draws[:rest]))
 
     def next_uniform(self) -> float:

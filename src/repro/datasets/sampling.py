@@ -12,6 +12,7 @@ from itertools import compress
 
 from ..addr.rand import coin, coin_batch, hash64
 from ..addr.vector import PackedAddresses, np
+from ..asdb import ASInfo
 from ..internet import Region, SimulatedInternet
 from .base import SeedDataset
 from .sources import COLLECTION_DATES, SourceSpec
@@ -93,7 +94,8 @@ def collect_source(internet: SimulatedInternet, spec: SourceSpec) -> SeedDataset
     draws: list[tuple[Region, list[int], float]] = []
     alias_regions_sampled = 0
 
-    visible_as_cache: dict[int, bool] = {}
+    # ``{asn: (info, visible)}``, resolved once per AS.
+    ases: dict[int, tuple[ASInfo, bool]] = {}
     fallback_region = None
 
     for region in internet.regions:
@@ -101,7 +103,12 @@ def collect_source(internet: SimulatedInternet, spec: SourceSpec) -> SeedDataset
         is_extra = region.role in extra_roles
         if not (is_primary or is_extra):
             continue
-        info = registry.info(region.asn)
+        entry = ases.get(region.asn)
+        if entry is None:
+            info = registry.info(region.asn)
+            visible = _as_visible(spec, seed, region.asn, info.country)
+            entry = ases[region.asn] = (info, visible)
+        info, visible = entry
         if is_primary and info.org_type not in org_types:
             # Extra roles ignore the organisation filter: traceroutes see
             # everything on path regardless of who owns it.
@@ -110,10 +117,6 @@ def collect_source(internet: SimulatedInternet, spec: SourceSpec) -> SeedDataset
             is_primary = False
         if is_primary and not region.aliased and fallback_region is None:
             fallback_region = region
-        visible = visible_as_cache.get(region.asn)
-        if visible is None:
-            visible = _as_visible(spec, seed, region.asn, info.country)
-            visible_as_cache[region.asn] = visible
         if not visible:
             continue
         if region.aliased:

@@ -24,6 +24,12 @@ Structure of the derivation:
   AS's private deterministic stream;
 * a configurable share of datacenter regions are fully aliased (some of
   them rate limited);
+* an AS derives in one walk over its stream's draws, read from one flat
+  array with a cursor: the walk fixes each region's /64, role and the
+  offset of its field draws and skips those draws by count, and a
+  :class:`RegionTable` decodes a region's fields into a
+  :class:`~repro.internet.regions.Region` the first time the region is
+  read, so a lookup builds only the region it returns;
 * one mega-ISP (the AS12322 analogue) contributes a large, trivially
   discoverable ``::1``-per-/64 ICMP pattern, itself derived on demand
   from the region index.
@@ -34,10 +40,12 @@ real allocation policies exhibit and that TGAs exploit.
 
 from __future__ import annotations
 
+from array import array
 from collections import Counter, OrderedDict
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 
 from ..addr import Prefix
 from ..addr.rand import DeterministicStream, hash64, hash64_batch
@@ -63,6 +71,7 @@ __all__ = [
     "Topology",
     "LazyTopology",
     "LazyASRegistry",
+    "RegionTable",
     "build_topology",
     "derive_as",
     "derive_as_info",
@@ -240,87 +249,104 @@ def rank_for_top32(config: InternetConfig, top32: int) -> int | None:
 
 # -- per-AS derivation -------------------------------------------------------
 
+_TWO64 = 18446744073709551616.0  # 2**64: a draw's uniform is ``draw / _TWO64``
+#: Draws taken from an AS's stream at a time (one stream block).
+_TAKE = 256
+#: Draws of the header: organisation type, name stem and country.
+_HEADER_DRAWS = 3
+#: The most draws one region uses: 8 subnet tries of up to two draws
+#: each, then at most 8 field draws.
+_REGION_DRAWS_MAX = 8 * 2 + 8
 
-def _pick_org_type(stream: DeterministicStream, weights: dict[str, float]) -> OrgType:
-    draw = stream.next_uniform()
-    cumulative = 0.0
-    for key, weight in weights.items():
-        cumulative += weight
-        if draw < cumulative:
-            return OrgType(key)
-    return OrgType.ENTERPRISE
+#: Each organisation type's regions, as ``(role, min, max)``: ``min``
+#: plus a draw below ``max - min + 1`` regions of the role, drawn in this
+#: order.  ISPs and mobile carriers then add 1–2 servers on a fair coin.
+_ROLE_PLANS = {
+    OrgType.ISP: (
+        (RegionRole.ROUTER, 2, 4),
+        (RegionRole.SUBSCRIBER, 4, 14),
+        # CPE gateways: dense sequential ::1-per-/64 runs that answer
+        # ping but nothing else — the ICMP-only population that makes
+        # port-specific seed datasets worthwhile (paper RQ2).
+        (RegionRole.GATEWAY, 10, 26),
+    ),
+    OrgType.MOBILE: (
+        (RegionRole.ROUTER, 2, 4),
+        (RegionRole.SUBSCRIBER, 8, 18),
+        (RegionRole.GATEWAY, 10, 26),
+    ),
+    OrgType.CLOUD: (
+        (RegionRole.ROUTER, 1, 2),
+        (RegionRole.SERVER, 8, 24),
+        (RegionRole.DNS, 1, 2),
+    ),
+    OrgType.HOSTING: (
+        (RegionRole.ROUTER, 1, 2),
+        (RegionRole.SERVER, 6, 18),
+        (RegionRole.DNS, 0, 1),
+    ),
+    OrgType.CDN: ((RegionRole.ROUTER, 1, 2), (RegionRole.SERVER, 14, 34)),
+    OrgType.SECURITY: (
+        (RegionRole.ROUTER, 1, 2),
+        (RegionRole.DNS, 4, 10),
+        (RegionRole.SERVER, 2, 6),
+    ),
+}
+#: Education, government and enterprise.
+_OFFICE_PLAN = ((RegionRole.ROUTER, 1, 3), (RegionRole.ENTERPRISE, 3, 10))
 
-
-def _site_subnet16(stream: DeterministicStream, site_index: int) -> int:
-    """Structured /48 index within the /32 for a site."""
-    style = stream.next_below(10)
-    if style < 6:
-        return site_index  # sequential: 0, 1, 2, ...
-    if style < 9:
-        return site_index * 0x10  # strided: 0, 0x10, 0x20, ...
-    return stream.next_below(0x1000)  # occasional scattered allocation
-
-
-def _region_subnet16(stream: DeterministicStream, region_index: int) -> int:
-    """Structured /64 index within the /48 for a region."""
-    style = stream.next_below(10)
-    if style < 6:
-        return region_index + 1  # ::1:, ::2:, ...
-    if style < 9:
-        return (region_index + 1) * 0x100
-    return stream.next_below(0x10000)
-
-
-def _role_plan(org: OrgType, stream: DeterministicStream) -> list[tuple[RegionRole, int]]:
-    """(role, count) plan for one AS of the given organisation type."""
-
-    def between(lo: int, hi: int) -> int:
-        return lo + stream.next_below(hi - lo + 1)
-
-    if org in (OrgType.ISP, OrgType.MOBILE):
-        plan = [
-            (RegionRole.ROUTER, between(2, 4)),
-            (RegionRole.SUBSCRIBER, between(4, 14) if org is OrgType.ISP else between(8, 18)),
-            # CPE gateways: dense sequential ::1-per-/64 runs that answer
-            # ping but nothing else — the ICMP-only population that makes
-            # port-specific seed datasets worthwhile (paper RQ2).
-            (RegionRole.GATEWAY, between(10, 26)),
-        ]
-        if stream.next_uniform() < 0.5:
-            plan.append((RegionRole.SERVER, between(1, 2)))
-        return plan
-    if org is OrgType.CLOUD:
-        return [
-            (RegionRole.ROUTER, between(1, 2)),
-            (RegionRole.SERVER, between(8, 24)),
-            (RegionRole.DNS, between(1, 2)),
-        ]
-    if org is OrgType.HOSTING:
-        return [
-            (RegionRole.ROUTER, between(1, 2)),
-            (RegionRole.SERVER, between(6, 18)),
-            (RegionRole.DNS, between(0, 1)),
-        ]
-    if org is OrgType.CDN:
-        return [
-            (RegionRole.ROUTER, between(1, 2)),
-            (RegionRole.SERVER, between(14, 34)),
-        ]
-    if org is OrgType.SECURITY:
-        return [
-            (RegionRole.ROUTER, between(1, 2)),
-            (RegionRole.DNS, between(4, 10)),
-            (RegionRole.SERVER, between(2, 6)),
-        ]
-    # Education / government / enterprise.
-    return [
-        (RegionRole.ROUTER, between(1, 3)),
-        (RegionRole.ENTERPRISE, between(3, 10)),
-    ]
+_RENUMBERED_ROLES = (RegionRole.SERVER, RegionRole.DNS, RegionRole.ENTERPRISE)
+_ALIASABLE_ROLES = (RegionRole.SERVER, RegionRole.DNS)
 
 
-def _pattern_for(role: RegionRole, org: OrgType, stream: DeterministicStream) -> PatternKind:
-    draw = stream.next_uniform()
+def _field_layout(org: OrgType, role: RegionRole) -> tuple[int, int]:
+    """``(count, alias coin)`` of a region's field draws.
+
+    Four draws always (churn, retirement, pattern, density), plus one
+    each for renumbering (server, DNS, enterprise), the router firewall
+    coin and the profile choice (enterprise, non-CDN server).  A
+    datacenter's server or DNS region also draws its alias coin, at
+    field draw 3 (0: no coin); an aliased region then draws its rate
+    limit, which ``count`` leaves out.  :meth:`RegionTable._decode`
+    reads exactly these draws.
+    """
+    count = 4
+    if role in _RENUMBERED_ROLES:
+        count += 1
+    if role is RegionRole.ROUTER:
+        count += 1
+    if role is RegionRole.ENTERPRISE or (
+        role is RegionRole.SERVER and org is not OrgType.CDN
+    ):
+        count += 1
+    if org.is_datacenter and role in _ALIASABLE_ROLES:
+        return count + 1, 3
+    return count, 0
+
+
+_FIELD_LAYOUT = {
+    org: {role: _field_layout(org, role) for role in RegionRole} for org in OrgType
+}
+
+#: ``{id(config): (config, thresholds)}``, keyed by identity: the entry
+#: keeps its config alive, so the id stays its own.  Hashing a config
+#: would hash all its fields on every AS.
+_ORG_THRESHOLDS: dict[int, tuple[InternetConfig, tuple[tuple[float, OrgType], ...]]] = {}
+
+
+def _org_thresholds(config: InternetConfig) -> tuple[tuple[float, OrgType], ...]:
+    """``(cumulative weight, org type)`` pairs the header's first draw reads."""
+    entry = _ORG_THRESHOLDS.get(id(config))
+    if entry is None:
+        weights = config.org_weights
+        thresholds = tuple(zip(accumulate(weights.values()), map(OrgType, weights)))
+        if len(_ORG_THRESHOLDS) >= 64:
+            _ORG_THRESHOLDS.clear()
+        entry = _ORG_THRESHOLDS[id(config)] = (config, thresholds)
+    return entry[1]
+
+
+def _pattern_for(role: RegionRole, org: OrgType, draw: float) -> PatternKind:
     if role in (RegionRole.ROUTER, RegionRole.GATEWAY):
         return PatternKind.LOW
     if role is RegionRole.SUBSCRIBER:
@@ -342,9 +368,9 @@ def _pattern_for(role: RegionRole, org: OrgType, stream: DeterministicStream) ->
 
 
 def _profile_for(
-    role: RegionRole, org: OrgType, stream: DeterministicStream
-) -> PortProfile:
-    """Service profile for a region.
+    role: RegionRole, org: OrgType, draws: array, pos: int
+) -> tuple[PortProfile, int]:
+    """Service profile for a region, and the cursor after its draw.
 
     Port activity is *region-correlated*: a /64 is either provisioned as
     a web rack, a DNS farm, internal infrastructure, etc.  This is what
@@ -352,37 +378,156 @@ def _profile_for(
     address answers TCP/443 says a lot about its whole region.
     """
     if role is RegionRole.ROUTER:
-        return ROUTER
+        return ROUTER, pos
     if role is RegionRole.GATEWAY:
-        return GATEWAY
+        return GATEWAY, pos
     if role is RegionRole.SUBSCRIBER:
-        return SUBSCRIBER
+        return SUBSCRIBER, pos
     if role is RegionRole.DNS:
-        return DNS_SERVER
+        return DNS_SERVER, pos
     if role is RegionRole.ENTERPRISE:
-        return ENTERPRISE_HOST if stream.next_uniform() < 0.22 else ENTERPRISE_INTERNAL
+        host = draws[pos] / _TWO64 < 0.22
+        return (ENTERPRISE_HOST if host else ENTERPRISE_INTERNAL), pos + 1
     if org is OrgType.CDN:
-        return CDN_EDGE
-    return WEB_SERVER if stream.next_uniform() < 0.38 else INFRA_SERVER
+        return CDN_EDGE, pos
+    web = draws[pos] / _TWO64 < 0.38
+    return (WEB_SERVER if web else INFRA_SERVER), pos + 1
 
 
 def _density_for(
-    role: RegionRole, org: OrgType, config: InternetConfig, stream: DeterministicStream
+    role: RegionRole, org: OrgType, config: InternetConfig, draw: int
 ) -> int:
-    def between(lo: int, hi: int) -> int:
-        return lo + stream.next_below(max(1, hi - lo + 1))
-
     if role is RegionRole.ROUTER:
-        return between(config.router_density_min, config.router_density_max)
-    if role is RegionRole.GATEWAY:
-        return between(1, 3)
-    if role is RegionRole.SUBSCRIBER:
-        return between(config.subscriber_density_min, config.subscriber_density_max)
-    if role is RegionRole.ENTERPRISE:
-        return between(config.enterprise_density_min, config.enterprise_density_max)
-    if org is OrgType.CDN:
-        return between(config.cdn_density_min, config.cdn_density_max)
-    return between(config.server_density_min, config.server_density_max)
+        lo, hi = config.router_density_min, config.router_density_max
+    elif role is RegionRole.GATEWAY:
+        lo, hi = 1, 3
+    elif role is RegionRole.SUBSCRIBER:
+        lo, hi = config.subscriber_density_min, config.subscriber_density_max
+    elif role is RegionRole.ENTERPRISE:
+        lo, hi = config.enterprise_density_min, config.enterprise_density_max
+    elif org is OrgType.CDN:
+        lo, hi = config.cdn_density_min, config.cdn_density_max
+    else:
+        lo, hi = config.server_density_min, config.server_density_max
+    return lo + draw % max(1, hi - lo + 1)
+
+
+class RegionTable(Sequence[Region]):
+    """An AS's regions, each built the first time it is read.
+
+    The table keeps what the walk decoded — per region its /64, role
+    and the offset of its field draws, plus a /64 → index map — and the
+    draws the walk consumed, as a compact ``array('Q')``.  Reading
+    region ``k`` decodes its fields from its offset and keeps the
+    :class:`Region`, so later reads return the same object.  Length,
+    iteration and indexing follow derivation order; slices are lists;
+    :meth:`get` builds only the region it returns.
+    """
+
+    __slots__ = (
+        "asn",
+        "org",
+        "config",
+        "_draws",
+        "_net64s",
+        "_roles",
+        "_offsets",
+        "_index",
+        "_built",
+    )
+
+    def __init__(
+        self,
+        asn: int,
+        org: OrgType,
+        config: InternetConfig,
+        draws: array,
+        index: dict[int, int],
+        roles: list[RegionRole],
+        offsets: list[int],
+    ) -> None:
+        self.asn = asn
+        self.org = org
+        self.config = config
+        self._draws = draws
+        self._net64s = list(index)
+        self._roles = roles
+        self._offsets = offsets
+        self._index = index
+        self._built: list[Region | None] = [None] * len(offsets)
+
+    def __len__(self) -> int:
+        return len(self._offsets)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[k] for k in range(*index.indices(len(self)))]
+        region = self._built[index]
+        if region is None:
+            k = range(len(self._built))[index]
+            region = self._built[k] = self._decode(k)[0]
+        return region
+
+    def __iter__(self) -> Iterator[Region]:
+        return map(self.__getitem__, range(len(self)))
+
+    def get(self, net64: int) -> Region | None:
+        """The region at ``net64``, or None; builds no other region."""
+        k = self._index.get(net64)
+        return None if k is None else self[k]
+
+    def _decode(self, k: int) -> tuple[Region, int]:
+        """Build region ``k`` from its field draws; also return where they end."""
+        config, org, draws = self.config, self.org, self._draws
+        role = self._roles[k]
+        pos = self._offsets[k]
+        churn = config.churn_rate_min + draws[pos] / _TWO64 * (
+            config.churn_rate_max - config.churn_rate_min
+        )
+        pos += 1
+        if role is RegionRole.SUBSCRIBER:
+            churn = min(0.9, churn * config.subscriber_churn_boost)
+        if role in _RENUMBERED_ROLES:
+            if draws[pos] / _TWO64 < config.renumbered_region_fraction:
+                churn = config.renumbered_churn
+            pos += 1
+        firewalled = False
+        if role is RegionRole.ROUTER:
+            firewalled = draws[pos] / _TWO64 < config.firewalled_router_fraction
+            pos += 1
+        retired = draws[pos] / _TWO64 < config.retired_region_fraction
+        pos += 1
+        aliased = False
+        if role in _ALIASABLE_ROLES and org.is_datacenter:
+            aliased = draws[pos] / _TWO64 < config.alias_region_fraction * 6
+            pos += 1
+        alias_response = 1.0
+        if aliased:
+            # Aliased infrastructure persists; retirement churn applies
+            # to genuinely assigned regions only.
+            retired = False
+            if draws[pos] / _TWO64 < config.rate_limited_alias_fraction:
+                alias_response = config.rate_limited_alias_response
+            pos += 1
+        pattern = _pattern_for(role, org, draws[pos] / _TWO64)
+        density = _density_for(role, org, config, draws[pos + 1])
+        profile, pos = _profile_for(role, org, draws, pos + 2)
+        net64 = self._net64s[k]
+        region = Region(
+            net64=net64,
+            asn=self.asn,
+            role=role,
+            pattern=pattern,
+            density=density,
+            profile=profile,
+            churn_rate=churn,
+            retired=retired,
+            firewalled=firewalled,
+            aliased=aliased,
+            alias_response_prob=alias_response,
+            salt=hash64(config.master_seed, net64),
+        )
+        return region, pos
 
 
 def _as_stream(config: InternetConfig, rank: int) -> DeterministicStream:
@@ -390,13 +535,24 @@ def _as_stream(config: InternetConfig, rank: int) -> DeterministicStream:
     return DeterministicStream(config.master_seed, _SALT_TOPOLOGY, rank)
 
 
-def _header_from_stream(
-    config: InternetConfig, rank: int, stream: DeterministicStream
+def _grow(draws: array, stream: DeterministicStream, need: int) -> None:
+    """Append whole takes of ``stream`` until ``draws`` holds ``need``."""
+    while len(draws) < need:
+        draws.frombytes(stream.take(_TAKE).tobytes())
+
+
+def _header(
+    config: InternetConfig, rank: int, draws: array
 ) -> tuple[ASInfo, OrgType, int]:
-    """Consume the header draws; return ``(info, org, slash32)``."""
-    org = _pick_org_type(stream, config.org_weights)
-    stem = _NAME_STEMS[stream.next_below(len(_NAME_STEMS))]
-    country = _COUNTRIES[stream.next_below(len(_COUNTRIES))]
+    """Decode the header draws; return ``(info, org, slash32)``."""
+    uniform = draws[0] / _TWO64
+    org = OrgType.ENTERPRISE
+    for threshold, candidate in _org_thresholds(config):
+        if uniform < threshold:
+            org = candidate
+            break
+    stem = _NAME_STEMS[draws[1] % len(_NAME_STEMS)]
+    country = _COUNTRIES[draws[2] % len(_COUNTRIES)]
     slash32 = slash32_for_rank(config, rank)
     info = ASInfo(
         asn=asn_for_rank(config, rank),
@@ -409,96 +565,106 @@ def _header_from_stream(
 
 
 def derive_as_info(config: InternetConfig, rank: int) -> ASInfo:
-    """AS metadata only — the cheap prefix of :func:`derive_as`."""
-    info, _, _ = _header_from_stream(config, rank, _as_stream(config, rank))
-    return info
+    """AS metadata only — the header decode :func:`derive_as` starts with."""
+    draws = array("Q", _as_stream(config, rank).take(_HEADER_DRAWS).tobytes())
+    return _header(config, rank, draws)[0]
 
 
-def derive_as(config: InternetConfig, rank: int) -> tuple[ASInfo, list[Region]]:
-    """Fully derive one AS: metadata plus all its ground-truth regions.
+def derive_as(config: InternetConfig, rank: int) -> tuple[ASInfo, RegionTable]:
+    """Derive one AS: its metadata and its table of ground-truth regions.
 
-    Pure function of ``(config, rank)`` — both the eager and the lazy
-    topology call exactly this, which is what makes them bit-identical
-    regardless of materialisation order.
+    Pure function of ``(config, rank)`` — the eager walk, the lazy
+    topology and every other caller derive ASes through exactly this,
+    which is what makes them bit-identical regardless of
+    materialisation order.  No :class:`Region` is built here; the table
+    builds each region when it is first read.
     """
     stream = _as_stream(config, rank)
-    info, org, slash32 = _header_from_stream(config, rank, stream)
-    regions = _make_regions(config, stream, info.asn, org, slash32)
-    return info, regions
+    draws = array("Q", stream.take(_TAKE).tobytes())
+    info, org, slash32 = _header(config, rank, draws)
+    return info, _walk(config, stream, draws, info.asn, org, slash32)
 
 
-def _make_regions(
+def _walk(
     config: InternetConfig,
     stream: DeterministicStream,
+    draws: array,
     asn: int,
     org: OrgType,
     slash32: int,
-) -> list[Region]:
-    regions: list[Region] = []
-    num_sites = config.min_sites_per_as + stream.next_below(
-        config.max_sites_per_as - config.min_sites_per_as + 1
-    )
-    plan = _role_plan(org, stream)
-    flat_roles = [role for role, count in plan for _ in range(count)]
-    used_net64: set[int] = set()
-    site_nets = []
+) -> RegionTable:
+    """Lay out an AS's regions from the draws after its header.
+
+    Decodes, in stream order, the site count, the role plan, the site
+    subnets and each region's subnet tries (eight collisions drop the
+    region) and alias coin, and skips each region's other field draws
+    by count (:func:`_field_layout`).  ``draws`` grows from ``stream``
+    as the cursor nears its end and is cut to the draws consumed.
+    """
+    pos = _HEADER_DRAWS
+    low = config.min_sites_per_as
+    num_sites = low + draws[pos] % (config.max_sites_per_as - low + 1)
+    pos += 1
+    roles: list[RegionRole] = []
+    for role, lo, hi in _ROLE_PLANS.get(org, _OFFICE_PLAN):
+        roles += [role] * (lo + draws[pos] % (hi - lo + 1))
+        pos += 1
+    if org is OrgType.ISP or org is OrgType.MOBILE:
+        pos += 1
+        if draws[pos - 1] / _TWO64 < 0.5:
+            roles += [RegionRole.SERVER] * (1 + draws[pos] % 2)
+            pos += 1
+    _grow(draws, stream, pos + 2 * num_sites)
+    base = slash32 >> 64
+    sites = []
     for site_index in range(num_sites):
-        site16 = _site_subnet16(stream, site_index)
-        site_nets.append((slash32 >> 64) | (site16 << 16))
-    for region_index, role in enumerate(flat_roles):
-        site_net48 = site_nets[region_index % num_sites]
+        # Structured /48 indices: sequential, strided or (rarely) scattered.
+        style = draws[pos] % 10
+        pos += 1
+        if style < 6:
+            site16 = site_index
+        elif style < 9:
+            site16 = site_index * 0x10
+        else:
+            site16 = draws[pos] % 0x1000
+            pos += 1
+        sites.append(base | (site16 << 16))
+    layout = _FIELD_LAYOUT[org]
+    alias_threshold = config.alias_region_fraction * 6
+    index: dict[int, int] = {}
+    kept: list[RegionRole] = []
+    offsets: list[int] = []
+    limit = len(draws) - _REGION_DRAWS_MAX
+    for region_index, role in enumerate(roles):
+        if pos > limit:
+            _grow(draws, stream, pos + _REGION_DRAWS_MAX)
+            limit = len(draws) - _REGION_DRAWS_MAX
+        site = sites[region_index % num_sites]
         for _ in range(8):  # retry on subnet collisions
-            subnet16 = _region_subnet16(stream, region_index)
-            net64 = site_net48 | subnet16
-            if net64 not in used_net64:
+            # Structured /64 indices: ::1:, ::2:, ... or ::100:, ::200:,
+            # ... or (rarely) scattered.
+            style = draws[pos] % 10
+            pos += 1
+            if style < 6:
+                net64 = site | (region_index + 1)
+            elif style < 9:
+                net64 = site | ((region_index + 1) * 0x100)
+            else:
+                net64 = site | (draws[pos] % 0x10000)
+                pos += 1
+            if net64 not in index:
                 break
         else:
-            continue
-        used_net64.add(net64)
-        churn = config.churn_rate_min + stream.next_uniform() * (
-            config.churn_rate_max - config.churn_rate_min
-        )
-        if role is RegionRole.SUBSCRIBER:
-            churn = min(0.9, churn * config.subscriber_churn_boost)
-        if (
-            role in (RegionRole.SERVER, RegionRole.DNS, RegionRole.ENTERPRISE)
-            and stream.next_uniform() < config.renumbered_region_fraction
-        ):
-            churn = config.renumbered_churn
-        firewalled = (
-            role is RegionRole.ROUTER
-            and stream.next_uniform() < config.firewalled_router_fraction
-        )
-        retired = stream.next_uniform() < config.retired_region_fraction
-        aliased = (
-            org.is_datacenter
-            and role in (RegionRole.SERVER, RegionRole.DNS)
-            and stream.next_uniform() < config.alias_region_fraction * 6
-        )
-        if aliased:
-            # Aliased infrastructure persists; retirement churn applies
-            # to genuinely assigned regions only.
-            retired = False
-        alias_response = 1.0
-        if aliased and stream.next_uniform() < config.rate_limited_alias_fraction:
-            alias_response = config.rate_limited_alias_response
-        regions.append(
-            Region(
-                net64=net64,
-                asn=asn,
-                role=role,
-                pattern=_pattern_for(role, org, stream),
-                density=_density_for(role, org, config, stream),
-                profile=_profile_for(role, org, stream),
-                churn_rate=churn,
-                retired=retired,
-                firewalled=firewalled,
-                aliased=aliased,
-                alias_response_prob=alias_response,
-                salt=hash64(config.master_seed, net64),
-            )
-        )
-    return regions
+            continue  # eight collisions drop the region
+        index[net64] = len(kept)
+        kept.append(role)
+        offsets.append(pos)
+        count, coin = layout[role]
+        if coin and draws[pos + coin] / _TWO64 < alias_threshold:
+            count += 1  # aliased: its rate-limit draw follows
+        pos += count
+    del draws[pos:]
+    return RegionTable(asn, org, config, draws, index, kept, offsets)
 
 
 # -- the mega ISP ------------------------------------------------------------
@@ -710,11 +876,12 @@ class LazyASRegistry:
 class LazyTopology:
     """Indexable, deterministic-on-demand world.
 
-    ASes materialise at first touch and live in a bounded LRU; evicted
-    ASes re-derive bit-identically when touched again, so the resident
-    set is purely a cache — answers never depend on touch order.  The
-    mega ISP's regions derive individually from the region index (its
-    run is formulaic), cached in their own bounded LRU.
+    ASes materialise at first touch as :class:`RegionTable` entries and
+    live in a bounded LRU; a table builds a region when it is first
+    read.  Evicted ASes re-derive bit-identically when touched again, so
+    the resident set is purely a cache — answers never depend on touch
+    order.  The mega ISP's regions derive individually from the region
+    index (its run is formulaic), cached in their own bounded LRU.
 
     ``max_resident_ases`` caps the resident set (``None`` = unbounded,
     the right default for test/bench scales where callers still iterate
@@ -735,7 +902,7 @@ class LazyTopology:
         self._max_resident = (
             config.max_resident_ases if max_resident_ases is None else max_resident_ases
         )
-        self._as_cache: OrderedDict[int, tuple[ASInfo, dict[int, Region]]] = OrderedDict()
+        self._as_cache: OrderedDict[int, tuple[ASInfo, RegionTable]] = OrderedDict()
         self._info_cache: OrderedDict[int, ASInfo] = OrderedDict()
         self._mega_cache: OrderedDict[int, Region] = OrderedDict()
         self._mega_info: ASInfo | None = None
@@ -779,14 +946,12 @@ class LazyTopology:
 
     # -- materialisation ------------------------------------------------
 
-    def _as_entry(self, rank: int) -> tuple[ASInfo, dict[int, Region]]:
+    def _as_entry(self, rank: int) -> tuple[ASInfo, RegionTable]:
         entry = self._as_cache.get(rank)
         if entry is not None:
             self._as_cache.move_to_end(rank)
             return entry
-        info, regions = derive_as(self.config, rank)
-        entry = (info, {region.net64: region for region in regions})
-        self._as_cache[rank] = entry
+        entry = self._as_cache[rank] = derive_as(self.config, rank)
         self.materialized_ases += 1
         from ..telemetry import get_telemetry
 
@@ -822,7 +987,7 @@ class LazyTopology:
         """All regions of AS ``rank``, in derivation order."""
         if not 0 <= rank < self.config.num_ases:
             raise IndexError(rank)
-        return list(self._as_entry(rank)[1].values())
+        return list(self._as_entry(rank)[1])
 
     def _mega_region_for_net64(self, net64: int) -> Region | None:
         index = mega_index_for_net64(self.config, net64)
@@ -865,9 +1030,9 @@ class LazyTopology:
         result: dict[int, Region | None] = {}
 
         def serve(rank: int, nets: list[int]) -> None:
-            regions = self._as_entry(rank)[1]
+            table = self._as_entry(rank)[1]
             for net64 in nets:
-                result[net64] = regions.get(net64)
+                result[net64] = table.get(net64)
 
         missing: list[tuple[int, list[int]]] = []
         for top32, nets in by_top32.items():
@@ -896,7 +1061,7 @@ class LazyTopology:
             yield from self._pinned
             return
         for rank in range(self.config.num_ases):
-            yield from self._as_entry(rank)[1].values()
+            yield from self._as_entry(rank)[1]
         for index in range(self.config.mega_isp_regions):
             region = self._mega_cache.get(
                 (_MEGA_SLASH32 >> 64) | ((index // 0x100) << 16) | (index % 0x100)
@@ -914,7 +1079,7 @@ class LazyTopology:
             self._max_resident = None
             regions: list[Region] = []
             for rank in range(self.config.num_ases):
-                regions.extend(self._as_entry(rank)[1].values())
+                regions.extend(self._as_entry(rank)[1])
             for index in range(self.config.mega_isp_regions):
                 net64 = (_MEGA_SLASH32 >> 64) | ((index // 0x100) << 16) | (index % 0x100)
                 region = self._mega_cache.get(net64)
