@@ -7,14 +7,14 @@ cells/sec, addresses/sec and speedup to a JSON artifact.  Every
 parallel run is also checked cell-by-cell against the serial run: the
 executor must be bit-identical, not just fast.
 
-A second section measures raw probe throughput of the two
-``Scanner.scan`` formulations on million-address batches: the
-/64-grouped path (run on the world's capped twin, which never builds
-packed tables) versus the packed probe tables of the uncapped world,
-over two pool shapes — *dispersed* targets scattered across many /64s
-(the shape TGA output actually has) and *concentrated* per-region
-blocks.  Hits are asserted identical between the two paths before any
-number is recorded.
+A second section measures raw ``Scanner.scan`` throughput on large
+batches in both scopes of its probe tables: the ``grouped`` rows run
+on the world's capped twin, which builds a table over each batch's own
+regions, and the ``packed`` rows on the uncapped world, which keeps
+one world-wide table.  Two pool shapes are scanned — *dispersed*
+targets scattered across many /64s (the shape TGA output actually
+has) and *concentrated* per-region blocks.  Hits are asserted
+identical between the two worlds before any number is recorded.
 
 Run:  python benchmarks/bench_parallel_scaling.py [--quick] [--out FILE]
 
@@ -122,7 +122,7 @@ def build_pools(internet: SimulatedInternet, total: int) -> dict[str, list[int]]
 
     # TGA-style: a couple of percent rediscoveries, the rest spread thin
     # across many /64s (most of them unallocated neighbours of real
-    # prefixes) so the per-/64 groups the grouped path builds stay tiny.
+    # prefixes), so consecutive targets rarely share a /64.
     dispersed: list[int] = []
     for _ in range(total):
         style = rng.random()
@@ -170,17 +170,17 @@ def _quartiles(seconds: list[float]) -> dict:
 
 
 def bench_probe_throughput(seed: int, total: int, repeats: int = 5) -> list[dict]:
-    """Grouped vs packed ``Scanner.scan`` on million-address pools.
+    """``Scanner.scan`` on batch-scoped vs world-wide probe tables.
 
-    The grouped path runs on the world's capped twin (a resident-AS cap
-    that holds every AS, so nothing is evicted but no packed table is
-    built); the packed path runs on the uncapped world.  Each path gets
-    a fresh world (so no membership table or responsive-set cache is
-    warm from the other path's run), warmed by one untimed scan of the
-    whole pool so every one-time cost lands outside the timed window;
-    each row then records the median and quartiles of ``repeats`` timed
-    scans.  The hit sets are asserted identical before any number is
-    recorded.
+    The ``grouped`` rows run on the world's capped twin (a resident-AS
+    cap that holds every AS, so nothing is evicted, but each scan builds
+    a table over just its batch's regions); the ``packed`` rows run on
+    the uncapped world's one world-wide table.  Each side gets a fresh
+    world (so no membership table or responsive-set cache is warm from
+    the other side's run), warmed by one untimed scan of the whole pool
+    so every one-time cost lands outside the timed window; each row
+    then records the median and quartiles of ``repeats`` timed scans.
+    The hit sets are asserted identical before any number is recorded.
     """
     config = InternetConfig.tiny(master_seed=seed)
     capped = replace(config, max_resident_ases=config.num_ases + 1)
@@ -402,7 +402,7 @@ def main(argv=None) -> int:
 
     manifest = manifest.with_snapshot(telemetry.snapshot())
 
-    # Raw probe throughput: grouped vs packed scan path.
+    # Raw probe throughput: batch-scoped vs world-wide probe tables.
     print(f"probe throughput ({probe_total:,} addresses per pool):")
     probe_rows = bench_probe_throughput(args.seed, probe_total)
     for row in probe_rows:

@@ -82,8 +82,8 @@ class InternetConfig:
     # Memory discipline for the lazy topology.  ``max_resident_ases``
     # bounds how many fully-materialised ASes the LRU keeps (None =
     # unbounded, appropriate below internet scale).  A capped world
-    # never builds the packed probe tables, which would pin every
-    # region: its probes stay on the grouped per-region path.
+    # never builds the world-wide probe table, which would pin every
+    # region: each batch is probed through a table over its own regions.
     # ``memory_budget_mb`` is the declared peak-heap budget the memory
     # regression test and the internet-scale benchmark enforce.
     max_resident_ases: int | None = None
@@ -153,7 +153,7 @@ class InternetConfig:
         Usable only through :class:`~repro.internet.topology.LazyTopology`
         (``SimulatedInternet`` picks it automatically): the resident-AS
         budget keeps ~0.1% of the world materialised at a time, and (like
-        any capped world) keeps the packed probe tables off so no path
+        any capped world) keeps the world-wide probe table off so no path
         forces a full walk.
         """
         return cls(

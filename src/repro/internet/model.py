@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from functools import cached_property
+from itertools import chain
 
 from ..addr import Prefix
 from ..addr.rand import coin, coin_batch, hash64, hash64_batch
@@ -37,20 +38,23 @@ _SALT_PUBLISHED = 0x55
 
 
 class _ProbeTables:
-    """Columnar views of the region table for the packed probe path.
+    """Columnar views of a set of regions: the batch probe kernel.
 
     Region attributes become arrays aligned to the sorted ``net64``
     order, so the per-address region lookup is one ``searchsorted``
     instead of a dict probe, and the region-level gates (firewall,
-    retirement, alias profile) become mask operations.
+    retirement, alias profile) become mask operations.  The regions are
+    the whole world's or just one batch's (see
+    :meth:`SimulatedInternet.probe_tables`).
 
-    Non-aliased membership uses a per-``(port, epoch)`` *global* sorted
-    array of 64-bit keys ``hash64(net64, iid)`` over every responsive
-    IID in the world.  A probe is a candidate hit when its key is
+    Non-aliased membership uses a per-``(port, epoch)`` sorted array of
+    64-bit keys ``hash64(net64, iid)`` over every responsive IID of the
+    table's regions.  A probe is a candidate hit when its key is
     present; candidates (≈ the true hit count) are then verified
-    exactly against the owning region's IID set, so 64-bit key
-    collisions can never flip an answer — results are bit-identical to
-    :meth:`Region.responds` per address.
+    exactly against the table's aligned ``(net64, iid)`` columns, or
+    against the owning region's IID set when the key is shared, so
+    64-bit key collisions can never flip an answer — results are
+    bit-identical to :meth:`Region.responds` per address.
     """
 
     __slots__ = (
@@ -109,42 +113,31 @@ class _ProbeTables:
         return slots, self.net64[slots] == prefix64
 
     def member_table(self, port: Port, epoch: int):
-        """Global responsive-membership table for ``(port, epoch)``.
+        """Responsive-membership table for ``(port, epoch)``.
 
         Returns ``(keys, net64, iid64, tied)``: every responsive
-        ``(region, IID)`` pair in the world as three aligned columns
-        sorted by the 64-bit key ``hash64(net64, iid)``, plus the set
-        of keys shared by more than one pair (collisions — essentially
-        never non-empty, but handled exactly when they are).
+        ``(region, IID)`` pair of the table's regions as three aligned
+        columns sorted by the 64-bit key ``hash64(net64, iid)``, plus
+        the set of keys shared by more than one pair (collisions —
+        essentially never non-empty, but handled exactly when they
+        are).  Aliased, firewalled and retired regions contribute no
+        pair: their responsive-IID sets are empty.
         """
         cache_key = (port, max(epoch, 0))
         cached = self._member_keys.get(cache_key)
         if cached is None:
-            key_chunks, net_chunks, iid_chunks = [], [], []
-            for region in self.regions:
-                if region.aliased:
-                    continue
-                iids = region.responsive_iids_array(port, epoch)
-                if iids.shape[0]:
-                    key_chunks.append(hash64_batch(region.net64, iids))
-                    net_chunks.append(
-                        np.full(iids.shape[0], region.net64, dtype=np.uint64)
-                    )
-                    iid_chunks.append(iids)
-            if key_chunks:
-                keys = np.concatenate(key_chunks)
-                order = np.argsort(keys, kind="stable")
-                keys = keys[order]
-                nets = np.concatenate(net_chunks)[order]
-                iids = np.concatenate(iid_chunks)[order]
-                dup = keys[1:] == keys[:-1]
-                tied = (
-                    frozenset(keys[1:][dup].tolist()) if dup.any() else frozenset()
-                )
-                cached = (keys, nets, iids, tied)
-            else:
-                empty = np.empty(0, dtype=np.uint64)
-                cached = (empty, empty, empty, frozenset())
+            sets = [region.responsive_iids(port, epoch) for region in self.regions]
+            counts = np.fromiter(map(len, sets), dtype=np.intp, count=len(sets))
+            nets = np.repeat(self.net64, counts)
+            iids = np.fromiter(
+                chain.from_iterable(sets), dtype=np.uint64, count=nets.shape[0]
+            )
+            keys = hash64_batch(nets, iids)
+            order = np.argsort(keys, kind="stable")
+            keys = keys[order]
+            dup = keys[1:] == keys[:-1]
+            tied = frozenset(keys[1:][dup].tolist()) if dup.any() else frozenset()
+            cached = (keys, nets[order], iids[order], tied)
             self._member_keys[cache_key] = cached
         return cached
 
@@ -220,29 +213,30 @@ class SimulatedInternet:
         self.topology = LazyTopology(self.config)
         self._probe_tables: _ProbeTables | None = None
 
-    # -- probe tables (packed path) --------------------------------------
+    # -- probe tables -------------------------------------------------------
 
-    @property
-    def vector_tables_allowed(self) -> bool:
-        """Whether packed probe tables may be built for this world.
+    def probe_tables(self, prefix64) -> _ProbeTables:
+        """The probe tables that answer a batch over the /64 column
+        ``prefix64``.
 
-        Building them pins every region, so a world with a resident-AS
-        cap (``config.max_resident_ases``) probes on the grouped
-        per-region path instead (which still runs the per-region array
-        kernels).
+        A world without a resident-AS cap builds one world-wide table on
+        first use and keeps it.  A capped world cannot pin every region,
+        so each call builds a table over just the regions of the
+        batch's distinct /64s, resolved in first-seen order by one
+        :meth:`~LazyTopology.regions_for_net64s` call (each owning AS
+        derived at most once, in the order the batch names them), and
+        never keeps it.
         """
-        return self.config.max_resident_ases is None
-
-    def probe_tables(self) -> _ProbeTables:
-        """Columnar region views for the packed probe path (lazy)."""
-        if self._probe_tables is None:
-            if not self.vector_tables_allowed:
-                raise RuntimeError(
-                    f"probe tables disabled: the world is capped at "
-                    f"max_resident_ases={self.config.max_resident_ases}"
-                )
-            self._probe_tables = _ProbeTables(self.topology.regions)
-        return self._probe_tables
+        if self.config.max_resident_ases is None:
+            if self._probe_tables is None:
+                self._probe_tables = _ProbeTables(self.topology.regions)
+            return self._probe_tables
+        _, first = np.unique(prefix64, return_index=True)
+        first.sort()
+        regions = self.topology.regions_for_net64s(prefix64[first].tolist())
+        return _ProbeTables(
+            [region for region in regions.values() if region is not None]
+        )
 
     # -- basic accessors ----------------------------------------------------
 

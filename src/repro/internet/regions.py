@@ -19,7 +19,7 @@ from ..addr import Prefix
 from ..addr.rand import DeterministicStream, coin, coin_batch, hash64
 from ..addr.vector import np
 from .patterns import PatternKind, generate_iids
-from .ports import ALL_PORTS, Port, PortProfile
+from .ports import Port, PortProfile
 
 __all__ = ["RegionRole", "Region", "COLLECTION_EPOCH", "SCAN_EPOCH"]
 
@@ -31,11 +31,6 @@ SCAN_EPOCH = 1
 _SALT_PORT = 0x20
 _SALT_CHURN = 0x21
 _SALT_ALIAS_RATE = 0x22
-
-#: Batch size from which :meth:`Region.respond_batch` draws a
-#: rate-limited aliased region's coins with one ``coin_batch`` call;
-#: below it the per-address scalar ``coin`` is faster.
-_ALIAS_COIN_BATCH_MIN = 8
 
 
 class RegionRole(str, Enum):
@@ -68,9 +63,6 @@ class Region:
 
     _iids: frozenset[int] | None = field(default=None, repr=False)
     _responsive: dict = field(default_factory=dict, repr=False)
-    #: Sorted uint64 views of :attr:`_responsive` entries, built on
-    #: demand for the vectorized membership path.
-    _responsive_arrays: dict = field(default_factory=dict, repr=False)
 
     # -- identity ---------------------------------------------------------
 
@@ -163,16 +155,6 @@ class Region:
             churned |= coin_batch(self.churn_rate, self.salt, _SALT_CHURN, later, iids)
         return churned
 
-    def responsive_iids_array(self, port: Port, epoch: int):
-        """Sorted uint64 array view of :meth:`responsive_iids` (cached)."""
-        key = (port, max(epoch, 0))
-        cached = self._responsive_arrays.get(key)
-        if cached is None:
-            iids = self.responsive_iids(port, epoch)
-            cached = np.fromiter(sorted(iids), dtype=np.uint64, count=len(iids))
-            self._responsive_arrays[key] = cached
-        return cached
-
     # -- probing ----------------------------------------------------------
 
     def responds(self, address: int, port: Port, epoch: int, attempt: int = 0) -> bool:
@@ -200,70 +182,6 @@ class Region:
                 attempt,
             )
         return (address & 0xFFFF_FFFF_FFFF_FFFF) in self.responsive_iids(port, epoch)
-
-    def respond_batch(
-        self, addresses: list[int], port: Port, epoch: int, attempt: int = 0
-    ) -> set[int]:
-        """The responders among ``addresses`` (batched :meth:`responds`).
-
-        Region-level checks (firewall, retirement, alias profile, the
-        responsive-IID lookup) run once per call instead of once per
-        address.  The formulation follows the region's kind: an ordinary
-        region tests set membership, and a rate-limited aliased region
-        draws its per-``attempt`` coins with one :func:`coin_batch` call
-        from ``_ALIAS_COIN_BATCH_MIN`` addresses on (the scalar
-        :func:`coin` is cheaper below that).  Results are identical to
-        calling :meth:`responds` per address.
-        """
-        if self.firewalled:
-            return set()
-        if self.retired and epoch >= SCAN_EPOCH:
-            return set()
-        if self.aliased:
-            if self.profile.probability(port) <= 0.0:
-                return set()
-            if self.alias_response_prob >= 1.0:
-                return set(addresses)
-            probability = self.alias_response_prob
-            salt = self.salt
-            port_index = port.index
-            if len(addresses) >= _ALIAS_COIN_BATCH_MIN:
-                iids = np.fromiter(
-                    (address & 0xFFFF_FFFF_FFFF_FFFF for address in addresses),
-                    dtype=np.uint64,
-                    count=len(addresses),
-                )
-                mask = coin_batch(
-                    probability, salt, _SALT_ALIAS_RATE, port_index, iids, attempt
-                )
-                return {addresses[index] for index in np.flatnonzero(mask).tolist()}
-            return {
-                address
-                for address in addresses
-                if coin(
-                    probability,
-                    salt,
-                    _SALT_ALIAS_RATE,
-                    port_index,
-                    address & 0xFFFF_FFFF_FFFF_FFFF,
-                    attempt,
-                )
-            }
-        iids = self.responsive_iids(port, epoch)
-        if not iids:
-            return set()
-        return {
-            address
-            for address in addresses
-            if address & 0xFFFF_FFFF_FFFF_FFFF in iids
-        }
-
-    def responds_any_port(self, address: int, epoch: int) -> bool:
-        """Whether the address answers on at least one of the four targets."""
-        if self.aliased:
-            return any(self.profile.probability(port) > 0 for port in ALL_PORTS)
-        iid = address & 0xFFFF_FFFF_FFFF_FFFF
-        return any(iid in self.responsive_iids(port, epoch) for port in ALL_PORTS)
 
     # -- observation (seed collection) -------------------------------------
 

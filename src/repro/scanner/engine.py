@@ -16,7 +16,7 @@ Differences from naive scanners that the paper calls out, reproduced here:
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Mapping
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 
 from ..addr.vector import PackedAddresses, np
@@ -29,28 +29,32 @@ from .stats import ScanStats
 
 __all__ = ["Scanner", "ScanResult"]
 
-#: Batches smaller than this take the /64-grouped path even on a world
-#: with packed probe tables: packing columns and running the array
-#: kernels has a fixed cost that only pays for itself once a batch holds
-#: a few cache lines of addresses.
-VECTOR_MIN_BATCH = 64
-
 # Cheap deterministic "noise" draw for alive-but-closed responses.  These
 # responses feed only the response-type statistics (never the hit or AS
 # metrics), so a fast multiplicative hash is sufficient.
 _NOISE_MULT = 0x9E3779B97F4A7C15
 
-
-def _negative_noise(address: int, port_index: int) -> bool:
-    value = ((address ^ port_index) * _NOISE_MULT) & 0xFFFFFFFFFFFFFFFF
-    return value < 0x4000000000000000  # ~25% of misses in allocated space
+#: The reply codes of :meth:`Scanner._replies`, indexes into
+#: :func:`_reply_types`.
+_HIT, _NEGATIVE, _TIMEOUT, _BLOCKED = range(4)
 
 
 def _negative_noise_mask(iid64, port_index: int):
-    """Vectorized :func:`_negative_noise` over an IID column (the low
-    64 bits of the product depend only on the address's low word)."""
+    """Which misses get the alive-but-closed reply (~25% of IIDs): one
+    multiply-compare over the IID column, the low 64 bits of the product
+    ``(address ^ port_index) * _NOISE_MULT``."""
     return ((iid64 ^ np.uint64(port_index)) * np.uint64(_NOISE_MULT)) < np.uint64(
         0x4000000000000000
+    )
+
+
+def _reply_types(port: Port) -> tuple[ResponseType, ...]:
+    """The :class:`ResponseType` of each reply code on ``port``."""
+    return (
+        affirmative_response(port),
+        negative_response(port),
+        ResponseType.TIMEOUT,
+        ResponseType.BLOCKED,
     )
 
 
@@ -82,13 +86,11 @@ class Scanner:
         epoch: int = SCAN_EPOCH,
         blocklist: Blocklist | None = None,
         packets_per_second: float = 10_000.0,
-        classify_negative: bool = True,
     ) -> None:
         self.internet = internet
         self.epoch = epoch
         self.blocklist = blocklist or Blocklist()
         self.rate_limiter = RateLimiter(packets_per_second)
-        self.classify_negative = classify_negative
         self.lifetime_stats = ScanStats()
 
     # -- single probes ------------------------------------------------------
@@ -113,10 +115,6 @@ class Scanner:
                 return True
         return False
 
-    def is_responsive(self, address: int, port: Port) -> bool:
-        """Single-probe responsiveness check."""
-        return self.probe(address, port).is_hit
-
     def classify(
         self, addresses: Iterable[int], port: Port, attempt: int = 0
     ) -> list[ResponseType]:
@@ -124,76 +122,49 @@ class Scanner:
 
         One reply per address, in input order, ``BLOCKED`` included;
         nothing is counted or timed.  Pair it with :meth:`charge` to
-        account the probes a caller decides were sent.  It runs on the
-        same two formulations as :meth:`scan`: the packed probe tables
-        for batches of at least :data:`VECTOR_MIN_BATCH` addresses on a
-        world without a resident-AS cap, and ``respond_batch`` per /64
-        group otherwise.  ``attempt`` salts the replies of rate-limited
-        aliased regions, the only ones that depend on it.
+        account the probes a caller decides were sent.  ``attempt``
+        salts the replies of rate-limited aliased regions, the only ones
+        that depend on it.
         """
-        packed, addresses = self._batch(addresses)
-        if packed is not None:
-            return self._classify_packed(packed, port, attempt)
-        if not isinstance(addresses, (list, tuple)):
-            addresses = list(addresses)
-        return self._classify_grouped(addresses, port, attempt)
+        replies = _reply_types(port)
+        _, codes = self._replies(addresses, port, attempt)
+        return [replies[code] for code in codes.tolist()]
 
-    def _classify_grouped(
-        self, addresses: list[int] | tuple[int, ...], port: Port, attempt: int
-    ) -> list[ResponseType]:
-        """:meth:`classify` over /64 groups, one ``respond_batch`` per region."""
-        is_blocked = self.blocklist.is_blocked if self.blocklist else None
-        groups: dict[int, list[int]] = {}
-        for address in addresses:
-            if is_blocked is None or not is_blocked(address):
-                groups.setdefault(address >> 64, []).append(address)
-        hit = affirmative_response(port)
-        negative = negative_response(port)
-        port_index = port.index
-        replies: dict[int, ResponseType] = {}
-        regions = self.internet.topology.regions_for_net64s(groups)
-        for net64, group in groups.items():
-            region = regions[net64]
-            if region is None:
-                continue
-            responders = region.respond_batch(group, port, self.epoch, attempt)
-            noisy = self.classify_negative and not region.firewalled
-            for address in group:
-                if address in responders:
-                    replies[address] = hit
-                elif noisy and _negative_noise(address, port_index):
-                    replies[address] = negative
-        timeout = ResponseType.TIMEOUT
-        if is_blocked is None:
-            return [replies.get(address, timeout) for address in addresses]
-        return [
-            ResponseType.BLOCKED if is_blocked(address) else replies.get(address, timeout)
-            for address in addresses
-        ]
+    def _replies(self, addresses: Iterable[int], port: Port, attempt: int = 0):
+        """``(packed, codes)``: the batch as :class:`PackedAddresses`
+        (passed through when it already is one) and one int8 reply code
+        per address, in input order.
 
-    def _classify_packed(
-        self, packed: PackedAddresses, port: Port, attempt: int
-    ) -> list[ResponseType]:
-        """:meth:`classify` on the packed probe tables."""
-        prefix64 = packed.prefix64
-        iid64 = packed.iid64
-        tables = self.internet.probe_tables()
-        hits, slots, exists = tables.hit_mask(prefix64, iid64, port, self.epoch, attempt)
-        codes = np.full(prefix64.shape[0], 2, dtype=np.int8)
-        if self.classify_negative:
+        Blocked rows are masked first, so only the rest reach the
+        world's probe tables (a blocked /64's AS is never derived).
+        ``hit_mask`` decides the hits; a miss in allocated space outside
+        a firewall gets the alive-but-closed reply where the negative
+        noise draws it, and every other miss times out.
+        """
+        if not isinstance(addresses, PackedAddresses):
+            addresses = PackedAddresses.from_addresses(addresses)
+        prefix64 = addresses.prefix64
+        iid64 = addresses.iid64
+        codes = np.full(prefix64.shape[0], _BLOCKED, dtype=np.int8)
+        sent = slice(None)
+        if self.blocklist:
+            sent = np.flatnonzero(~self.blocklist.blocked_mask(prefix64, iid64))
+            prefix64 = prefix64[sent]
+            iid64 = iid64[sent]
+        tables = self.internet.probe_tables(prefix64)
+        hits, slots, exists = tables.hit_mask(
+            prefix64, iid64, port, self.epoch, attempt
+        )
+        replies = np.full(prefix64.shape[0], _TIMEOUT, dtype=np.int8)
+        # An empty table (a batch in unallocated space) has no column to
+        # index, and no row of it exists.
+        if exists.any():
             negative = exists & ~hits & ~tables.firewalled[slots]
             negative &= _negative_noise_mask(iid64, port.index)
-            codes[negative] = 1
-        codes[hits] = 0
-        if self.blocklist and len(self.blocklist):
-            codes[self.blocklist.blocked_mask(prefix64, iid64)] = 3
-        replies = (
-            affirmative_response(port),
-            negative_response(port),
-            ResponseType.TIMEOUT,
-            ResponseType.BLOCKED,
-        )
-        return [replies[code] for code in codes.tolist()]
+            replies[negative] = _NEGATIVE
+        replies[hits] = _HIT
+        codes[sent] = replies
+        return addresses, codes
 
     def charge(self, tally: Mapping[ResponseType, int], port: Port) -> None:
         """Account ``tally`` (reply → count) exactly as that many
@@ -238,131 +209,23 @@ class Scanner:
         """Probe every address once on ``port``; collect hits and stats.
 
         Input order does not affect results (responses are deterministic
-        per address), matching the paper's randomised scan order.
-
-        The formulation follows from what the scanner can observe.  On a
-        world without a resident-AS cap, batches of at least
-        :data:`VECTOR_MIN_BATCH` addresses (and any
-        :class:`~repro.addr.vector.PackedAddresses` input) run through the
-        world's packed probe tables.  Everything else is grouped by /64,
-        so the region checks run once per group and every group's region
-        is resolved in one batch that derives each owning AS at most
-        once.  Hits, stats and telemetry are identical either way, and
-        identical to probing each address individually.
+        per address), matching the paper's randomised scan order.  Hits,
+        stats and telemetry are identical to probing each address
+        individually: a responsive address listed twice is charged
+        twice, as two :meth:`probe` calls would be.  The batch is
+        charged to the rate limiter, its :class:`ScanStats`, the
+        lifetime stats and the ``scan.*`` counters, with one
+        ``scan.batch_addresses`` observation per probed /64 in
+        first-seen order.
         """
-        packed, addresses = self._batch(addresses)
-        if packed is not None:
-            return self._scan_packed(packed, port)
-        return self._scan_grouped(addresses, port)
-
-    def _batch(
-        self, addresses: Iterable[int]
-    ) -> tuple[PackedAddresses | None, Iterable[int]]:
-        """``(packed, addresses)``: the batch packed when the world's
-        packed probe tables take it, else ``None`` (the /64-grouped
-        path), and the addresses (a one-shot iterable turned into a list
-        when its length had to be read).
-
-        The tables take any :class:`PackedAddresses` and any batch of at
-        least :data:`VECTOR_MIN_BATCH` addresses, on a world without a
-        resident-AS cap.
-        """
-        if self.internet.vector_tables_allowed:
-            if isinstance(addresses, PackedAddresses):
-                return addresses, addresses
-            if not isinstance(addresses, (list, tuple)):
-                addresses = list(addresses)
-            if len(addresses) >= VECTOR_MIN_BATCH:
-                return PackedAddresses.from_addresses(addresses), addresses
-        return None, addresses
-
-    def _scan_grouped(self, addresses: Iterable[int], port: Port) -> ScanResult:
-        """:meth:`scan` over /64 groups, one ``respond_batch`` per region."""
+        packed, codes = self._replies(addresses, port)
         result = ScanResult(port=port)
-        epoch = self.epoch
-        classify_negative = self.classify_negative
-        port_index = port.index
-        # Hoisted blocklist check: empty blocklists cost nothing per target.
-        is_blocked = self.blocklist.is_blocked if self.blocklist else None
-        blocked_count = 0
-        groups: dict[int, list[int]] = {}
-        for address in addresses:
-            if is_blocked is not None and is_blocked(address):
-                blocked_count += 1
-                continue
-            net64 = address >> 64
-            group = groups.get(net64)
-            if group is None:
-                groups[net64] = [address]
-            else:
-                group.append(address)
-        sent = 0
-        affirmative = 0
-        neg = 0
-        timeouts = 0
-        hits = result.hits
-        regions = self.internet.topology.regions_for_net64s(groups)
-        for net64, group in groups.items():
-            sent += len(group)
-            region = regions[net64]
-            if region is None:
-                timeouts += len(group)
-                continue
-            responders = region.respond_batch(group, port, epoch)
-            if responders:
-                hits |= responders
-                misses = [a for a in group if a not in responders]
-                affirmative += len(group) - len(misses)
-            else:
-                misses = group
-            if not misses:
-                continue
-            if classify_negative and not region.firewalled:
-                for address in misses:
-                    if _negative_noise(address, port_index):
-                        neg += 1
-                    else:
-                        timeouts += 1
-            else:
-                timeouts += len(misses)
-        return self._account(
-            result,
-            sent,
-            affirmative,
-            neg,
-            timeouts,
-            blocked_count,
-            lambda: [len(group) for group in groups.values()],
-        )
-
-    def _scan_packed(self, packed: PackedAddresses, port: Port) -> ScanResult:
-        """:meth:`scan` on the packed probe tables: array kernels end to end.
-
-        Reproduces the grouped path's hits, stats and telemetry exactly:
-        the blocklist becomes a broadcast mask, the region lookup one
-        ``searchsorted`` against the probe tables, negative-response
-        noise a vectorized multiply-compare on the IID column, and the
-        per-/64 telemetry observes are rebuilt in first-seen group
-        order so golden traces stay byte-identical.
-        """
-        result = ScanResult(port=port)
-        prefix64 = packed.prefix64
-        iid64 = packed.iid64
-        blocked_count = 0
-        if self.blocklist and len(self.blocklist):
-            blocked = self.blocklist.blocked_mask(prefix64, iid64)
-            blocked_count = int(blocked.sum())
-            if blocked_count:
-                keep = ~blocked
-                prefix64 = prefix64[keep]
-                iid64 = iid64[keep]
-        sent = int(prefix64.shape[0])
-        tables = self.internet.probe_tables()
-        hit_mask, slots, exists = tables.hit_mask(prefix64, iid64, port, self.epoch)
-        hit_rows = np.nonzero(hit_mask)[0]
+        counts = np.bincount(codes, minlength=4).tolist()
+        affirmative, blocked = counts[_HIT], counts[_BLOCKED]
+        hit_rows = np.flatnonzero(codes == _HIT)
         if hit_rows.shape[0]:
-            hit_prefix = prefix64[hit_rows]
-            hit_iid = iid64[hit_rows]
+            hit_prefix = packed.prefix64[hit_rows]
+            hit_iid = packed.iid64[hit_rows]
             if hit_rows.shape[0] > 65536:
                 # Hit-heavy batches (dense duplicates) dedupe far faster
                 # inside numpy than through 10^5+ Python set inserts.
@@ -379,79 +242,30 @@ class Scanner:
                 (prefix << 64) | iid
                 for prefix, iid in zip(hit_prefix.tolist(), hit_iid.tolist())
             )
-        neg = 0
-        if self.classify_negative:
-            eligible = exists & ~hit_mask
-            eligible &= ~tables.firewalled[slots]
-            if eligible.any():
-                neg = int((eligible & _negative_noise_mask(iid64, port.index)).sum())
-        affirmative = int(hit_rows.shape[0])
-        timeouts = sent - affirmative - neg
-        return self._account(
-            result,
-            sent,
-            affirmative,
-            neg,
-            timeouts,
-            blocked_count,
-            lambda: _first_seen_group_sizes(prefix64),
-        )
-
-    def _account(
-        self,
-        result: ScanResult,
-        sent: int,
-        affirmative: int,
-        neg: int,
-        timeouts: int,
-        blocked_count: int,
-        batch_sizes: Callable[[], list[int]],
-    ) -> ScanResult:
-        """Charge one finished batch scan to the rate limiter, its
-        :class:`ScanStats`, the lifetime stats and ``scan.*`` telemetry.
-
-        ``affirmative`` counts the probes answered affirmatively, so a
-        responsive address listed twice is charged twice, as two
-        :meth:`probe` calls would be.  ``batch_sizes`` yields the per-/64
-        group sizes in first-seen order; it runs only while telemetry is
-        recording.
-        """
-        port = result.port
+        sent = len(codes) - blocked
         stats = result.stats
-        stats.targets_blocked += blocked_count
+        stats.targets_blocked += blocked
         start_time = self.rate_limiter.virtual_time
         self.rate_limiter.account(sent)
         stats.probes_sent += sent
-        for response, count in (
-            (affirmative_response(port), affirmative),
-            (negative_response(port), neg),
-            (ResponseType.TIMEOUT, timeouts),
-        ):
+        for response, count in zip(_reply_types(port), counts[:_BLOCKED]):
             if count:
-                stats.responses[response] = stats.responses.get(response, 0) + count
+                stats.responses[response] = count
         stats.virtual_duration = self.rate_limiter.virtual_time - start_time
         self.lifetime_stats.merge(stats)
         tel = get_telemetry()
         if tel.enabled:
-            sizes = batch_sizes()
+            prefix64 = packed.prefix64
+            if blocked:
+                prefix64 = prefix64[codes != _BLOCKED]
+            sizes = _first_seen_group_sizes(prefix64)
             tel.count("scan.calls")
             tel.count("scan.probes", sent)
             tel.count("scan.batches", len(sizes))
-            if blocked_count:
-                tel.count("scan.blocked", blocked_count)
+            if blocked:
+                tel.count("scan.blocked", blocked)
             if affirmative:
                 tel.count(f"scan.hits.{port.value}", affirmative)
             for size in sizes:
                 tel.observe("scan.batch_addresses", size)
         return result
-
-    def scan_all_ports(self, addresses: Iterable[int], ports: Iterable[Port]) -> dict[Port, ScanResult]:
-        """Scan the same target list on several ports."""
-        if isinstance(addresses, (list, tuple)):
-            targets: Iterable[int] = addresses
-        else:
-            targets = list(addresses)
-        tel = get_telemetry()
-        if tel.enabled:
-            tel.count("scan.multiport_calls")
-        return {port: self.scan(targets, port) for port in ports}

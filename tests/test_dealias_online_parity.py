@@ -161,8 +161,8 @@ class TestFullSeedSet:
 
     def test_capped_world(self, capped_world):
         internet, seeds = capped_world
-        assert not internet.vector_tables_allowed
         run_both(internet, [("partition", seeds, Port.ICMP)])
+        assert internet._probe_tables is None
 
 
 class TestEdgeCases:

@@ -125,11 +125,6 @@ class TestResponds:
             for i in range(5)
         )
 
-    def test_responds_any_port(self):
-        region = make_region()
-        iid = next(iter(region.responsive_iids(Port.ICMP, COLLECTION_EPOCH)))
-        assert region.responds_any_port(region.address_of(iid), COLLECTION_EPOCH)
-
 
 class TestObservables:
     def test_observables_are_members(self):

@@ -1,11 +1,8 @@
-"""Tests for runner extensions: known-address exclusion, custom factories,
-negative-response classification toggles."""
-
-import itertools
+"""Tests for runner extensions: known-address exclusion and custom
+factories."""
 
 from repro.experiments import run_generation
 from repro.internet import Port
-from repro.scanner import Scanner
 from repro.tga.sixtree import SixTree
 
 
@@ -87,23 +84,3 @@ class TestTGAFactory:
             internet, "6tree", dataset, Port.ICMP, budget=600, round_size=200
         )
         assert coarse.clean_hits != default.clean_hits
-
-
-class TestScannerToggles:
-    def test_classify_negative_off_means_timeouts(self, internet):
-        from repro.scanner import ResponseType
-
-        region = next(
-            r for r in internet.regions if not r.aliased and not r.firewalled
-        )
-        targets = [region.address_of(0xFFFF_0000 + i) for i in range(200)]
-        quiet = Scanner(internet, classify_negative=False)
-        result = quiet.scan(targets, Port.TCP80)
-        assert result.stats.count(ResponseType.RST) == 0
-        assert result.stats.count(ResponseType.TIMEOUT) >= 190
-
-    def test_hits_identical_either_way(self, internet):
-        targets = list(itertools.islice(internet.iter_responsive(Port.ICMP), 300))
-        noisy = Scanner(internet, classify_negative=True).scan(targets, Port.ICMP)
-        quiet = Scanner(internet, classify_negative=False).scan(targets, Port.ICMP)
-        assert noisy.hits == quiet.hits

@@ -1,13 +1,23 @@
 """Tests for repro.scanner.engine."""
 
 import itertools
+from dataclasses import replace
 
-from repro.internet import COLLECTION_EPOCH, SCAN_EPOCH, Port
+from repro.internet import COLLECTION_EPOCH, SCAN_EPOCH, Port, SimulatedInternet
 from repro.scanner import Blocklist, ResponseType, Scanner
+from repro.scanner.engine import _NOISE_MULT
 
 
 def responsive_address(internet, port=Port.ICMP, epoch=SCAN_EPOCH):
     return next(iter(internet.iter_responsive(port, epoch)))
+
+
+def capped_twin(internet):
+    """A fresh copy of ``internet``'s world with a resident-AS cap that
+    holds every AS: nothing is evicted, but each batch is answered from
+    a table over just its own regions."""
+    config = internet.config
+    return SimulatedInternet(replace(config, max_resident_ases=config.num_ases + 1))
 
 
 class TestProbe:
@@ -27,9 +37,6 @@ class TestProbe:
         scanner = Scanner(internet, blocklist=blocklist)
         assert scanner.probe(address, Port.ICMP) is ResponseType.BLOCKED
         assert scanner.rate_limiter.packets_sent == 0
-
-    def test_is_responsive(self, internet, scanner):
-        assert scanner.is_responsive(responsive_address(internet), Port.ICMP)
 
     def test_probe_with_retries_on_rate_limited_alias(self, internet):
         aliased = next(
@@ -92,12 +99,6 @@ class TestBatchScan:
         assert then.num_hits == len(targets)
         assert now.num_hits < then.num_hits  # churn happened
 
-    def test_scan_all_ports(self, internet, scanner):
-        targets = list(itertools.islice(internet.iter_responsive(Port.ICMP), 100))
-        results = scanner.scan_all_ports(targets, (Port.ICMP, Port.UDP53))
-        assert set(results) == {Port.ICMP, Port.UDP53}
-        assert results[Port.ICMP].num_hits >= results[Port.UDP53].num_hits
-
     def test_negative_responses_recorded_not_hits(self, internet, scanner):
         region = next(
             r for r in internet.regions if not r.aliased and not r.firewalled
@@ -123,9 +124,16 @@ class TestBatchScan:
         assert result.stats.virtual_duration == 0.5
 
 
+def _negative_noise(address, port_index):
+    """Scalar oracle of the scanner's negative-response noise: whether a
+    miss in allocated, unfirewalled space gets the alive-but-closed
+    reply (~25% of addresses)."""
+    value = ((address ^ port_index) * _NOISE_MULT) & 0xFFFF_FFFF_FFFF_FFFF
+    return value < 0x4000000000000000
+
+
 def expected_reply(scanner, address, port, attempt):
     """What one probe returns, from the ground-truth region definition."""
-    from repro.scanner.engine import _negative_noise
     from repro.scanner.responses import affirmative_response, negative_response
 
     if scanner.blocklist.is_blocked(address):
@@ -135,7 +143,7 @@ def expected_reply(scanner, address, port, attempt):
         return ResponseType.TIMEOUT
     if region.responds(address, port, scanner.epoch, attempt):
         return affirmative_response(port)
-    if scanner.classify_negative and not region.firewalled and _negative_noise(address, port.index):
+    if not region.firewalled and _negative_noise(address, port.index):
         return negative_response(port)
     return ResponseType.TIMEOUT
 
@@ -157,47 +165,35 @@ def mixed_targets(internet):
 
 
 class TestClassifyAndCharge:
-    def scanners(self, internet):
+    def scanner(self, internet):
         from repro.addr import Prefix
 
         targets = mixed_targets(internet)
         blocklist = Blocklist([Prefix.of(targets[3], 128), Prefix.of(targets[-20], 64)])
-        return targets, [
-            Scanner(internet, blocklist=blocklist),
-            Scanner(internet, blocklist=blocklist, classify_negative=False),
-        ]
+        return targets, Scanner(internet, blocklist=blocklist)
 
     def test_classify_matches_probe_definition(self, internet):
-        from dataclasses import replace
-
         from repro.addr import PackedAddresses
-        from repro.internet import SimulatedInternet
 
-        capped = SimulatedInternet(
-            replace(internet.config, max_resident_ases=internet.config.num_ases + 1)
-        )
-        for world in (internet, capped):
-            targets, scanners = self.scanners(world)
-            assert len(targets) >= 64  # the packed path on the uncapped world
-            for scanner in scanners:
-                for port in (Port.ICMP, Port.TCP443):
-                    for attempt in range(4):
-                        want = [expected_reply(scanner, a, port, attempt) for a in targets]
-                        assert scanner.classify(targets, port, attempt) == want
-                        assert scanner.classify(
-                            PackedAddresses.from_addresses(targets), port, attempt
-                        ) == want
-                        # Small batches take the grouped path everywhere.
-                        assert scanner.classify(targets[:9], port, attempt) == want[:9]
-                assert scanner.rate_limiter.packets_sent == 0
-                assert scanner.lifetime_stats.probes_sent == 0
+        for world in (internet, capped_twin(internet)):
+            targets, scanner = self.scanner(world)
+            for port in (Port.ICMP, Port.TCP443):
+                for attempt in range(4):
+                    want = [expected_reply(scanner, a, port, attempt) for a in targets]
+                    assert scanner.classify(targets, port, attempt) == want
+                    assert scanner.classify(
+                        PackedAddresses.from_addresses(targets), port, attempt
+                    ) == want
+                    assert scanner.classify(targets[:9], port, attempt) == want[:9]
+            assert scanner.rate_limiter.packets_sent == 0
+            assert scanner.lifetime_stats.probes_sent == 0
 
     def test_charge_equals_probe_calls(self, internet):
         from collections import Counter
 
         from repro.telemetry import Telemetry, use_telemetry
 
-        targets, (scanner, _) = self.scanners(internet)
+        targets, scanner = self.scanner(internet)
         outcomes = []
         for batched in (False, True):
             twin = Scanner(internet, blocklist=scanner.blocklist)
@@ -236,3 +232,61 @@ class TestClassifyAndCharge:
         assert scanner.lifetime_stats.responses == {ResponseType.TIMEOUT: 2}
         assert scanner.lifetime_stats.targets_blocked == 3
         assert scanner.rate_limiter.packets_sent == 2
+
+
+class TestCappedWorld:
+    """A capped world answers each batch from a table over its regions."""
+
+    def test_blocked_slash32s_are_never_derived(self, internet):
+        from repro.addr import Prefix
+
+        by_slash32 = {}
+        for region in internet.regions:
+            if region.asn != internet.mega_isp_asn:
+                by_slash32.setdefault(region.net64 >> 32, []).append(region)
+        groups = list(by_slash32.values())[:6]
+        targets = [
+            region.address_of(iid)
+            for regions in groups
+            for region in regions[:3]
+            for iid in (1, 2, 0xFFFF_0000_1234)
+        ]
+        blocklist = Blocklist(
+            Prefix.of(regions[0].address_of(0), 32) for regions in groups[:3]
+        )
+        world = capped_twin(internet)
+        scanner = Scanner(world, blocklist=blocklist)
+        result = scanner.scan(targets, Port.ICMP)
+        blocked = [address for address in targets if blocklist.is_blocked(address)]
+        assert result.stats.targets_blocked == len(blocked) > 0
+        assert world.lazy_stats()["materialized_ases"] == 3
+        assert result.hits == {
+            address
+            for address in targets
+            if address not in blocked and internet.probe(address, Port.ICMP)
+        }
+
+    def test_batches_without_a_member_region(self, internet):
+        regions = internet.regions
+        aliased = [
+            r.address_of(iid)
+            for r in [r for r in regions if r.aliased][:12]
+            for iid in (1, 7)
+        ]
+        firewalled = [
+            r.address_of(iid)
+            for r in [r for r in regions if r.firewalled][:12]
+            for iid in sorted(r.active_iids())[:2]
+        ]
+        unallocated = [(0x3FFF << 112) + i for i in range(10)]
+        assert aliased and firewalled
+        scanner = Scanner(capped_twin(internet))
+        mixed = aliased + firewalled + unallocated
+        for batch in ([], aliased, firewalled, unallocated, mixed):
+            for port in (Port.ICMP, Port.TCP80):
+                want = [expected_reply(scanner, a, port, 0) for a in batch]
+                assert scanner.classify(batch, port) == want
+                result = scanner.scan(batch, port)
+                assert result.hits == {a for a in batch if internet.probe(a, port)}
+                assert result.stats.probes_sent == len(batch)
+        assert scanner.internet._probe_tables is None

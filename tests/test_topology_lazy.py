@@ -373,7 +373,7 @@ class TestBatchResolution:
             assert lazy.resident_ases <= 4
 
     def test_scan_derives_each_as_once_per_scan(self):
-        """The grouped scan path resolves a batch in one call."""
+        """A capped world resolves a batch's regions in one call."""
         config, batches = batch_world(max_resident_ases=4)
         pinned = SimulatedInternet(config)
         pinned.regions
@@ -450,12 +450,14 @@ class TestProbeEquivalence:
             group = [region.address_of(rng.getrandbits(10)) for _ in range(4)]
             group.extend(region.address_of(iid) for iid in list(region.active_iids())[:4])
             targets.extend(group)
-            expected |= region.respond_batch(group, Port.ICMP, epoch)
+            expected |= {
+                address for address in group if region.responds(address, Port.ICMP, epoch)
+            }
         targets.extend(rng.getrandbits(128) for _ in range(64))  # unallocated
         assert Scanner(internet, epoch=epoch).scan(targets, Port.ICMP).hits == expected
 
     def test_vector_and_scalar_paths_agree_on_lazy_world(self):
-        """The packed tables and the grouped path of a capped twin agree."""
+        """The world-wide table and a capped twin's batch tables agree."""
         config = micro_config(3)
         rng = random.Random(3)
         packed = SimulatedInternet(config)
@@ -465,19 +467,20 @@ class TestProbeEquivalence:
             for _ in range(3)
         ]
         capped = replace(config, max_resident_ases=config.num_ases + 1)
-        grouped = SimulatedInternet(capped)
+        batch_scoped = SimulatedInternet(capped)
         for port in ALL_PORTS:
             want = {address for address in targets if packed.probe(address, port)}
             assert Scanner(packed).scan(targets, port).hits == want
-            assert Scanner(grouped).scan(targets, port).hits == want
+            assert Scanner(batch_scoped).scan(targets, port).hits == want
         assert packed._probe_tables is not None
-        assert grouped._probe_tables is None
+        assert batch_scoped._probe_tables is None
 
     def test_eviction_pressure_does_not_change_probes(self):
-        """Grouped probing under a 2-AS LRU ≡ probing the pinned world.
+        """Probing under a 2-AS LRU ≡ probing the pinned world.
 
-        The resident-AS cap keeps the packed tables off so the probe
-        path exercises region materialisation and eviction.
+        Under the resident-AS cap each batch builds its table from the
+        regions it names, so the probe path exercises region
+        materialisation and eviction.
         """
         config = micro_config(5, max_resident_ases=2)
         pinned = SimulatedInternet(config)
@@ -501,7 +504,7 @@ class TestProbeEquivalence:
 
 
 class TestResidencyCap:
-    """A resident-AS cap holds on every probe path, whatever the batch size."""
+    """A resident-AS cap holds whatever the batch size."""
 
     def test_large_batches_never_pin_a_capped_world(self):
         uncapped = SimulatedInternet(InternetConfig.tiny())
@@ -516,7 +519,6 @@ class TestResidencyCap:
         for region in rng.sample(regions, 50):
             targets.extend(region.address_of(iid) for iid in sorted(region.active_iids())[:1])
             targets.append(region.address_of(rng.getrandbits(16)))
-        assert len(targets) >= 64, "large enough for the packed path"
         want = Scanner(uncapped).scan(targets, Port.ICMP)
         assert want.hits
 
@@ -591,9 +593,6 @@ class TestMemoryBudget:
     def test_internet_scale_probe_path_stays_lazy(self):
         config = InternetConfig.internet()
         internet = SimulatedInternet(config)
-        assert not internet.vector_tables_allowed
-        with pytest.raises(RuntimeError, match="probe tables disabled"):
-            internet.probe_tables()
         rng = random.Random(7)
         targets = []
         for rank in rng.sample(range(config.num_ases), 64):
@@ -601,5 +600,6 @@ class TestMemoryBudget:
             targets.extend((net64 << 64) | rng.getrandbits(16) for _ in range(4))
         hits = Scanner(internet).scan(targets, Port.ICMP).hits
         assert hits <= set(targets)
+        assert internet._probe_tables is None
         assert not internet.topology.pinned
         assert internet.lazy_stats()["resident_ases"] <= config.max_resident_ases

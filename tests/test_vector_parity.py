@@ -1,17 +1,18 @@
-"""Bit-identity of every probe formulation and batch kernel.
+"""Bit-identity of the probe kernel and every other batch kernel.
 
 Every batch kernel must reproduce its scalar definition element for
 element — not approximately, not statistically: the same bits.  The
-scanner picks its formulation from what it observes, so each one is
-pinned here through its input: the packed probe tables on an uncapped
-world, the /64-grouped path on the same world's capped twin (a
-resident-AS cap that evicts nothing), and per-address
-:meth:`SimulatedInternet.probe` as the scalar reference.  The sweep
-covers the kernels, the region respond chain (firewalled / retired /
-aliased-with-retries / churned regions, on both sides of each batch
-threshold), IID generation, scan stats and telemetry, and a full
-experiment grid.  Formulations that no longer exist in the library
-live here as small scalar oracles.
+scanner answers every batch with one kernel, ``_ProbeTables.hit_mask``,
+over tables whose scope the world chooses, so each scope is pinned here
+through its input: the world-wide table of an uncapped world, the
+batch-scoped tables of the same world's capped twin (a resident-AS cap
+that evicts nothing), and per-address :meth:`SimulatedInternet.probe`
+as the scalar reference.  The sweep covers the kernels, the region
+respond chain (firewalled / retired / aliased-with-retries / churned
+regions, in batches of every size), IID generation, forced key
+collisions, scan stats and telemetry, and a full experiment grid.
+Formulations that no longer exist in the library live here as small
+scalar oracles.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from repro.addr import (
 )
 from repro.addr.nybbles import nybble_matrix_from_bytes
 from repro.internet import ALL_PORTS, InternetConfig, Port, SimulatedInternet
+from repro.internet.model import _ProbeTables
 from repro.internet.patterns import (
     _SALT_EUI,
     _SALT_LOW,
@@ -71,8 +73,9 @@ def _rng(salt: int = 0) -> random.Random:
 
 def _capped_twin(config: InternetConfig) -> InternetConfig:
     """``config`` with a resident-AS cap that holds every AS (the mega
-    ISP included): nothing is evicted, but the world never builds the
-    packed probe tables, so every scan takes the /64-grouped path."""
+    ISP included): nothing is evicted, but the world never builds its
+    world-wide probe table, so every batch is answered from a table
+    over just that batch's regions."""
     return replace(config, max_resident_ases=config.num_ases + 1)
 
 
@@ -173,15 +176,14 @@ class TestPackedAddresses:
         assert list(packed) == addresses
 
     def test_scalar_paths_accept_packed_input(self, internet, tiny_config):
-        # Iteration yields plain ints, so the grouped scan path of a
-        # capped world takes packed input too.
+        """Both table scopes take packed input."""
         targets = [region.address_of(1) for region in internet.regions[:80]]
         packed = PackedAddresses.from_addresses(targets)
         scanner = Scanner(SimulatedInternet(_capped_twin(tiny_config)))
-        grouped = scanner.scan(packed, Port.ICMP).hits
-        assert grouped == scanner.scan(list(targets), Port.ICMP).hits
-        assert grouped == Scanner(internet).scan(packed, Port.ICMP).hits
-        assert grouped == {a for a in targets if internet.probe(a, Port.ICMP)}
+        capped = scanner.scan(packed, Port.ICMP).hits
+        assert capped == scanner.scan(list(targets), Port.ICMP).hits
+        assert capped == Scanner(internet).scan(packed, Port.ICMP).hits
+        assert capped == {a for a in targets if internet.probe(a, Port.ICMP)}
 
 
 # -- IID generation ----------------------------------------------------------
@@ -302,9 +304,9 @@ class TestRegionRespondParity:
     @pytest.mark.parametrize("epoch", [0, 1, 3])
     @pytest.mark.parametrize("attempt", [0, 2])
     def test_respond_batch_sweep(self, epoch, attempt):
-        """The whole pool and chunks of 1, 7, 8 and 40 addresses all
-        equal per-address :meth:`Region.responds`: 7 and 8 straddle the
-        rate-limited alias coins' switch from scalar to batch draws."""
+        """The probe kernel over a one-region table, on the whole pool
+        and on chunks of 1, 7, 8 and 40 addresses, equals per-address
+        :meth:`Region.responds`."""
         rng = _rng(11)
         for region in _region_variants():
             pool = [region.address_of(iid) for iid in sorted(region.active_iids())]
@@ -318,15 +320,18 @@ class TestRegionRespondParity:
                     if single_region.responds(address, port, epoch, attempt)
                 }
                 for size in (1, 7, 8, 40, len(pool)):
-                    chunked_region = _fresh(region)
-                    chunked = set().union(
-                        *(
-                            chunked_region.respond_batch(
-                                pool[start : start + size], port, epoch, attempt
-                            )
-                            for start in range(0, len(pool), size)
+                    tables = _ProbeTables([_fresh(region)])
+                    chunked = set()
+                    for start in range(0, len(pool), size):
+                        chunk = PackedAddresses.from_addresses(
+                            pool[start : start + size]
                         )
-                    )
+                        hits, _, _ = tables.hit_mask(
+                            chunk.prefix64, chunk.iid64, port, epoch, attempt
+                        )
+                        chunked.update(
+                            address for address, hit in zip(chunk, hits.tolist()) if hit
+                        )
                     assert chunked == singles, (
                         region.net64, port, epoch, attempt, size
                     )
@@ -402,44 +407,65 @@ class TestProbeChainParity:
         pool = self._pool(reference, rng)
         singles = {a for a in pool if reference.probe(a, Port.ICMP)}
         capped = SimulatedInternet(_capped_twin(tiny_config))
-        grouped = Scanner(capped).scan(pool, Port.ICMP).hits
+        batch_scoped = Scanner(capped).scan(pool, Port.ICMP).hits
         scanner = Scanner(SimulatedInternet(tiny_config))
-        packed = scanner.scan(pool, Port.ICMP).hits
+        world_wide = scanner.scan(pool, Port.ICMP).hits
         packed_input = scanner.scan(
             PackedAddresses.from_addresses(pool), Port.ICMP
         ).hits
         assert capped._probe_tables is None
         assert scanner.internet._probe_tables is not None
-        assert grouped == singles
-        assert packed == packed_input == singles
+        assert batch_scoped == singles
+        assert world_wide == packed_input == singles
 
-    @pytest.mark.parametrize("classify_negative", [True, False])
-    def test_scan_results_and_stats_identical(self, tiny_config, classify_negative):
+    def test_forced_key_collisions_stay_exact(self, tiny_config, monkeypatch):
+        """Membership keys cut to their low 8 bits make almost every key
+        shared, so hits rest on the exact re-check of tied keys against
+        the owning region's IID set, in both table scopes."""
+        import repro.internet.model as model
+
+        rng = _rng(18)
+        reference = SimulatedInternet(tiny_config)
+        pool = self._pool(reference, rng)
+        singles = {a for a in pool if reference.probe(a, Port.ICMP)}
+        real = model.hash64_batch
+        monkeypatch.setattr(
+            model, "hash64_batch", lambda *parts: real(*parts) & np.uint64(0xFF)
+        )
+        uncapped = SimulatedInternet(tiny_config)
+        capped = SimulatedInternet(_capped_twin(tiny_config))
+        assert Scanner(uncapped).scan(pool, Port.ICMP).hits == singles
+        assert Scanner(capped).scan(pool, Port.ICMP).hits == singles
+        tied = uncapped._probe_tables.member_table(Port.ICMP, SCAN_EPOCH)[3]
+        assert len(tied) == 256
+        assert len(singles) > 500
+
+    @pytest.mark.parametrize("blocked", [True, False])
+    def test_scan_results_and_stats_identical(self, tiny_config, blocked):
+        """Both table scopes give the same hits and stats, with and
+        without a blocklist (an empty one masks nothing)."""
         rng = _rng(14)
         reference = SimulatedInternet(tiny_config)
         blocklist = Blocklist()
-        blocklist.add(reference.regions[3].prefix)
-        blocklist.add(Prefix(reference.regions[11].net64 << 64, 80))
+        if blocked:
+            blocklist.add(reference.regions[3].prefix)
+            blocklist.add(Prefix(reference.regions[11].net64 << 64, 80))
         pool = self._pool(reference, rng)
 
         def scan(config, targets):
-            scanner = Scanner(
-                SimulatedInternet(config),
-                blocklist=blocklist,
-                classify_negative=classify_negative,
-            )
+            scanner = Scanner(SimulatedInternet(config), blocklist=blocklist)
             return scanner.scan(targets, Port.ICMP)
 
-        grouped = scan(_capped_twin(tiny_config), list(pool))
-        packed = scan(tiny_config, list(pool))
+        capped = scan(_capped_twin(tiny_config), list(pool))
+        uncapped = scan(tiny_config, list(pool))
         packed_input = scan(tiny_config, PackedAddresses.from_addresses(pool))
-        assert grouped.stats.targets_blocked > 0
-        for other in (packed, packed_input):
-            assert grouped.hits == other.hits
-            assert grouped.stats.responses == other.stats.responses
-            assert grouped.stats.probes_sent == other.stats.probes_sent
-            assert grouped.stats.targets_blocked == other.stats.targets_blocked
-            assert grouped.stats.virtual_duration == other.stats.virtual_duration
+        assert (capped.stats.targets_blocked > 0) is blocked
+        for other in (uncapped, packed_input):
+            assert capped.hits == other.hits
+            assert capped.stats.responses == other.stats.responses
+            assert capped.stats.probes_sent == other.stats.probes_sent
+            assert capped.stats.targets_blocked == other.stats.targets_blocked
+            assert capped.stats.virtual_duration == other.stats.virtual_duration
 
     @staticmethod
     def _traced_scans(config, pool, ports):
@@ -453,32 +479,34 @@ class TestProbeChainParity:
 
     def test_scan_telemetry_snapshot_identical(self, tiny_config):
         pool = self._pool(SimulatedInternet(tiny_config), _rng(15))
-        _, grouped = self._traced_scans(_capped_twin(tiny_config), pool, ALL_PORTS)
-        _, packed = self._traced_scans(tiny_config, pool, ALL_PORTS)
-        assert grouped["counters"]["scan.calls"] == len(ALL_PORTS)
-        assert grouped == packed
+        _, batch_scoped = self._traced_scans(_capped_twin(tiny_config), pool, ALL_PORTS)
+        _, world_wide = self._traced_scans(tiny_config, pool, ALL_PORTS)
+        assert batch_scoped["counters"]["scan.calls"] == len(ALL_PORTS)
+        assert batch_scoped == world_wide
 
     def test_hit_heavy_batch_matches_grouped(self, tiny_config):
-        """Over 65,536 hit rows: the packed path dedupes hits in numpy."""
+        """Over 65,536 hit rows: the scan dedupes hits in numpy."""
         rng = _rng(17)
         responsive = list(SimulatedInternet(tiny_config).iter_responsive(Port.ICMP))
         pool = [responsive[rng.randrange(len(responsive))] for _ in range(70_000)]
         pool += [rng.getrandbits(128) for _ in range(2_000)]
         rng.shuffle(pool)
-        (grouped,), grouped_tel = self._traced_scans(
+        (batch_scoped,), batch_scoped_tel = self._traced_scans(
             _capped_twin(tiny_config), pool, [Port.ICMP]
         )
-        (packed,), packed_tel = self._traced_scans(tiny_config, pool, [Port.ICMP])
-        assert sum(1 for address in pool if address in packed.hits) > 65_536
-        assert packed.hits == grouped.hits
-        assert packed.stats.responses == grouped.stats.responses
-        assert packed.stats.probes_sent == grouped.stats.probes_sent
-        assert packed.stats.probes_sent == sum(packed.stats.responses.values())
-        assert packed_tel == grouped_tel
+        (world_wide,), world_wide_tel = self._traced_scans(
+            tiny_config, pool, [Port.ICMP]
+        )
+        assert sum(1 for address in pool if address in world_wide.hits) > 65_536
+        assert world_wide.hits == batch_scoped.hits
+        assert world_wide.stats.responses == batch_scoped.stats.responses
+        assert world_wide.stats.probes_sent == batch_scoped.stats.probes_sent
+        assert world_wide.stats.probes_sent == sum(world_wide.stats.responses.values())
+        assert world_wide_tel == batch_scoped_tel
 
     def test_repeated_hit_counts_every_probe(self, tiny_config):
         """A batch listing one responsive address 80 times gets 80 echo
-        replies on both paths, as 80 single probes do."""
+        replies in both table scopes, as 80 single probes do."""
         from repro.scanner import ResponseType
 
         hit = next(SimulatedInternet(tiny_config).iter_responsive(Port.ICMP))
@@ -501,8 +529,8 @@ class TestProbeChainParity:
 
 class TestGridParity:
     def test_small_grid_identical_vector_on_off(self, tiny_config):
-        """The grid on the capped twin (every scan grouped) equals the
-        grid on the uncapped world (large scans on the packed tables)."""
+        """The grid on the capped twin (batch-scoped tables) equals the
+        grid on the uncapped world (one world-wide table)."""
         from repro.experiments import GridSpec, Study, run_grid
 
         def run(config):
@@ -518,11 +546,11 @@ class TestGridParity:
             )
             return run_grid(study, spec)
 
-        grouped = run(_capped_twin(tiny_config))
-        packed = run(tiny_config)
-        assert grouped.runs.keys() == packed.runs.keys()
-        for key in grouped.runs:
-            a, b = grouped.runs[key], packed.runs[key]
+        batch_scoped = run(_capped_twin(tiny_config))
+        world_wide = run(tiny_config)
+        assert batch_scoped.runs.keys() == world_wide.runs.keys()
+        for key in batch_scoped.runs:
+            a, b = batch_scoped.runs[key], world_wide.runs[key]
             assert a.clean_hits == b.clean_hits, key
             assert a.aliased_hits == b.aliased_hits, key
             assert a.generated == b.generated, key
