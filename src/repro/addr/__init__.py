@@ -34,6 +34,7 @@ from .rand import (
     uniform,
     uniform_batch,
 )
+from .seeds import SeedList
 from .trie import PrefixTrie
 from .vector import PackedAddresses
 
@@ -68,4 +69,5 @@ __all__ = [
     "uniform_batch",
     "coin_batch",
     "PackedAddresses",
+    "SeedList",
 ]

@@ -8,10 +8,12 @@ paper assembles its 118.7M-address combined seed set from 12 sources.
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
 from enum import Enum
 
+from ..addr import SeedList
 from ..asdb import ASRegistry
 
 __all__ = ["SourceKind", "SeedDataset", "DatasetCollection"]
@@ -36,7 +38,11 @@ class SourceKind(str, Enum):
 
 @dataclass(frozen=True)
 class SeedDataset:
-    """An immutable, named set of seed addresses."""
+    """An immutable, named set of seed addresses.
+
+    :attr:`sorted_seeds` is made on first read and kept; it takes no
+    part in equality and is not pickled.
+    """
 
     name: str
     kind: SourceKind
@@ -56,6 +62,18 @@ class SeedDataset:
 
     def __contains__(self, address: int) -> bool:
         return address in self.addresses
+
+    def __getstate__(self) -> dict:
+        state = dict(vars(self))
+        state.pop("sorted_seeds", None)
+        return state
+
+    @functools.cached_property
+    def sorted_seeds(self) -> SeedList:
+        """The addresses in ascending order, as the one :class:`SeedList`
+        every cell over this dataset prepares on: it is sorted, packed
+        and fingerprinted once."""
+        return SeedList(sorted(self.addresses))
 
     def ases(self, registry: ASRegistry) -> set[int]:
         """Distinct ASNs represented in the dataset."""

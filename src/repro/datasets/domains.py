@@ -42,11 +42,13 @@ _VOLUME_RATIOS: dict[str, tuple[float, float]] = {
 }
 
 
-def collect_domain_source(internet: SimulatedInternet, name: str) -> SeedDataset:
+def collect_domain_source(
+    internet: SimulatedInternet, name: str, pools: dict[int, list[int]] | None = None
+) -> SeedDataset:
     """Collect one domain-based source, attaching resolution-volume metadata."""
     if name not in DOMAIN_SOURCES:
         raise KeyError(f"not a domain source: {name}")
-    dataset = collect_source(internet, SOURCE_SPECS[name])
+    dataset = collect_source(internet, SOURCE_SPECS[name], pools)
     domains_ratio, aaaa_ratio = _VOLUME_RATIOS[name]
     unique_ips = len(dataset)
     metadata = dict(dataset.metadata)

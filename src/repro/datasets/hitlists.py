@@ -21,7 +21,9 @@ __all__ = ["HITLIST_SOURCES", "collect_hitlist_source"]
 HITLIST_SOURCES: tuple[str, ...] = ("hitlist", "addrminer")
 
 
-def collect_hitlist_source(internet: SimulatedInternet, name: str) -> SeedDataset:
+def collect_hitlist_source(
+    internet: SimulatedInternet, name: str, pools: dict[int, list[int]] | None = None
+) -> SeedDataset:
     """Collect one hitlist source.
 
     The IPv6 Hitlist additionally filters its own published alias list
@@ -30,7 +32,7 @@ def collect_hitlist_source(internet: SimulatedInternet, name: str) -> SeedDatase
     """
     if name not in HITLIST_SOURCES:
         raise KeyError(f"not a hitlist source: {name}")
-    dataset = collect_source(internet, SOURCE_SPECS[name])
+    dataset = collect_source(internet, SOURCE_SPECS[name], pools)
     if name == "hitlist" and internet.published_alias_prefixes:
         from ..dealias import OfflineDealiaser
 

@@ -20,8 +20,10 @@ __all__ = ["ROUTER_SOURCES", "collect_router_source"]
 ROUTER_SOURCES: tuple[str, ...] = ("scamper", "ripe_atlas")
 
 
-def collect_router_source(internet: SimulatedInternet, name: str) -> SeedDataset:
+def collect_router_source(
+    internet: SimulatedInternet, name: str, pools: dict[int, list[int]] | None = None
+) -> SeedDataset:
     """Collect one traceroute-based source."""
     if name not in ROUTER_SOURCES:
         raise KeyError(f"not a router source: {name}")
-    return collect_source(internet, SOURCE_SPECS[name])
+    return collect_source(internet, SOURCE_SPECS[name], pools)

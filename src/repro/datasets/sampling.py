@@ -84,8 +84,29 @@ def _sample_addresses(
     return picked
 
 
-def collect_source(internet: SimulatedInternet, spec: SourceSpec) -> SeedDataset:
-    """Collect one source's seed dataset from the ground truth."""
+def _observable(region: Region, pools: dict[int, list[int]]) -> list[int]:
+    """``region.observable_addresses()``, built once per ``pools`` dict."""
+    pool = pools.get(region.net64)
+    if pool is None:
+        pool = pools[region.net64] = region.observable_addresses()
+    return pool
+
+
+def collect_source(
+    internet: SimulatedInternet,
+    spec: SourceSpec,
+    pools: dict[int, list[int]] | None = None,
+) -> SeedDataset:
+    """Collect one source's seed dataset from the ground truth.
+
+    ``pools`` maps a region's /64 to its observable addresses, which
+    depend on the world alone: sources collected with one dict (the 12
+    of a :func:`~repro.datasets.collect_all` call) build each region's
+    list once and share it.  The dict lives as long as the caller keeps
+    it, never on the region.
+    """
+    if pools is None:
+        pools = {}
     seed = internet.config.master_seed
     registry = internet.registry
     primary_roles = set(spec.roles)
@@ -128,7 +149,7 @@ def collect_source(internet: SimulatedInternet, spec: SourceSpec) -> SeedDataset
             salt = _SALT_REGION if is_primary else _SALT_EXTRA
             if not coin(probability, seed, spec.salt, salt, region.net64):
                 continue
-        pool = region.observable_addresses()
+        pool = _observable(region, pools)
         if pool:
             fraction = spec.address_fraction * (1.0 if is_primary or region.aliased else 0.5)
             draws.append((region, pool, fraction))
@@ -139,7 +160,7 @@ def collect_source(internet: SimulatedInternet, spec: SourceSpec) -> SeedDataset
         # Degenerate coverage draw (possible in very small worlds): every
         # real-world source still contributes *something*, so sample the
         # first eligible region outright.
-        addresses.update(fallback_region.observable_addresses())
+        addresses.update(_observable(fallback_region, pools))
         regions_sampled += 1
 
     return SeedDataset(

@@ -62,7 +62,7 @@ def run_generation(
     scanner = scanner or Scanner(internet)
     salt = hash64(internet.config.master_seed, len(seeds), port.index)
     tga = tga_factory(salt) if tga_factory is not None else create_tga(tga_name, salt=salt)
-    seed_set = set(seeds.addresses)
+    seed_set = seeds.addresses
     tel = get_telemetry()
 
     with tel.span(
@@ -73,7 +73,7 @@ def run_generation(
             cache = get_model_cache()
             misses_before = cache.stats.misses
             hits_before = cache.stats.hits
-            tga.prepare(sorted(seed_set))
+            tga.prepare(seeds.sorted_seeds)
             # ``cached``: every model artifact this prepare needed came
             # from the cache.  Lives in the sanctioned
             # ``tga.model_cache.*`` variant namespace — cold and warm

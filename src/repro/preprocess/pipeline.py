@@ -47,11 +47,13 @@ class SeedPreprocessor:
     # -- activity ------------------------------------------------------------
 
     def scan_activity(self, dataset: SeedDataset) -> dict[Port, set[int]]:
-        """Pre-scan the dataset: per-port responsive subsets at scan time."""
-        targets = sorted(dataset.addresses)
-        return {
-            port: set(self.scanner.scan(targets, port).hits) for port in ALL_PORTS
-        }
+        """Pre-scan the dataset: per-port responsive subsets at scan time.
+
+        Every port scans the dataset's ascending seeds from one packing
+        (``dataset.sorted_seeds.packed``).
+        """
+        targets = dataset.sorted_seeds.packed
+        return {port: self.scanner.scan(targets, port).hits for port in ALL_PORTS}
 
     def restrict_active(
         self, dataset: SeedDataset, activity: dict[Port, set[int]] | None = None

@@ -16,11 +16,11 @@ extra generator (registered, but not part of the paper's eight in
 
 from __future__ import annotations
 
-from ..addr import Prefix
+from ..addr import Prefix, SeedList
 from ..addr.rand import DeterministicStream
 from .base import TargetGenerator, register_tga
 from .leafpool import LeafPool
-from .modelcache import cached_space_tree, get_model_cache, seed_fingerprint
+from .modelcache import cached_space_tree, get_model_cache
 
 __all__ = ["AddrMiner"]
 
@@ -61,16 +61,12 @@ class AddrMiner(TargetGenerator):
 
     # -- model ------------------------------------------------------------
 
-    def _ingest(self, seeds: list[int]) -> None:
+    def _ingest(self, seeds: SeedList) -> None:
         # Frozen model: the (cached) entropy tree plus the sparse-/48
         # table.  Per-run state: pool, pending map, transfer stream.
         self._seed_set = set(seeds)
-        fingerprint = seed_fingerprint(seeds)
         tree = cached_space_tree(
-            seeds,
-            strategy="entropy",
-            max_leaf_seeds=self.max_leaf_seeds,
-            fingerprint=fingerprint,
+            seeds, strategy="entropy", max_leaf_seeds=self.max_leaf_seeds
         )
         self._pool = LeafPool(
             tree.leaves, max_level=self.max_level, exclude=self._seed_set
@@ -87,7 +83,11 @@ class AddrMiner(TargetGenerator):
 
         self._sparse_net48 = list(
             get_model_cache().get_or_build(
-                "addrminer.sparse48", fingerprint, (), build_sparse, cost=len(seeds)
+                "addrminer.sparse48",
+                seeds.fingerprint,
+                (),
+                build_sparse,
+                cost=len(seeds),
             )
         )
         self._stream = DeterministicStream(0xADD2, self.salt)

@@ -22,6 +22,7 @@ import abc
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
+from ..addr import SeedList
 from ..telemetry import get_telemetry
 
 __all__ = [
@@ -52,14 +53,20 @@ class TargetGenerator(abc.ABC):
     # -- lifecycle -----------------------------------------------------
 
     def prepare(self, seeds: Sequence[int]) -> None:
-        """Ingest the seed dataset and build internal models."""
+        """Ingest the seed dataset and build internal models.
+
+        ``seeds`` may be any sequence of addresses, in the order the
+        models should see them; it is wrapped once in a
+        :class:`~repro.addr.SeedList` (one passes through), whose packed
+        forms and fingerprint every model builder of the cell shares.
+        """
         if not seeds:
             raise ValueError(f"{self.name}: cannot prepare with an empty seed set")
-        self._ingest(list(seeds))
+        self._ingest(SeedList.of(seeds))
         self._prepared = True
 
     @abc.abstractmethod
-    def _ingest(self, seeds: list[int]) -> None:
+    def _ingest(self, seeds: SeedList) -> None:
         """Subclass hook: build the generator's model from seeds."""
 
     @abc.abstractmethod

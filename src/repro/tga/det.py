@@ -26,9 +26,10 @@ from __future__ import annotations
 
 import math
 
+from ..addr import SeedList
 from .base import TargetGenerator, register_tga
 from .leafpool import LeafPool
-from .modelcache import cached_space_tree, get_model_cache, seed_fingerprint
+from .modelcache import SHARED_ENTROPY_CAPS, cached_space_tree, get_model_cache
 from .spacetree import LeafTable
 
 __all__ = ["DET"]
@@ -60,7 +61,7 @@ class DET(TargetGenerator):
     def __init__(
         self,
         salt: int = 0,
-        max_leaf_seeds: int = 12,
+        max_leaf_seeds: int = SHARED_ENTROPY_CAPS[0],
         max_level: int = 3,
         exploration_constant: float = 0.8,
         rebuild_every: int = 10,
@@ -80,22 +81,23 @@ class DET(TargetGenerator):
 
     # -- model construction -----------------------------------------------
 
-    def _frozen_groups(self, seeds: list[int]) -> tuple[tuple[int, LeafTable], ...]:
+    def _frozen_groups(
+        self, seeds: SeedList, partner_cap: int | None = None
+    ) -> tuple[tuple[int, LeafTable], ...]:
         """Frozen model: entropy-tree leaves grouped by /32, cached.
 
         Each group is the sub-table of the leaves whose first seed lies
         in its /32, in tree order.  Pure function of the seed list — the
         UCB statistics, pools and pending maps layered on top are
-        per-run state.
+        per-run state.  ``partner_cap`` goes to the tree's build.
         """
-        fingerprint = seed_fingerprint(seeds)
 
         def build() -> tuple[tuple[int, LeafTable], ...]:
             tree = cached_space_tree(
                 seeds,
                 strategy="entropy",
                 max_leaf_seeds=self.max_leaf_seeds,
-                fingerprint=fingerprint,
+                partner_cap=partner_cap,
             )
             by_net32: dict[int, list[int]] = {}
             for row, first in enumerate(tree.leaves.first_seeds()):
@@ -107,14 +109,14 @@ class DET(TargetGenerator):
 
         return get_model_cache().get_or_build(
             "det.groups",
-            fingerprint,
+            seeds.fingerprint,
             (self.max_leaf_seeds,),
             build,
             cost=len(seeds),
         )
 
-    def _build_groups(self, seeds: list[int]) -> None:
-        grouped = self._frozen_groups(seeds)
+    def _build_groups(self, seeds: SeedList, partner_cap: int | None = None) -> None:
+        grouped = self._frozen_groups(seeds, partner_cap)
         exclude = self._seeds | self._discovered
         old_stats = {group.net32: (group.probes, group.hits) for group in self._groups}
         self._groups = []
@@ -125,12 +127,15 @@ class DET(TargetGenerator):
             self._groups.append(group)
         self._pending = {}
 
-    def _ingest(self, seeds: list[int]) -> None:
+    def _ingest(self, seeds: SeedList) -> None:
         self._seeds = set(seeds)
         self._discovered = set()
         self._rounds_since_rebuild = 0
         self._groups = []
-        self._build_groups(seeds)
+        # 6Graph prepares the same seeds after DET in the paper's grid, so
+        # its tree grows in this build; the online rebuilds grow DET's
+        # alone.
+        self._build_groups(seeds, partner_cap=SHARED_ENTROPY_CAPS[1])
 
     # -- generation ----------------------------------------------------------
 
@@ -208,7 +213,7 @@ class DET(TargetGenerator):
         self._rounds_since_rebuild += 1
         if self._rounds_since_rebuild >= self.rebuild_every and self._discovered:
             self._rounds_since_rebuild = 0
-            self._build_groups(sorted(self._seeds | self._discovered))
+            self._build_groups(SeedList(sorted(self._seeds | self._discovered)))
 
     @property
     def discovered_actives(self) -> int:

@@ -16,15 +16,15 @@ faithfully rather than improving it.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
+from collections.abc import Sequence
 from typing import NamedTuple
 
-from ..addr import ADDRESS_NYBBLES
+from ..addr import ADDRESS_NYBBLES, SeedList
 from ..addr.rand import DeterministicStream
 from ..addr.vector import np
 from .base import TargetGenerator, register_tga
-from .modelcache import get_model_cache, seed_fingerprint
-from .spacetree import column_entropies, seed_matrix
+from .modelcache import get_model_cache
+from .spacetree import column_entropies
 
 __all__ = ["EntropyIP"]
 
@@ -37,15 +37,107 @@ _PASS_ATTEMPTS = 1 << 14
 _MASK64 = (1 << 64) - 1
 
 
-def _entropy_profile(seeds: list[int]) -> list[float]:
+def _entropy_profile(seeds: Sequence[int]) -> list[float]:
     """Per-nybble entropies of the seed set (all 32 dimensions).
 
     Each is bit-identical to counting the nybble column in a ``Counter``
     and summing ``-p * log2(p)`` in its insertion (first-seen) order.
     """
-    matrix = seed_matrix(seeds)
+    matrix = SeedList.of(seeds).matrix
     wanted = np.ones((1, ADDRESS_NYBBLES), dtype=bool)
     return column_entropies(matrix, [len(seeds)], wanted)[0].tolist()
+
+
+def _word(columns):
+    """Each row of up to 16 nybble columns as one uint64."""
+    word = np.zeros(len(columns), dtype=np.uint64)
+    for column in columns.T:
+        word <<= 4
+        word |= column
+    return word
+
+
+def _segment_values(matrix, start: int, length: int):
+    """One segment's distinct values and how the seeds take them.
+
+    Returns the values (ints), each value's first row and count, and
+    each row's value index.  A value of up to 16 nybbles is one uint64
+    word; a wider one is ranked on its last 16 nybbles and on the ones
+    before them, so a segment may span all 32 nybbles.
+    """
+    end = start + length
+    split = max(start, end - 16)
+    keys = low = _word(matrix[:, split:end])
+    if split > start:
+        high, high_ids = np.unique(_word(matrix[:, start:split]), return_inverse=True)
+        low, low_ids = np.unique(low, return_inverse=True)
+        keys = high_ids * len(low) + low_ids
+    distinct, firsts, ids, counts = np.unique(
+        keys, return_index=True, return_inverse=True, return_counts=True
+    )
+    if split > start:
+        high_index, low_index = np.divmod(distinct, len(low))
+        values = [
+            (word << 64) | rest
+            for word, rest in zip(high[high_index].tolist(), low[low_index].tolist())
+        ]
+    else:
+        values = distinct.tolist()
+    return values, firsts, ids, counts
+
+
+def _segment_counts(matrix, segments):
+    """Each segment's marginal and adjacent-segment transition tables.
+
+    Equal to counting the segment values, and the (previous, current)
+    value pairs, in ``Counter``s over the seeds in order and keeping
+    ``most_common(_TOP_VALUES)`` of each.  One ``np.unique`` per segment
+    and per pair of adjacent segments gives each distinct value its
+    first row and count; sorting on count (most first), then first row,
+    is ``most_common``'s stable order.  A transition table holds the
+    pairs of one previous value, and the tables are keyed by previous
+    value in first-seen order, as the ``Counter`` walk inserts them.
+    """
+    marginals: list[list[tuple[int, int]]] = []
+    transitions_chain: list[dict[int, list[tuple[int, int]]]] = [{}]
+    previous = None
+    for start, length in segments:
+        values, firsts, ids, counts = _segment_values(matrix, start, length)
+        top = np.lexsort((firsts, -counts))[:_TOP_VALUES]
+        marginals.append(
+            list(zip(map(values.__getitem__, top.tolist()), counts[top].tolist()))
+        )
+        if previous is not None:
+            previous_ids, previous_firsts, previous_values = previous
+            pairs, pair_firsts, pair_counts = np.unique(
+                previous_ids * len(values) + ids, return_index=True, return_counts=True
+            )
+            before, after = np.divmod(pairs, len(values))
+            order = np.lexsort((pair_firsts, -pair_counts, previous_firsts[before]))
+            before, after, pair_counts = before[order], after[order], pair_counts[order]
+            heads = np.flatnonzero(np.concatenate(([True], before[1:] != before[:-1])))
+            rank = np.arange(before.size) - np.repeat(
+                heads, np.diff(np.append(heads, before.size))
+            )
+            kept = rank < _TOP_VALUES
+            options = list(
+                zip(
+                    map(values.__getitem__, after[kept].tolist()),
+                    pair_counts[kept].tolist(),
+                )
+            )
+            # Each previous value's options are one run of ``options``.
+            bounds = np.append(np.cumsum(kept)[heads] - 1, len(options))
+            transitions_chain.append(
+                {
+                    previous_values[prev]: options[lo:hi]
+                    for prev, lo, hi in zip(
+                        before[heads].tolist(), bounds[:-1].tolist(), bounds[1:].tolist()
+                    )
+                }
+            )
+        previous = ids, firsts, values
+    return marginals, transitions_chain
 
 
 def segment_boundaries(entropies: list[float], step: float = _ENTROPY_STEP) -> list[int]:
@@ -125,7 +217,7 @@ class EntropyIP(TargetGenerator):
 
     # -- model -----------------------------------------------------------
 
-    def _frozen_model(self, seeds: list[int]) -> tuple:
+    def _frozen_model(self, seeds: SeedList) -> tuple:
         """Frozen model: segments, marginals and transition tables.
 
         Pure function of the seed list (order-sensitive — transitions
@@ -141,42 +233,18 @@ class EntropyIP(TargetGenerator):
                 end = starts[i + 1] if i + 1 < len(starts) else ADDRESS_NYBBLES
                 segments.append((start, end - start))
 
-            # Per-segment marginals and adjacent-segment transition
-            # counts.  A segment value is one shift-and-mask per seed;
-            # ``Counter`` keeps first-seen order, so ``most_common``
-            # breaks count ties by first occurrence.
-            marginals: list[list[tuple[int, int]]] = []
-            transitions_chain: list[dict[int, list[tuple[int, int]]]] = []
-            previous_values: list[int] | None = None
-            for start, length in segments:
-                shift = 4 * (ADDRESS_NYBBLES - start - length)
-                mask = (1 << (4 * length)) - 1
-                values = [(seed >> shift) & mask for seed in seeds]
-                marginals.append(Counter(values).most_common(_TOP_VALUES))
-                transitions: dict[int, list[tuple[int, int]]] = {}
-                if previous_values is not None:
-                    following: dict[int, dict[int, int]] = {}
-                    for (prev, cur), count in Counter(
-                        zip(previous_values, values)
-                    ).items():
-                        following.setdefault(prev, {})[cur] = count
-                    transitions = {
-                        prev: Counter(counts).most_common(_TOP_VALUES)
-                        for prev, counts in following.items()
-                    }
-                transitions_chain.append(transitions)
-                previous_values = values
+            marginals, transitions_chain = _segment_counts(seeds.matrix, segments)
             return tuple(segments), tuple(marginals), tuple(transitions_chain)
 
         return get_model_cache().get_or_build(
             "eip.model",
-            seed_fingerprint(seeds),
+            seeds.fingerprint,
             (_ENTROPY_STEP, _TOP_VALUES),
             build,
             cost=len(seeds),
         )
 
-    def _ingest(self, seeds: list[int]) -> None:
+    def _ingest(self, seeds: SeedList) -> None:
         self._seeds = set(seeds)
         segments, marginals, transitions = self._frozen_model(seeds)
         self._segments = list(segments)

@@ -29,16 +29,15 @@ executions of an otherwise identical workload.
 
 from __future__ import annotations
 
-import hashlib
 from collections import OrderedDict
 from collections.abc import Callable, Iterator, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
 
-from ..addr import ADDRESS_NYBBLES
+from ..addr import ADDRESS_NYBBLES, SeedList
 from ..telemetry import get_telemetry
 from .modelstore import get_model_store
-from .spacetree import SpaceTree, seed_bytes
+from .spacetree import SpaceTree
 
 __all__ = [
     "CacheStats",
@@ -56,16 +55,16 @@ def seed_fingerprint(seeds: Sequence[int]) -> int:
     Two seed lists share a fingerprint only when they are the same
     addresses in the same order — the conservative choice, since some
     models (Entropy/IP's transition counts) genuinely depend on seed
-    order.  Callers that ingest sorted seeds get cross-cell hits for
-    free because :func:`~repro.experiments.runner.run_generation`
-    always prepares on ``sorted(seed_set)``.
+    order.  Cells get cross-cell hits for free because
+    :func:`~repro.experiments.runner.run_generation` prepares every cell
+    of a dataset on the dataset's one ascending
+    :class:`~repro.addr.SeedList` (``SeedDataset.sorted_seeds``), which
+    computes this fingerprint once and keeps it.
 
     The fingerprint is an 8-byte BLAKE2b over the seed count and each
-    seed's 16 big-endian bytes.
+    seed's 16 big-endian bytes (``SeedList.fingerprint``).
     """
-    digest = hashlib.blake2b(len(seeds).to_bytes(8, "big"), digest_size=8)
-    digest.update(seed_bytes(seeds))
-    return int.from_bytes(digest.digest(), "big")
+    return SeedList.of(seeds).fingerprint
 
 
 @dataclass
@@ -119,6 +118,10 @@ class ModelCache:
     def __len__(self) -> int:
         return len(self._entries)
 
+    def __contains__(self, key: tuple) -> bool:
+        """Whether ``(kind, fingerprint, params)`` is cached in memory."""
+        return key in self._entries
+
     @property
     def total_cost(self) -> int:
         """Summed cost of all cached entries (seed units)."""
@@ -170,6 +173,26 @@ class ModelCache:
             artifact = store.get_or_build(kind, fingerprint, params, builder)
         else:
             artifact = builder()
+        self._insert(key, artifact, cost)
+        return artifact
+
+    def put(
+        self, kind: str, fingerprint: int, params: tuple, artifact: object, cost: int = 1
+    ) -> None:
+        """Cache ``artifact`` under ``(kind, fingerprint, params)`` unless
+        an entry is already there.
+
+        For a builder that makes another artifact on the way (one
+        entropy build grows DET's and 6Graph's trees): it counts no hit
+        or miss, and it stays in memory (the disk store persists what
+        was asked for).
+        """
+        key = (kind, fingerprint, params)
+        if self.enabled and key not in self._entries:
+            self._insert(key, artifact, cost)
+
+    def _insert(self, key: tuple, artifact: object, cost: int) -> None:
+        """Add an entry as the newest, then evict down to the bounds."""
         cost = max(1, cost)
         self._entries[key] = (artifact, cost)
         self._total_cost += cost
@@ -183,9 +206,9 @@ class ModelCache:
             evicted += 1
         if evicted:
             self.stats.evictions += evicted
+            tel = get_telemetry()
             if tel.enabled:
                 tel.count("tga.model_cache.evictions", evicted)
-        return artifact
 
 
 #: The process-wide default cache (workers get their own per process).
@@ -222,15 +245,22 @@ def use_model_cache(cache: ModelCache | None) -> Iterator[ModelCache]:
         _ACTIVE = previous
 
 
+#: DET's and 6Graph's default entropy leaf caps (their constructors'
+#: defaults).  DET's prepare grows 6Graph's tree in the same build
+#: (``cached_space_tree(partner_cap=...)``), since 6Graph prepares
+#: every dataset after DET in the paper's grid (``ALL_TGA_NAMES``).
+SHARED_ENTROPY_CAPS = (12, 16)
+
+
 def cached_space_tree(
-    seeds: list[int],
+    seeds: Sequence[int],
     strategy: str = "leftmost",
     max_leaf_seeds: int = 12,
     max_depth: int = ADDRESS_NYBBLES,
     internal_regions: bool = True,
     max_internal_seeds: int = 384,
     max_internal_dims: int = 8,
-    fingerprint: int | None = None,
+    partner_cap: int | None = None,
 ):
     """Build (or fetch) a :class:`~repro.tga.spacetree.SpaceTree`.
 
@@ -242,31 +272,44 @@ def cached_space_tree(
     and must not be mutated; ``LeafPool`` already keeps all per-run
     state (weights, iterators, emitted sets) on its own side.
 
-    ``fingerprint`` lets callers that already fingerprinted the seed
-    list skip rehashing it.
+    ``partner_cap`` names a second leaf cap whose tree a later request
+    for the same seeds is expected to ask for (DET's prepare passes
+    6Graph's).  On a miss, with the cache on and that tree not cached
+    yet, both trees grow in one build and the partner's is cached beside
+    the one returned (:meth:`ModelCache.put`).  Otherwise the tree is a
+    one-cap build of its own, as every request without a partner is
+    (DET's online rebuilds, AddrMiner, 6Graph, non-default caps).  Each
+    tree keeps its own key, so a tree stored by an earlier version still
+    loads.
     """
-    if fingerprint is None:
-        fingerprint = seed_fingerprint(seeds)
-    params = (
-        strategy,
-        max_leaf_seeds,
-        max_depth,
-        internal_regions,
-        max_internal_seeds,
-        max_internal_dims,
-    )
-    return get_model_cache().get_or_build(
+    seeds = SeedList.of(seeds)
+    shape = (max_depth, internal_regions, max_internal_seeds, max_internal_dims)
+    cache = get_model_cache()
+    caps = [max_leaf_seeds]
+    if (
+        partner_cap not in (None, max_leaf_seeds)
+        and cache.enabled
+        and ("spacetree", seeds.fingerprint, (strategy, partner_cap, *shape))
+        not in cache
+    ):
+        caps.append(partner_cap)
+
+    def build() -> SpaceTree:
+        tree, *partners = SpaceTree.grown(seeds, strategy, caps, *shape)
+        for cap, partner in zip(caps[1:], partners):
+            cache.put(
+                "spacetree",
+                seeds.fingerprint,
+                (strategy, cap, *shape),
+                partner,
+                cost=len(seeds),
+            )
+        return tree
+
+    return cache.get_or_build(
         "spacetree",
-        fingerprint,
-        params,
-        lambda: SpaceTree(
-            seeds,
-            strategy=strategy,
-            max_leaf_seeds=max_leaf_seeds,
-            max_depth=max_depth,
-            internal_regions=internal_regions,
-            max_internal_seeds=max_internal_seeds,
-            max_internal_dims=max_internal_dims,
-        ),
+        seeds.fingerprint,
+        (strategy, max_leaf_seeds, *shape),
+        build,
         cost=len(seeds),
     )

@@ -14,9 +14,10 @@ fewer ASes than the tree generators.
 
 from __future__ import annotations
 
+from ..addr import SeedList
 from .base import TargetGenerator, register_tga
 from .leafpool import LeafPool
-from .modelcache import get_model_cache, seed_fingerprint
+from .modelcache import get_model_cache
 from .spacetree import LeafTable, leaves_for_groups
 
 __all__ = ["SixGen"]
@@ -35,7 +36,7 @@ class SixGen(TargetGenerator):
         self.max_level = max_level
         self._pool: LeafPool | None = None
 
-    def _frozen_clusters(self, seeds: list[int]) -> LeafTable:
+    def _frozen_clusters(self, seeds: SeedList) -> LeafTable:
         """Frozen model: the clustered range leaves, cached process-wide."""
 
         def build() -> LeafTable:
@@ -57,13 +58,13 @@ class SixGen(TargetGenerator):
 
         return get_model_cache().get_or_build(
             "6gen.clusters",
-            seed_fingerprint(seeds),
+            seeds.fingerprint,
             (self.min_cluster_seeds,),
             build,
             cost=len(seeds),
         )
 
-    def _ingest(self, seeds: list[int]) -> None:
+    def _ingest(self, seeds: SeedList) -> None:
         leaves = self._frozen_clusters(seeds)
         self._pool = LeafPool(leaves, max_level=self.max_level, exclude=set(seeds))
 

@@ -19,10 +19,11 @@ AS diversity, hits below the best exploiters.
 
 from __future__ import annotations
 
+from ..addr import SeedList
 from ..addr.vector import np
 from .base import TargetGenerator, register_tga
 from .leafpool import LeafPool
-from .modelcache import cached_space_tree, get_model_cache, seed_fingerprint
+from .modelcache import SHARED_ENTROPY_CAPS, cached_space_tree, get_model_cache
 from .spacetree import LeafTable, leaves_for_groups
 
 __all__ = ["SixGraph"]
@@ -38,7 +39,7 @@ class SixGraph(TargetGenerator):
     def __init__(
         self,
         salt: int = 0,
-        max_leaf_seeds: int = 16,
+        max_leaf_seeds: int = SHARED_ENTROPY_CAPS[1],
         max_level: int = 3,
         max_merged_dims: int = 6,
     ) -> None:
@@ -48,21 +49,17 @@ class SixGraph(TargetGenerator):
         self.max_merged_dims = max_merged_dims
         self._pool: LeafPool | None = None
 
-    def _frozen_patterns(self, seeds: list[int]) -> tuple[LeafTable, tuple]:
+    def _frozen_patterns(self, seeds: SeedList) -> tuple[LeafTable, tuple]:
         """Frozen model: the merged pattern table plus damped weights.
 
         Pure function of the seed list, cached process-wide.  Internal
         passthrough regions are rows taken from the shared space tree's
         table, which stays as it is.
         """
-        fingerprint = seed_fingerprint(seeds)
 
         def build() -> tuple[LeafTable, tuple]:
             tree = cached_space_tree(
-                seeds,
-                strategy="entropy",
-                max_leaf_seeds=self.max_leaf_seeds,
-                fingerprint=fingerprint,
+                seeds, strategy="entropy", max_leaf_seeds=self.max_leaf_seeds
             )
             table = tree.leaves
             # Graph-clustering analogue: leaves with the same wildcard
@@ -102,13 +99,13 @@ class SixGraph(TargetGenerator):
 
         return get_model_cache().get_or_build(
             "6graph.patterns",
-            fingerprint,
+            seeds.fingerprint,
             (self.max_leaf_seeds, self.max_merged_dims),
             build,
             cost=len(seeds),
         )
 
-    def _ingest(self, seeds: list[int]) -> None:
+    def _ingest(self, seeds: SeedList) -> None:
         leaves, weights = self._frozen_patterns(seeds)
         self._pool = LeafPool(
             leaves,

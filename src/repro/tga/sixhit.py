@@ -16,6 +16,7 @@ with online-only seed dealiasing than with offline-only, Table 4).
 
 from __future__ import annotations
 
+from ..addr import SeedList
 from .base import TargetGenerator, register_tga
 from .leafpool import LeafPool
 from .modelcache import cached_space_tree
@@ -74,7 +75,7 @@ class SixHit(TargetGenerator):
         self._q = [1.0] * len(tree.leaves)
         self._pending = {}
 
-    def _ingest(self, seeds: list[int]) -> None:
+    def _ingest(self, seeds: SeedList) -> None:
         self._seeds = set(seeds)
         self._discovered = set()
         self._rounds_since_rebuild = 0

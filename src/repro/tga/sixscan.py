@@ -13,6 +13,7 @@ floor (the regional-encoding feedback loop).
 
 from __future__ import annotations
 
+from ..addr import SeedList
 from .base import TargetGenerator, register_tga
 from .leafpool import LeafPool
 from .modelcache import cached_space_tree
@@ -41,7 +42,7 @@ class SixScan(TargetGenerator):
         self._pool: LeafPool | None = None
         self._pending: dict[int, int] = {}
 
-    def _ingest(self, seeds: list[int]) -> None:
+    def _ingest(self, seeds: SeedList) -> None:
         # Frozen model: the (cached) space tree.  Per-run state: pool
         # weights, pending probes and hitrate bookkeeping.
         tree = cached_space_tree(

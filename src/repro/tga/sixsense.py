@@ -25,9 +25,11 @@ from __future__ import annotations
 import itertools
 import math
 
+from ..addr import SeedList
+from ..addr.vector import np
 from .base import TargetGenerator, register_tga
 from .leafpool import LeafPool
-from .modelcache import get_model_cache, seed_fingerprint
+from .modelcache import get_model_cache
 from .spacetree import LeafTable, space_forest
 
 __all__ = ["SixSense"]
@@ -87,37 +89,39 @@ class SixSense(TargetGenerator):
     # -- model ------------------------------------------------------------
 
     def _frozen_sections(
-        self, seeds: list[int]
+        self, seeds: SeedList
     ) -> tuple[tuple[int, int, LeafTable], ...]:
         """Frozen model: (net32, seed count, leaf table) per /32 section,
         cached.
 
         Each section's table is its leftmost space tree with leaves of at
-        most 10 seeds, every section grown in one forest build.
+        most 10 seeds, every section grown in one forest build.  The
+        sections are runs of the ascending seeds, so the forest reads the
+        seed list's own matrix.
         """
 
         def build() -> tuple[tuple[int, int, LeafTable], ...]:
-            sections = [
-                list(members)
-                for _, members in itertools.groupby(
-                    sorted(set(seeds)), key=lambda seed: seed >> 96
-                )
-            ]
-            tables = space_forest(sections, strategy="leftmost", max_leaf_seeds=10)
+            ordered = seeds.sorted_unique()
+            _, counts = np.unique(ordered.packed.prefix64 >> 32, return_counts=True)
+            sizes = counts.tolist()
+            tables = space_forest(
+                ordered, sizes, strategy="leftmost", max_leaf_seeds=10
+            )
+            starts = itertools.accumulate(sizes, initial=0)
             return tuple(
-                (section[0] >> 96, len(section), table)
-                for section, table in zip(sections, tables)
+                (ordered[start] >> 96, size, table)
+                for start, size, table in zip(starts, sizes, tables)
             )
 
         return get_model_cache().get_or_build(
             "6sense.sections",
-            seed_fingerprint(seeds),
+            seeds.fingerprint,
             (),
             build,
             cost=len(seeds),
         )
 
-    def _ingest(self, seeds: list[int]) -> None:
+    def _ingest(self, seeds: SeedList) -> None:
         # Per-run state: fresh _Section wrappers (reward, probes, lazy
         # pool) over the frozen section table.
         self._sections = [

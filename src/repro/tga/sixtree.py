@@ -12,6 +12,7 @@ optimised 6Tree variant from Hou et al. that the paper evaluates.
 
 from __future__ import annotations
 
+from ..addr import SeedList
 from .base import TargetGenerator, register_tga
 from .leafpool import LeafPool
 from .modelcache import cached_space_tree
@@ -32,7 +33,7 @@ class SixTree(TargetGenerator):
         self.max_level = max_level
         self._pool: LeafPool | None = None
 
-    def _ingest(self, seeds: list[int]) -> None:
+    def _ingest(self, seeds: SeedList) -> None:
         # Frozen model: the space tree (pure function of the seed list,
         # shared through the model cache).  Per-run state: the pool.
         tree = cached_space_tree(

@@ -21,9 +21,9 @@ Two split strategies are provided:
 
 Construction is the hottest path of a cold reproduction (see
 ``docs/architecture.md`` § Model preparation cache), so the tree works
-on columns: the sorted seeds are packed once into their 16 big-endian
-bytes and exploded into an ``(n, 32)`` nybble matrix, and the build
-advances one depth level at a time over every open node at once.  A
+on columns: it reads the sorted seeds' ``(n, 32)`` nybble matrix, which
+a :class:`~repro.addr.SeedList` packs once and keeps, and advances one
+depth level at a time over every open node at once.  A
 node is a contiguous range of matrix rows; its variable dimensions and
 the leaves' value sets come from one per-dimension presence mask, and a
 split is a stable partition of its range on the chosen column.  All of
@@ -35,8 +35,9 @@ The regions stay columns too: a :class:`LeafTable` holds every region's
 row range, depth, internal flag, presence masks and density, and builds
 a region's :class:`SpaceTreeLeaf` only when it is read.  At the budgets
 a reproduction runs, most regions are never drawn from.  One build can
-also grow several trees at once (:func:`space_forest`), one root per
-section of the seeds.
+also grow several trees at once: one root per section of the seeds
+(:func:`space_forest`), or one tree per leaf cap (:meth:`SpaceTree.grown`,
+how DET's and 6Graph's entropy trees share a build).
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from dataclasses import dataclass, field
 
 from ..addr import ADDRESS_NYBBLES
 from ..addr.address import MAX_ADDRESS
-from ..addr.nybbles import nybble_matrix_from_bytes
+from ..addr.seeds import SeedList, seed_bytes, seed_matrix
 from ..addr.vector import np
 
 __all__ = [
@@ -65,8 +66,6 @@ __all__ = [
     "seed_matrix",
     "space_forest",
 ]
-
-_ADDRESS_BYTES = ADDRESS_NYBBLES // 2
 
 #: Dimensions to vary when a leaf's seeds are all identical.  Expanding
 #: the least significant IID nybbles mirrors what tree TGAs do with
@@ -111,24 +110,6 @@ def _mask_values(mask: int) -> tuple[int, ...]:
 
 
 # -- columnar seed representation ---------------------------------------------
-
-
-def seed_bytes(seeds: Iterable[int]) -> bytes:
-    """Each seed's 16 big-endian bytes (two nybbles a byte), concatenated."""
-    return b"".join(
-        map(
-            int.to_bytes,
-            seeds,
-            itertools.repeat(_ADDRESS_BYTES),
-            itertools.repeat("big"),
-        )
-    )
-
-
-def seed_matrix(seeds: Iterable[int]):
-    """The ``(n, 32)`` uint8 nybble matrix of the seeds' packed bytes."""
-    data = np.frombuffer(seed_bytes(seeds), dtype=np.uint8)
-    return nybble_matrix_from_bytes(data.reshape(-1, _ADDRESS_BYTES))
 
 
 def _presence_masks(matrix, offsets):
@@ -288,11 +269,22 @@ def _densities(masks, sizes):
     """
     effective = (masks & (masks - 1)) != 0
     effective[~effective.any(axis=1), ADDRESS_NYBBLES - 2 :] = True
-    distinct, inverse = np.unique(masks[effective], return_inverse=True)
-    logs = [_SPACE_LOG[len(_mask_values(mask))] for mask in distinct.tolist()]
     terms = np.zeros(masks.shape)
-    terms[effective] = np.array(logs, dtype=np.float64)[inverse]
+    terms[effective] = np.array(_SPACE_LOG)[_expanded_sizes(masks[effective])]
     return sizes / (1.0 + _row_sums(terms))
+
+
+def _expanded_sizes(masks):
+    """``len(_mask_values(mask))`` of each non-empty presence mask.
+
+    :func:`expanded_values` keeps every value from the lowest observed
+    to the highest, then adds ``hi + 1``, ``hi + 2`` and ``lo - 1``
+    where they are nybbles, so the size needs only the two end bits.
+    """
+    masks = masks.astype(np.int64)
+    lo = np.frexp(masks & -masks)[1] - 1
+    hi = np.frexp(masks)[1] - 1
+    return hi - lo + 1 + (hi <= 14) + (hi <= 13) + (lo >= 1)
 
 
 class LeafTable(Sequence[SpaceTreeLeaf]):
@@ -595,43 +587,51 @@ def _choose_dims(strategy, matrix, active, offsets, sizes, varies):
     )
 
 
-def space_forest(
-    sections: Sequence[list[int]],
-    strategy: str = "leftmost",
-    max_leaf_seeds: int = 12,
-    max_depth: int = ADDRESS_NYBBLES,
-    internal_regions: bool = True,
-    max_internal_seeds: int = 384,
-    max_internal_dims: int = 8,
-) -> list[LeafTable]:
-    """Every section's space tree, grown in one build.
+def _grow(
+    seeds: SeedList,
+    sizes: Sequence[int],
+    strategy: str,
+    leaf_caps: Sequence[int],
+    max_depth: int,
+    internal_regions: bool,
+    max_internal_seeds: int,
+    max_internal_dims: int,
+) -> list[list[LeafTable]]:
+    """Every section's tree at every leaf cap, grown in one build.
 
-    ``sections`` are sorted, duplicate-free, non-empty seed lists.
-    Section ``i``'s table equals ``SpaceTree(sections[i], ...).leaves``
-    with the same parameters: splits are node-local, so one
-    level-synchronous pass over all roots grows each tree as its own
-    build would, at one set of array operations per level instead of
-    one per tree and level.
-
-    All sections share one nybble matrix, each as one root range.
+    Section ``i`` is the next ``sizes[i]`` rows of ``seeds``' matrix, one
+    root range each; returns one list of section tables per cap.
     ``rows`` is the current arrangement of matrix rows: every open node
     is a contiguous range of it, and stable partitions keep each range
-    in ascending seed order.  Each level records the regions it emits
-    with the start of their range; sorting every region on (start,
-    depth) yields each tree's depth-first leaf order (a node before its
+    in ascending seed order.  Each level records its nodes with the
+    start of their range; sorting a cap's regions on (start, depth)
+    yields each tree's depth-first leaf order (a node before its
     children, children by ascending nybble), tree after tree.  Ranges
     are read in the final arrangement.
+
+    The split rule is node-local, and a node final at one cap is final
+    at every larger cap, so the tree at a larger cap is the tree at the
+    smallest cut at the first node of each path that is final at the
+    larger one.  The build splits every node the smallest cap splits;
+    ``above[c, k]`` says that no ancestor of node ``k`` is final at cap
+    ``c``, so that cap's tree reaches the node.  A node final at a cap
+    but split at a smaller one keeps, in that cap's table, the rows as
+    they stood when it was cut (ascending, like every open node's).
     """
     if strategy not in ("leftmost", "entropy"):
         raise ValueError(f"unknown split strategy: {strategy!r}")
-    if not sections:
-        return []
-    seeds = list(itertools.chain.from_iterable(sections))
-    matrix = seed_matrix(seeds)
+    if not len(sizes):
+        return [[] for _ in leaf_caps]
+    caps = np.array(leaf_caps, dtype=np.intp)[:, np.newaxis]
+    matrix = seeds.matrix
     rows = np.arange(len(seeds), dtype=np.intp)
-    sizes = np.array([len(section) for section in sections], dtype=np.intp)
+    sizes = np.asarray(sizes, dtype=np.intp)
     starts = roots = np.cumsum(sizes) - sizes
+    above = np.ones((len(leaf_caps), len(sizes)), dtype=bool)
     levels = []
+    # Per cap, (positions, rows there) of the nodes it cut and a smaller
+    # cap went on to split.
+    cut_rows: list[list[tuple]] = [[] for _ in leaf_caps]
     for depth in itertools.count():
         positions = _concat_ranges(starts, sizes)
         active = rows[positions]
@@ -640,32 +640,37 @@ def space_forest(
         varies = (masks & (masks - 1)) != 0
         variable_counts = varies.sum(axis=1)
         final = (
-            (sizes <= max_leaf_seeds)
+            (sizes <= caps)
             | (variable_counts <= 2)  # already a compact pattern
             | (depth >= max_depth)
         )
         # Internal regions are generalisation regions for split nodes:
         # they let the pool expand back up the hierarchy (e.g. into
         # sibling subnets) after the dense leaves below are exhausted.
-        internal = (
-            ~final
-            & (sizes <= max_internal_seeds)
+        generalises = (
+            (sizes <= max_internal_seeds)
             & (variable_counts <= max_internal_dims)
             & internal_regions
         )
-        emitted = np.flatnonzero(final | internal)
         levels.append(
             (
-                starts[emitted],
-                sizes[emitted],
-                np.full(emitted.size, depth, dtype=np.uint8),
-                internal[emitted],
-                masks[emitted],
+                starts,
+                sizes,
+                np.full(sizes.size, depth, dtype=np.uint8),
+                masks,
+                (above & (final | generalises)).T,
+                (~final & generalises).T,
             )
         )
-        split = np.flatnonzero(~final)
+        # Final at the smallest cap is final at every cap.
+        splits = ~final.all(axis=0)
+        split = np.flatnonzero(splits)
         if not split.size:
             break
+        for saved, cut in zip(cut_rows, above & final & splits):
+            if cut.any():
+                kept = _concat_ranges(starts[cut], sizes[cut])
+                saved.append((kept, rows[kept]))
         dims = _choose_dims(
             strategy, matrix, active, offsets[split], sizes[split], varies[split]
         )
@@ -681,28 +686,72 @@ def space_forest(
         bounds = np.flatnonzero(keys[1:] != keys[:-1]) + 1
         child_starts = np.concatenate(([0], bounds))
         child_sizes = np.diff(np.concatenate((child_starts, [keys.size])))
+        above = (above & ~final)[:, split][:, keys[child_starts] >> 4]
         starts = split_positions[child_starts]
         sizes = child_sizes
-    region_starts, region_sizes, depths, internal, masks = (
+    region_starts, region_sizes, depths, masks, emitted, internal = (
         np.concatenate(column) for column in zip(*levels)
     )
-    order = np.lexsort((depths, region_starts))
-    region_starts = region_starts[order]
-    region_sizes = region_sizes[order]
-    masks = masks[order]
-    table = LeafTable(
-        [seeds[row] for row in rows.tolist()],
-        region_starts,
-        region_sizes,
-        depths[order],
-        internal[order],
-        masks,
-        _densities(masks, region_sizes).tolist(),
+    forests = []
+    for cap, saved in enumerate(cut_rows):
+        regions = np.flatnonzero(emitted[:, cap])
+        regions = regions[np.lexsort((depths[regions], region_starts[regions]))]
+        arranged = rows.copy()
+        for kept, cut in saved:
+            arranged[kept] = cut
+        cap_starts = region_starts[regions]
+        cap_sizes = region_sizes[regions]
+        cap_masks = masks[regions]
+        table = LeafTable(
+            [seeds[row] for row in arranged.tolist()],
+            cap_starts,
+            cap_sizes,
+            depths[regions],
+            internal[regions, cap],
+            cap_masks,
+            _densities(cap_masks, cap_sizes).tolist(),
+        )
+        # A section's regions start inside its root range, so they are
+        # the rows from its root's start up to the next root's.
+        bounds = np.append(np.searchsorted(cap_starts, roots), len(table))
+        forests.append(
+            [table.take(slice(lo, hi)) for lo, hi in itertools.pairwise(bounds.tolist())]
+        )
+    return forests
+
+
+def space_forest(
+    seeds: Sequence[int],
+    sizes: Sequence[int],
+    strategy: str = "leftmost",
+    max_leaf_seeds: int = 12,
+    max_depth: int = ADDRESS_NYBBLES,
+    internal_regions: bool = True,
+    max_internal_seeds: int = 384,
+    max_internal_dims: int = 8,
+) -> list[LeafTable]:
+    """Every section's space tree, grown in one build.
+
+    Section ``i`` is the next ``sizes[i]`` seeds of ``seeds``, and each
+    section is a sorted, duplicate-free, non-empty run.  Section ``i``'s
+    table equals ``SpaceTree(section_i, ...).leaves`` with the same
+    parameters: splits are node-local, so one level-synchronous pass
+    over all roots grows each tree as its own build would, at one set of
+    array operations per level instead of one per tree and level.  All
+    sections share one nybble matrix (``SeedList.matrix``: a
+    :class:`~repro.addr.SeedList` lends its own).
+    """
+    (tables,) = _grow(
+        SeedList.of(seeds),
+        sizes,
+        strategy,
+        (max_leaf_seeds,),
+        max_depth,
+        internal_regions,
+        max_internal_seeds,
+        max_internal_dims,
     )
-    # A section's regions start inside its root range, so they are the
-    # rows from its root's start up to the next root's.
-    bounds = np.append(np.searchsorted(region_starts, roots), len(table))
-    return [table.take(slice(lo, hi)) for lo, hi in itertools.pairwise(bounds.tolist())]
+    return tables
 
 
 class SpaceTree:
@@ -713,7 +762,7 @@ class SpaceTree:
 
     def __init__(
         self,
-        seeds: list[int],
+        seeds: Sequence[int],
         strategy: str = "leftmost",
         max_leaf_seeds: int = 12,
         max_depth: int = ADDRESS_NYBBLES,
@@ -721,23 +770,55 @@ class SpaceTree:
         max_internal_seeds: int = 384,
         max_internal_dims: int = 8,
     ) -> None:
-        if not seeds:
-            raise ValueError("cannot build a space tree from no seeds")
-        self.strategy = strategy
-        self.max_leaf_seeds = max_leaf_seeds
-        self.max_depth = max_depth
-        self.internal_regions = internal_regions
-        self.max_internal_seeds = max_internal_seeds
-        self.max_internal_dims = max_internal_dims
-        (self.leaves,) = space_forest(
-            [sorted(set(seeds))],
+        (tree,) = SpaceTree.grown(
+            seeds,
             strategy,
-            max_leaf_seeds,
+            (max_leaf_seeds,),
             max_depth,
             internal_regions,
             max_internal_seeds,
             max_internal_dims,
         )
+        vars(self).update(vars(tree))
+
+    @classmethod
+    def grown(
+        cls,
+        seeds: Sequence[int],
+        strategy: str,
+        leaf_caps: Sequence[int],
+        max_depth: int = ADDRESS_NYBBLES,
+        internal_regions: bool = True,
+        max_internal_seeds: int = 384,
+        max_internal_dims: int = 8,
+    ) -> list[SpaceTree]:
+        """``[SpaceTree(seeds, strategy, cap, ...) for cap in leaf_caps]``,
+        grown in one build (see ``_grow``)."""
+        ordered = SeedList.of(seeds).sorted_unique()
+        if not ordered:
+            raise ValueError("cannot build a space tree from no seeds")
+        forests = _grow(
+            ordered,
+            (len(ordered),),
+            strategy,
+            leaf_caps,
+            max_depth,
+            internal_regions,
+            max_internal_seeds,
+            max_internal_dims,
+        )
+        trees = []
+        for cap, (leaves,) in zip(leaf_caps, forests):
+            tree = cls.__new__(cls)
+            tree.strategy = strategy
+            tree.max_leaf_seeds = cap
+            tree.max_depth = max_depth
+            tree.internal_regions = internal_regions
+            tree.max_internal_seeds = max_internal_seeds
+            tree.max_internal_dims = max_internal_dims
+            tree.leaves = leaves
+            trees.append(tree)
+        return trees
 
     def __len__(self) -> int:
         return len(self.leaves)

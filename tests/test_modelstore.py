@@ -13,6 +13,7 @@ import pickle
 
 import pytest
 
+from repro.addr import SeedList
 from repro.tga import (
     DET,
     LeafTable,
@@ -234,10 +235,10 @@ class TestRegionTableArtifacts:
         with use_model_cache(ModelCache(enabled=False)):
             artifacts = {
                 "spacetree": SpaceTree(self.SEEDS, strategy="entropy"),
-                "det.groups": DET()._frozen_groups(self.SEEDS),
-                "6graph.patterns": SixGraph()._frozen_patterns(self.SEEDS),
-                "6gen.clusters": SixGen()._frozen_clusters(self.SEEDS),
-                "6sense.sections": SixSense()._frozen_sections(self.SEEDS),
+                "det.groups": DET()._frozen_groups(SeedList(self.SEEDS)),
+                "6graph.patterns": SixGraph()._frozen_patterns(SeedList(self.SEEDS)),
+                "6gen.clusters": SixGen()._frozen_clusters(SeedList(self.SEEDS)),
+                "6sense.sections": SixSense()._frozen_sections(SeedList(self.SEEDS)),
             }
         for kind, artifact in artifacts.items():
             assert store.store(kind, 1, (), artifact), kind

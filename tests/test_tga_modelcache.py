@@ -22,7 +22,7 @@ from collections import Counter
 
 import pytest
 
-from repro.addr import ADDRESS_NYBBLES, parse_address
+from repro.addr import ADDRESS_NYBBLES, SeedList, parse_address
 from repro.addr.nybbles import differing_positions, get_nybble, set_nybble
 from repro.experiments import ExecutionPolicy, GridSpec, Study, run_grid
 from repro.experiments.parallel import resolve_workers
@@ -515,7 +515,7 @@ class TestEntropyIPMatchesReference:
     )
     def test_model_matches_including_transition_order(self, name, seeds):
         with use_model_cache(ModelCache(enabled=False)):
-            model = EntropyIP()._frozen_model(list(seeds))
+            model = EntropyIP()._frozen_model(SeedList(seeds))
         reference = _reference_eip_model(list(seeds))
         assert model[:2] == reference[:2]
         assert [list(table.items()) for table in model[2]] == [

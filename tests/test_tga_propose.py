@@ -14,7 +14,7 @@ import random
 
 import pytest
 
-from repro.addr import ADDRESS_NYBBLES, DeterministicStream
+from repro.addr import ADDRESS_NYBBLES, DeterministicStream, SeedList
 from repro.tga import EntropyIP, LeafPool, SpaceTree, SpaceTreeLeaf, leaf_candidates
 from repro.tga import entropy_ip
 from repro.tga.entropy_ip import _MAX_ATTEMPT_FACTOR
@@ -36,7 +36,7 @@ class _ScalarEntropyIP:
     same frozen model and stream seed."""
 
     def __init__(self, seeds: list[int], salt: int) -> None:
-        segments, marginals, transitions = EntropyIP()._frozen_model(seeds)
+        segments, marginals, transitions = EntropyIP()._frozen_model(SeedList(seeds))
         self.segments = list(segments)
         self.marginals = list(marginals)
         self.transitions = list(transitions)

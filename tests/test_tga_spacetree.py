@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from repro.addr import parse_address
+from repro.addr import SeedList, parse_address
 from repro.addr.nybbles import differing_positions
 from repro.addr.vector import np
 from repro.tga import (
@@ -348,11 +348,17 @@ def _sections(seeds: list[int]) -> list[list[int]]:
     ]
 
 
+def _forest(sections: list[list[int]], **params):
+    """``space_forest`` over the concatenated sections."""
+    seeds = list(itertools.chain.from_iterable(sections))
+    return space_forest(seeds, [len(section) for section in sections], **params)
+
+
 def _assert_forest_matches_trees(seeds: list[int]) -> None:
     sections = _sections(seeds)
     with use_model_cache(ModelCache(enabled=False)):
-        frozen = SixSense()._frozen_sections(sorted(set(seeds)))
-    tables = space_forest(sections, strategy="leftmost", max_leaf_seeds=10)
+        frozen = SixSense()._frozen_sections(SeedList(sorted(set(seeds))))
+    tables = _forest(sections, strategy="leftmost", max_leaf_seeds=10)
     assert [(net32, size) for net32, size, _ in frozen] == [
         (section[0] >> 96, len(section)) for section in sections
     ]
@@ -383,10 +389,10 @@ class TestSpaceForest:
         # Single-seed /32s of the scattered family between large ones.
         sections = _sections(_family("scattered") + _family("slaac") + _family("dense64"))
         assert {len(section) for section in sections} >= {1, 320, 400}
-        tables = space_forest(sections, strategy=strategy, max_leaf_seeds=4)
+        tables = _forest(sections, strategy=strategy, max_leaf_seeds=4)
         for section, table in zip(sections, tables):
             tree = SpaceTree(section, strategy=strategy, max_leaf_seeds=4)
             assert list(table) == list(tree.leaves)
 
     def test_no_sections(self):
-        assert space_forest([]) == []
+        assert space_forest([], []) == []
