@@ -112,8 +112,11 @@ def collect_source(
     primary_roles = set(spec.roles)
     extra_roles = set(spec.extra_roles)
     org_types = set(spec.org_types)
-    draws: list[tuple[Region, list[int], float]] = []
-    alias_regions_sampled = 0
+    # Every visible candidate ``(region, is_primary)`` with its region
+    # coin's probability and salt: the coins are drawn in one batch.
+    candidates: list[tuple[Region, bool]] = []
+    probabilities: list[float] = []
+    coin_salts: list[int] = []
 
     # ``{asn: (info, visible)}``, resolved once per AS.
     ases: dict[int, tuple[ASInfo, bool]] = {}
@@ -140,15 +143,29 @@ def collect_source(
             fallback_region = region
         if not visible:
             continue
+        candidates.append((region, is_primary))
         if region.aliased:
-            if not coin(spec.alias_inclusion, seed, spec.salt, _SALT_ALIAS, region.net64):
-                continue
-            alias_regions_sampled += 1
+            probabilities.append(spec.alias_inclusion)
+            coin_salts.append(_SALT_ALIAS)
         else:
-            probability = _region_probability(spec, region, extra=not is_primary)
-            salt = _SALT_REGION if is_primary else _SALT_EXTRA
-            if not coin(probability, seed, spec.salt, salt, region.net64):
-                continue
+            probabilities.append(_region_probability(spec, region, extra=not is_primary))
+            coin_salts.append(_SALT_REGION if is_primary else _SALT_EXTRA)
+
+    nets = np.fromiter(
+        (region.net64 for region, _ in candidates), dtype=np.uint64, count=len(candidates)
+    )
+    kept = coin_batch(
+        np.array(probabilities, dtype=np.float64),
+        seed,
+        spec.salt,
+        np.array(coin_salts, dtype=np.uint64),
+        nets,
+    )
+    draws: list[tuple[Region, list[int], float]] = []
+    alias_regions_sampled = 0
+    for region, is_primary in compress(candidates, kept.tolist()):
+        if region.aliased:
+            alias_regions_sampled += 1
         pool = _observable(region, pools)
         if pool:
             fraction = spec.address_fraction * (1.0 if is_primary or region.aliased else 0.5)

@@ -29,6 +29,7 @@ from .regions import (
     SCAN_EPOCH,
     Region,
     RegionRole,
+    responsive_mask,
 )
 from .topology import LazyASRegistry, LazyTopology
 
@@ -62,6 +63,8 @@ class _ProbeTables:
         "net64",
         "firewalled",
         "aliased",
+        "retired",
+        "churn_rate",
         "alias_prob",
         "salt",
         "_port_prob",
@@ -79,6 +82,12 @@ class _ProbeTables:
         )
         self.aliased = np.fromiter(
             (region.aliased for region in self.regions), dtype=bool, count=n
+        )
+        self.retired = np.fromiter(
+            (region.retired for region in self.regions), dtype=bool, count=n
+        )
+        self.churn_rate = np.fromiter(
+            (region.churn_rate for region in self.regions), dtype=np.float64, count=n
         )
         self.alias_prob = np.fromiter(
             (region.alias_response_prob for region in self.regions),
@@ -121,17 +130,37 @@ class _ProbeTables:
         the set of keys shared by more than one pair (collisions —
         essentially never non-empty, but handled exactly when they
         are).  Aliased, firewalled and retired regions contribute no
-        pair: their responsive-IID sets are empty.
+        pair.  The other regions' active IIDs run through
+        :func:`~repro.internet.regions.responsive_mask` in one call,
+        each row against its region's salt, churn rate and service
+        probability, so no region's own responsive set is built.
         """
         cache_key = (port, max(epoch, 0))
         cached = self._member_keys.get(cache_key)
         if cached is None:
-            sets = [region.responsive_iids(port, epoch) for region in self.regions]
+            eligible = ~(self.aliased | self.firewalled)
+            if epoch >= SCAN_EPOCH:
+                eligible &= ~self.retired
+            rows = np.flatnonzero(eligible)
+            sets = [self.regions[row].active_iids() for row in rows.tolist()]
             counts = np.fromiter(map(len, sets), dtype=np.intp, count=len(sets))
-            nets = np.repeat(self.net64, counts)
             iids = np.fromiter(
-                chain.from_iterable(sets), dtype=np.uint64, count=nets.shape[0]
+                chain.from_iterable(sets), dtype=np.uint64, count=int(counts.sum())
             )
+
+            def lane(column):
+                return np.repeat(column[rows], counts)
+
+            alive = responsive_mask(
+                iids,
+                lane(self.salt),
+                lane(self.churn_rate),
+                lane(self.port_prob(port)),
+                port,
+                epoch,
+            )
+            nets = lane(self.net64)[alive]
+            iids = iids[alive]
             keys = hash64_batch(nets, iids)
             order = np.argsort(keys, kind="stable")
             keys = keys[order]

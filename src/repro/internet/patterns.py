@@ -78,7 +78,7 @@ def generate_iids(kind: PatternKind, count: int, region_salt: int) -> frozenset[
     Results are memoised: rebuilding the same world (worker processes,
     serial/parallel equality checks, repeated benchmark studies) reuses
     the already-materialised frozensets instead of regenerating them.
-    The EUI-64 and RANDOM families draw all ``count`` hashes in one
+    The WORDY, EUI-64 and RANDOM families draw all their hashes in one
     :func:`~repro.addr.rand.hash64_batch` call.
     """
     if count <= 0:
@@ -90,16 +90,20 @@ def generate_iids(kind: PatternKind, count: int, region_salt: int) -> frozenset[
         start = offsets[hash64(region_salt, _SALT_LOW) % len(offsets)]
         return frozenset(range(start, start + count))
     if kind is PatternKind.WORDY:
-        vocab = IID_VOCABULARY
-        picked = set()
-        index = 0
-        while len(picked) < min(count, len(vocab)):
-            word = vocab[hash64(region_salt, _SALT_WORDY, index) % len(vocab)]
-            picked.add(word)
-            index += 1
-            if index > 16 * len(vocab):  # safety against pathological salts
-                break
-        return frozenset(picked)
+        # Word ``k`` is drawn by hash ``k``, and the set takes distinct
+        # words in draw order until it holds ``min(count, |vocab|)`` of
+        # them or draw ``16·|vocab|`` has been made (a cap against
+        # pathological salts): the words whose first draw comes earliest.
+        vocab = len(IID_VOCABULARY)
+        draws = hash64_batch(
+            region_salt, _SALT_WORDY, np.arange(16 * vocab + 1, dtype=np.uint64)
+        )
+        _, first = np.unique(draws % np.uint64(vocab), return_index=True)
+        first.sort()
+        words = (draws[first[: min(count, vocab)]] % np.uint64(vocab)).tolist()
+        # Added one at a time in draw order, then frozen, so the set
+        # iterates in the order the draw-by-draw build gives it.
+        return frozenset(set(map(IID_VOCABULARY.__getitem__, words)))
     if kind is PatternKind.EUI64:
         # Modified EUI-64: the OUI with its universal/local bit flipped,
         # then 0xFFFE, then a 24-bit NIC part.  NIC parts cluster in a

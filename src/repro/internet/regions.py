@@ -7,7 +7,10 @@ per-port service profile, churn behaviour, and optionally an alias flag
 
 Responsiveness queries are O(1): each region lazily materialises, per
 (port, epoch), the exact set of responsive IIDs.  Aliased regions never
-materialise anything — membership is the whole prefix.
+materialise anything — membership is the whole prefix.  Which IIDs
+respond is one columnar rule, :func:`responsive_mask`: a region applies
+it to its own IIDs, and a probe table to every IID of its regions at
+once.
 """
 
 from __future__ import annotations
@@ -31,6 +34,27 @@ SCAN_EPOCH = 1
 _SALT_PORT = 0x20
 _SALT_CHURN = 0x21
 _SALT_ALIAS_RATE = 0x22
+
+
+def responsive_mask(iids, salt, churn_rate, probability, port: Port, epoch: int):
+    """Which of the active ``iids`` answer on ``port`` at ``epoch``.
+
+    ``iids`` is a uint64 array.  ``salt`` (the region's), ``churn_rate``
+    and ``probability`` (the region's service probability on ``port``)
+    are one value for every row, or aligned per-row lanes (uint64 salts,
+    float64 rates) when the rows come from many regions.  An IID
+    answers when its port-service coin passes and it has not churned
+    away by ``epoch``.  Churn compounds: each epoch after collection is
+    an independent survival draw, so longitudinal studies over epochs
+    0, 1, 2, … see realistic monotone decay, and epoch 1 keeps its
+    historical draw (no extra epoch component).
+    """
+    alive = coin_batch(probability, salt, _SALT_PORT, port.index, iids)
+    if epoch >= SCAN_EPOCH:
+        alive &= ~coin_batch(churn_rate, salt, _SALT_CHURN, iids)
+        for later in range(SCAN_EPOCH + 1, epoch + 1):
+            alive &= ~coin_batch(churn_rate, salt, _SALT_CHURN, later, iids)
+    return alive
 
 
 class RegionRole(str, Enum):
@@ -92,28 +116,12 @@ class Region:
             self._iids = generate_iids(self.pattern, self.density, self.salt)
         return self._iids
 
-    def _churned(self, iid: int, epoch: int) -> bool:
-        """Whether the address has churned away by ``epoch``.
-
-        Churn compounds: each epoch after collection is an independent
-        survival draw, so longitudinal studies over epochs 0, 1, 2, …
-        see realistic monotone decay.  Epoch 1 keeps its historical draw
-        (no extra epoch component) so calibrated worlds are unchanged.
-        """
-        if epoch < SCAN_EPOCH:
-            return False
-        if coin(self.churn_rate, self.salt, _SALT_CHURN, iid):
-            return True
-        for later in range(SCAN_EPOCH + 1, epoch + 1):
-            if coin(self.churn_rate, self.salt, _SALT_CHURN, later, iid):
-                return True
-        return False
-
     def responsive_iids(self, port: Port, epoch: int) -> frozenset[int]:
         """IIDs that answer probes on ``port`` at ``epoch`` (cached).
 
         Accounts for the per-port service profile, region retirement and
-        per-address churn (compounding across epochs).  Aliased regions
+        per-address churn (compounding across epochs): the region's
+        active IIDs through :func:`responsive_mask`.  Aliased regions
         are handled separately by :meth:`responds`.
         """
         if self.aliased:
@@ -126,34 +134,19 @@ class Region:
         cached = self._responsive.get(key)
         if cached is not None:
             return cached
-        probability = self.profile.probability(port)
         active = self.active_iids()
-        # Below 8 IIDs the array setup costs more than it saves, so
-        # small sets draw their coins one IID at a time.
-        if len(active) >= 8:
-            iids = np.fromiter(active, dtype=np.uint64, count=len(active))
-            alive = ~self._churned_mask(iids, epoch)
-            alive &= coin_batch(probability, self.salt, _SALT_PORT, port.index, iids)
-            result = frozenset(iids[alive].tolist())
-        else:
-            survivors = []
-            for iid in active:
-                if self._churned(iid, epoch):
-                    continue
-                if coin(probability, self.salt, _SALT_PORT, port.index, iid):
-                    survivors.append(iid)
-            result = frozenset(survivors)
+        iids = np.fromiter(active, dtype=np.uint64, count=len(active))
+        alive = responsive_mask(
+            iids,
+            self.salt,
+            self.churn_rate,
+            self.profile.probability(port),
+            port,
+            epoch,
+        )
+        result = frozenset(iids[alive].tolist())
         self._responsive[key] = result
         return result
-
-    def _churned_mask(self, iids, epoch: int):
-        """Vectorized :meth:`_churned` over a uint64 IID array."""
-        if epoch < SCAN_EPOCH:
-            return np.zeros(iids.shape[0], dtype=bool)
-        churned = coin_batch(self.churn_rate, self.salt, _SALT_CHURN, iids)
-        for later in range(SCAN_EPOCH + 1, epoch + 1):
-            churned |= coin_batch(self.churn_rate, self.salt, _SALT_CHURN, later, iids)
-        return churned
 
     # -- probing ----------------------------------------------------------
 

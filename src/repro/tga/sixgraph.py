@@ -24,7 +24,7 @@ from ..addr.vector import np
 from .base import TargetGenerator, register_tga
 from .leafpool import LeafPool
 from .modelcache import SHARED_ENTROPY_CAPS, cached_space_tree, get_model_cache
-from .spacetree import LeafTable, leaves_for_groups
+from .spacetree import LeafTable, count_variable_dims, group_masks, leaves_for_groups
 
 __all__ = ["SixGraph"]
 
@@ -73,7 +73,7 @@ class SixGraph(TargetGenerator):
 
             keys = sorted(buckets)
             groups = [sorted(set(buckets[key])) for key in keys]
-            counts = leaves_for_groups(groups).variable_counts().tolist()
+            counts = count_variable_dims(group_masks(groups)).tolist()
             # Outlier merge: a combined pattern that is too diffuse keeps
             # only the densest half of its members as one pattern.
             for slot, (_, signature) in enumerate(keys):

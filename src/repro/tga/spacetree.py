@@ -442,7 +442,7 @@ class LeafTable(Sequence[SpaceTreeLeaf]):
 
     def variable_counts(self):
         """How many dims vary in each region."""
-        return ((self.masks & (self.masks - 1)) != 0).sum(axis=1)
+        return count_variable_dims(self.masks)
 
     def take(self, rows) -> LeafTable:
         """The regions at ``rows`` (indices or a slice), in that order and
@@ -474,23 +474,34 @@ class LeafTable(Sequence[SpaceTreeLeaf]):
         )
 
 
+def group_masks(groups: Sequence[list[int]]):
+    """Each non-empty seed group's presence masks, as a ``(groups, 32)``
+    uint16 array taken in one pass over one matrix of all their seeds."""
+    if not groups:
+        return np.zeros((0, ADDRESS_NYBBLES), dtype=np.uint16)
+    sizes = np.array([len(group) for group in groups], dtype=np.intp)
+    return _presence_masks(
+        seed_matrix(itertools.chain.from_iterable(groups)), np.cumsum(sizes) - sizes
+    )
+
+
+def count_variable_dims(masks):
+    """How many dims vary in each row of presence ``masks``."""
+    return ((masks & (masks - 1)) != 0).sum(axis=1)
+
+
 def leaves_for_groups(groups: Sequence[list[int]]) -> LeafTable:
     """One region per non-empty seed group, varying where its seeds differ.
 
     Region ``i``'s leaf equals ``SpaceTreeLeaf(seeds=groups[i],
-    variable_dims=differing_positions(groups[i]))``; every group's
-    presence masks are taken in one pass over one matrix.
+    variable_dims=differing_positions(groups[i]))``; the masks are
+    :func:`group_masks`.
     """
     sizes = np.array([len(group) for group in groups], dtype=np.intp)
-    starts = np.cumsum(sizes) - sizes
-    seeds = list(itertools.chain.from_iterable(groups))
-    if seeds:
-        masks = _presence_masks(seed_matrix(seeds), starts)
-    else:
-        masks = np.zeros((0, ADDRESS_NYBBLES), dtype=np.uint16)
+    masks = group_masks(groups)
     return LeafTable(
-        seeds,
-        starts,
+        list(itertools.chain.from_iterable(groups)),
+        np.cumsum(sizes) - sizes,
         sizes,
         np.zeros(len(sizes), dtype=np.uint8),
         np.zeros(len(sizes), dtype=bool),

@@ -1,5 +1,7 @@
 """Tests for repro.datasets.sampling."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.asdb import OrgType
@@ -213,3 +215,94 @@ class TestBatchedCoinsMatchScalar:
             addresses, metadata = scalar_collect_source(internet, spec)
             assert dataset.addresses == addresses
             assert dataset.metadata == metadata
+
+
+def per_region_collect_source(internet, spec):
+    """``collect_source`` drawing one scalar ``coin`` per candidate region
+    (the oracle of the batched region coins).  Also returns whether the
+    fallback region fired."""
+    from repro.addr.rand import coin
+    from repro.datasets import sampling
+
+    pools = {}
+    seed = internet.config.master_seed
+    registry = internet.registry
+    draws = []
+    alias_regions_sampled = 0
+    ases = {}
+    fallback_region = None
+    for region in internet.regions:
+        is_primary = region.role in spec.roles
+        is_extra = region.role in spec.extra_roles
+        if not (is_primary or is_extra):
+            continue
+        entry = ases.get(region.asn)
+        if entry is None:
+            info = registry.info(region.asn)
+            visible = sampling._as_visible(spec, seed, region.asn, info.country)
+            entry = ases[region.asn] = (info, visible)
+        info, visible = entry
+        if is_primary and info.org_type not in spec.org_types:
+            if not is_extra:
+                continue
+            is_primary = False
+        if is_primary and not region.aliased and fallback_region is None:
+            fallback_region = region
+        if not visible:
+            continue
+        if region.aliased:
+            if not coin(spec.alias_inclusion, seed, spec.salt, sampling._SALT_ALIAS, region.net64):
+                continue
+            alias_regions_sampled += 1
+        else:
+            probability = sampling._region_probability(spec, region, extra=not is_primary)
+            salt = sampling._SALT_REGION if is_primary else sampling._SALT_EXTRA
+            if not coin(probability, seed, spec.salt, salt, region.net64):
+                continue
+        pool = sampling._observable(region, pools)
+        if pool:
+            fraction = spec.address_fraction * (1.0 if is_primary or region.aliased else 0.5)
+            draws.append((region, pool, fraction))
+    addresses = set(sampling._sample_addresses(spec, seed, draws))
+    regions_sampled = len(draws)
+    fired = not addresses and fallback_region is not None
+    if fired:
+        addresses.update(sampling._observable(fallback_region, pools))
+        regions_sampled += 1
+    metadata = {
+        "regions_sampled": regions_sampled,
+        "alias_regions_sampled": alias_regions_sampled,
+    }
+    return frozenset(addresses), metadata, fired
+
+
+class TestRegionCoinsInOneBatch:
+    """Every source's region coins, drawn in one batch, keep the
+    per-region oracle's addresses and metadata."""
+
+    @staticmethod
+    def _check_every_source(world) -> int:
+        from repro.datasets import SOURCE_SPECS
+
+        assert len(SOURCE_SPECS) == 12
+        fired = 0
+        for spec in SOURCE_SPECS.values():
+            dataset = collect_source(world, spec)
+            addresses, metadata, fallback = per_region_collect_source(world, spec)
+            assert dataset.addresses == addresses, spec.name
+            assert dataset.metadata == metadata, spec.name
+            fired += fallback
+        return fired
+
+    @pytest.mark.parametrize("seed", [42, 7, 2024])
+    def test_tiny_worlds(self, seed):
+        from repro.internet import InternetConfig, SimulatedInternet
+
+        self._check_every_source(SimulatedInternet(InternetConfig.tiny(master_seed=seed)))
+
+    def test_world_where_the_fallback_fires(self):
+        """Three ASes: several sources' coins keep no address."""
+        from repro.internet import InternetConfig, SimulatedInternet
+
+        world = SimulatedInternet(replace(InternetConfig.tiny(), num_ases=3))
+        assert self._check_every_source(world) >= 2

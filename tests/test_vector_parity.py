@@ -229,6 +229,18 @@ class TestGenerateIIDsParity:
                     kind, count, salt
                 ), (kind, count, salt)
 
+    def test_wordy_every_count_over_many_salts(self):
+        """WORDY sets of 1–40 words (past the vocabulary's 32) hold the
+        draw-by-draw loop's words and iterate in its order, which orders
+        a region's responsive IIDs."""
+        rng = _rng(19)
+        salts = [rng.getrandbits(64) for _ in range(150)] + [0, 1, 2**64 - 1]
+        for salt in salts:
+            for count in range(1, 41):
+                built = generate_iids.__wrapped__(PatternKind.WORDY, count, salt)
+                oracle = _scalar_iids(PatternKind.WORDY, count, salt)
+                assert list(built) == list(oracle), (count, salt)
+
 
 # -- region respond chain ----------------------------------------------------
 
@@ -240,8 +252,6 @@ def _region_variants() -> list[Region]:
         dict(firewalled=True),
         dict(retired=True),
         dict(churn_rate=0.4),
-        # Under 8 active IIDs: the responsive set is built one IID at
-        # a time.
         dict(churn_rate=0.4, density=5),
         dict(aliased=True, alias_response_prob=0.35),
         dict(aliased=True, alias_response_prob=1.0),
@@ -345,6 +355,60 @@ class TestRegionRespondParity:
                     assert _fresh(region).responsive_iids(
                         port, epoch
                     ) == _scalar_responsive(region, port, epoch), (region, epoch)
+
+
+def _assert_members_match_scalar(tables: _ProbeTables) -> None:
+    """Every member table of ``tables`` at epochs 0–3 on all four ports
+    holds exactly the ``(net64, iid)`` pairs of the scalar responsive
+    sets of its regions, and building them fills no region's own
+    responsive-set cache."""
+    assert not any(region._responsive for region in tables.regions)
+    for epoch in range(4):
+        for port in ALL_PORTS:
+            _, nets, iids, _ = tables.member_table(port, epoch)
+            pairs = list(zip(nets.tolist(), iids.tolist()))
+            expected = {
+                (region.net64, iid)
+                for region in tables.regions
+                for iid in _scalar_responsive(region, port, epoch)
+            }
+            assert len(pairs) == len(set(pairs)) == len(expected), (port, epoch)
+            assert set(pairs) == expected, (port, epoch)
+    assert not any(region._responsive for region in tables.regions)
+
+
+class TestMemberTableParity:
+    """A member table is built from its regions' columns in one kernel
+    call; its pairs must be the union of the per-region scalar sets."""
+
+    def test_region_variants_in_one_table(self):
+        _assert_members_match_scalar(
+            _ProbeTables([_fresh(region) for region in _region_variants()])
+        )
+
+    @pytest.mark.parametrize("seed", [42, 7, 2024])
+    def test_world_table(self, seed):
+        internet = SimulatedInternet(InternetConfig.tiny(master_seed=seed))
+        # An uncapped world answers every batch from its world-wide table.
+        _assert_members_match_scalar(
+            internet.probe_tables(np.zeros(0, dtype=np.uint64))
+        )
+
+    def test_capped_batch_tables(self, tiny_config):
+        """Batch tables of the capped twin over shuffled chunks of the
+        world's /64s, with unrouted /64s mixed in."""
+        rng = _rng(20)
+        nets = [region.net64 for region in SimulatedInternet(tiny_config).regions]
+        nets += [rng.getrandbits(64) for _ in range(200)]
+        rng.shuffle(nets)
+        capped = SimulatedInternet(_capped_twin(tiny_config))
+        for start in range(0, len(nets), 400):
+            tables = capped.probe_tables(
+                np.array(nets[start : start + 400], dtype=np.uint64)
+            )
+            assert tables.regions
+            _assert_members_match_scalar(tables)
+        assert capped._probe_tables is None
 
 
 # -- blocklist ---------------------------------------------------------------
